@@ -4,7 +4,9 @@
 integral X' on the same realization, so the recombination
 x_total = x_tau + e^{-tau} * x_prime holds pathwise (to roundoff), not just
 in distribution. Stopping times that do not fit the simulated horizon raise
-InsufficientHorizonError; they are never silently capped.
+InsufficientHorizonError; they are never silently capped. One stop-and-extend
+loop serves the scalar records, the first-jump identities and the operator
+factorization in ``operator.py``.
 """
 
 from __future__ import annotations
@@ -71,8 +73,10 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
                       stream: RngStream | None = None) -> float:
     """Realize the stopping time of ``rule`` on ``path``.
 
-    Raises InsufficientHorizonError when the rule is not realized within the
-    path horizon (no silent capping).
+    Only ``horizon`` and ``jump_times`` are read (FirstJumpIn also reads
+    ``jump_sizes`` and ``gauss_var``), so scalar and operator paths share
+    this evaluator. Raises InsufficientHorizonError when the rule is not
+    realized within the path horizon (no silent capping).
     """
     if isinstance(rule, FixedTime):
         if rule.t > path.horizon:
@@ -80,7 +84,7 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
                 f"fixed time {rule.t} exceeds horizon {path.horizon}")
         return rule.t
     if isinstance(rule, FirstJump):
-        if path.n_jumps == 0:
+        if path.jump_times.size == 0:
             raise InsufficientHorizonError("no jump on the horizon")
         return float(path.jump_times[0])
     if isinstance(rule, FirstJumpIn):
@@ -91,9 +95,9 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
             raise InsufficientHorizonError("no jump in the target set on the horizon")
         return float(path.jump_times[hits[0]])
     if isinstance(rule, KthJump):
-        if path.n_jumps < rule.k:
+        if path.jump_times.size < rule.k:
             raise InsufficientHorizonError(
-                f"insufficient horizon: {path.n_jumps} jumps, need {rule.k}")
+                f"insufficient horizon: {path.jump_times.size} jumps, need {rule.k}")
         return float(path.jump_times[rule.k - 1])
     if isinstance(rule, IndependentRandomTime):
         if stream is None:
@@ -130,9 +134,42 @@ class DecompositionRecord:
         return self.residual <= rel_tol * (1.0 + abs(self.x_total))
 
 
-def check_pathwise_identity(record: DecompositionRecord) -> float:
-    """|x_total - (x_tau + discount * x_prime)| for one realization."""
-    return record.residual
+def _stopped_path(rule: StoppingRule, T: float, simulate, extend,
+                  stream: RngStream):
+    """A path long enough to hold (0, tau + T] for the stopping time of
+    ``rule``; returns (path, tau).
+
+    ``simulate(horizon)`` draws a fresh path and ``extend(path, horizon)``
+    continues one. Fixed and independent times are known up front, so the
+    path is simulated to tau + T directly (an independent time comes from a
+    child stream, disjoint from the path's draws). Path-dependent rules start
+    on 2T and extend by 2T until tau + T fits, at most _MAX_EXTENSIONS times.
+    """
+    if isinstance(rule, (FixedTime, IndependentRandomTime)):
+        if isinstance(rule, IndependentRandomTime):
+            tau = float(rule.law.sample(stream.split(1)[0]))
+            if tau < 0:
+                raise ValueError("independent random time must be nonnegative")
+        else:
+            tau = rule.t
+        return simulate(tau + T), tau
+    path = simulate(2.0 * T)
+    for _ in range(_MAX_EXTENSIONS):
+        try:
+            tau = evaluate_stopping(rule, path)
+        except InsufficientHorizonError:
+            tau = None
+        if tau is not None and tau + T <= path.horizon:
+            return path, tau
+        path = extend(path, path.horizon + 2.0 * T)
+    raise InsufficientHorizonError(
+        f"stopping rule {rule!r} not realized within the extension budget")
+
+
+def _levy_stopped_path(model: LevyModel, rule: StoppingRule, T: float,
+                       stream: RngStream):
+    return _stopped_path(rule, T, lambda h: simulate_path(model, h, stream),
+                         lambda p, h: extend_path(p, model, h, stream), stream)
 
 
 def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
@@ -141,29 +178,7 @@ def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
     stopping time: X_tau over (0, tau], X' over the shifted path, both on the
     same realization."""
     T = policy.horizon
-    if isinstance(rule, (FixedTime, IndependentRandomTime)):
-        if isinstance(rule, IndependentRandomTime):
-            time_stream = stream.split(1)[0]
-            tau = float(rule.law.sample(time_stream))
-            if tau < 0:
-                raise ValueError("independent random time must be nonnegative")
-        else:
-            tau = rule.t
-        path = simulate_path(model, tau + T, stream)
-    else:
-        path = simulate_path(model, 2.0 * T, stream)
-        for _ in range(_MAX_EXTENSIONS):
-            try:
-                tau = evaluate_stopping(rule, path)
-            except InsufficientHorizonError:
-                tau = None
-            if tau is not None and tau + T <= path.horizon:
-                break
-            path = extend_path(path, model, path.horizon + 2.0 * T, stream)
-        else:
-            raise InsufficientHorizonError(
-                f"stopping rule {rule!r} not realized within the extension budget")
-
+    path, tau = _levy_stopped_path(model, rule, T, stream)
     x_tau = eval_jump_sum(path, tau)
     x_prime = eval_jump_sum(shift_path(path, tau), T) if tau > 0 else eval_jump_sum(path, T)
     x_total = eval_jump_sum(path, tau + T)
@@ -184,7 +199,8 @@ def decompose_many(model: LevyModel, rule: StoppingRule, policy: TruncationPolic
 
 @dataclass(frozen=True)
 class IdentityDetail:
-    """Pieces of the first-value identity on one realization."""
+    """Both sides of a first-jump identity on one realization, with the
+    pieces of the right-hand side."""
 
     tau: float
     first_size: float
@@ -208,15 +224,9 @@ def _require_pure_jump(model: LevyModel):
 def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
                          policy: TruncationPolicy, stream: RngStream) -> IdentityDetail:
     T = policy.horizon
-    path = simulate_path(model, 2.0 * T, stream)
-    for _ in range(_MAX_EXTENSIONS):
-        target = thin_path(path, jump_set)[0] if jump_set is not None else path
-        if target.n_jumps and target.jump_times[0] + T <= path.horizon:
-            break
-        path = extend_path(path, model, path.horizon + 2.0 * T, stream)
-    else:
-        raise InsufficientHorizonError("no qualifying jump within the extension budget")
-    tau = float(target.jump_times[0])
+    rule = FirstJump() if jump_set is None else FirstJumpIn(jump_set)
+    path, tau = _levy_stopped_path(model, rule, T, stream)
+    target = path if jump_set is None else thin_path(path, jump_set)[0]
     first_size = float(target.jump_sizes[0])
     lhs = eval_jump_sum(target, tau + T)
     shifted = eval_jump_sum(shift_path(target, tau), T)
@@ -226,33 +236,18 @@ def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
 
 
 def first_value_identity(model: LevyModel, policy: TruncationPolicy,
-                         stream: RngStream) -> tuple[float, float]:
+                         stream: RngStream) -> IdentityDetail:
     """Both sides of the first-nonzero-value factorization on one realization:
     lhs is the full discounted integral, rhs is
     e^{-tau0}*(first jump) + e^{-tau0}*(shifted integral)."""
-    _require_pure_jump(model)
-    d = _first_jump_identity(model, None, policy, stream)
-    return d.lhs, d.rhs
-
-
-def first_value_identity_detail(model: LevyModel, policy: TruncationPolicy,
-                                stream: RngStream) -> IdentityDetail:
     _require_pure_jump(model)
     return _first_jump_identity(model, None, policy, stream)
 
 
 def restricted_jump_identity(model: LevyModel, jump_set: JumpSet,
                              policy: TruncationPolicy,
-                             stream: RngStream) -> tuple[float, float]:
+                             stream: RngStream) -> IdentityDetail:
     """Same identity on the thinned process keeping only jumps in the set."""
-    _require_pure_jump(model)
-    d = _first_jump_identity(model, jump_set, policy, stream)
-    return d.lhs, d.rhs
-
-
-def restricted_jump_identity_detail(model: LevyModel, jump_set: JumpSet,
-                                    policy: TruncationPolicy,
-                                    stream: RngStream) -> IdentityDetail:
     _require_pure_jump(model)
     return _first_jump_identity(model, jump_set, policy, stream)
 

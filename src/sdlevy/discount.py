@@ -26,19 +26,10 @@ class TruncationPolicy:
     visibility at the default T = 40 for desk-scale laws."""
 
     horizon: float = 40.0
-    tail_tol: float = 1e-16
 
     def __post_init__(self):
         if not (self.horizon > 0):
             raise ValueError("horizon must be positive")
-        if not (0.0 < self.tail_tol < 1.0):
-            raise ValueError("tail_tol must be in (0, 1)")
-
-    @classmethod
-    def from_tolerance(cls, model: LevyModel, tail_tol: float) -> "TruncationPolicy":
-        """T = ln(scale / tail_tol) with scale = max(1, E|Y(1)|)."""
-        scale = max(1.0, model.unit_abs_scale())
-        return cls(horizon=math.log(scale / tail_tol), tail_tol=tail_tol)
 
 
 def _check_time(path: JumpPath, t: float):

@@ -177,11 +177,6 @@ class LevyModel:
         jump = self.jump_rate * self.jump_law.mean if self.jump_rate > 0 else 0.0
         return self.drift + jump
 
-    def unit_abs_scale(self) -> float:
-        """Crude upper proxy for E|Y(1)|, used to size truncation horizons."""
-        jump = self.jump_rate * self.jump_law.abs_mean if self.jump_rate > 0 else 0.0
-        return abs(self.drift) + jump + math.sqrt(self.gauss_var)
-
 
 @dataclass(frozen=True)
 class JumpSet:
@@ -357,14 +352,6 @@ class JumpPath:
         self._check_time(t)
         idx = int(np.searchsorted(self.jump_times, t, side="left"))
         return self.drift * t + float(np.sum(self.jump_sizes[:idx])) + self.gauss_level(t)
-
-
-def path_value(path: JumpPath, t: float) -> float:
-    return path.value(t)
-
-
-def path_value_left(path: JumpPath, t: float) -> float:
-    return path.value_left(t)
 
 
 def simulate_path(model: LevyModel, horizon: float, stream: RngStream) -> JumpPath:

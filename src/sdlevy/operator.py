@@ -17,14 +17,12 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, KthJump,
-                            StoppingRule)
+from .decomposition import FirstJumpIn, StoppingRule, _stopped_path
 from .discount import TruncationPolicy
-from .errors import InsufficientHorizonError, SpectralGateError
-from .levy import LevyModel, extend_path, simulate_path
+from .errors import SpectralGateError
+from .levy import LevyModel, simulate_path
 from .rng import RngStream
 
-_MAX_EXTENSIONS = 8
 _SPECTRAL_TOL = 1e-12
 
 
@@ -204,76 +202,60 @@ class OperatorPath:
     rows, and the deterministic drift vector."""
 
     horizon: float
-    times: np.ndarray
+    jump_times: np.ndarray
     jumps: np.ndarray
     drift: np.ndarray
     _coord_streams: tuple = field(default=(), repr=False, compare=False)
 
 
+def _driver_jumps(model: OperatorModel, start: float, span: float,
+                  streams: tuple) -> tuple[np.ndarray, np.ndarray]:
+    """The driver's jumps on (start, start + span]: times in order and jump
+    vectors as rows, one stream per coordinate (a single stream for a shared
+    direction). Ties keep coordinate order."""
+    driver = model.driver
+    if isinstance(driver, SharedJumpDirection):
+        (stream,) = streams
+        path = simulate_path(driver.model, span, stream)
+        direction = np.asarray(driver.direction, float)
+        return start + path.jump_times, np.outer(path.jump_sizes, direction)
+    paths = [simulate_path(m, span, s) for m, s in zip(driver.models, streams)]
+    times = start + np.concatenate([p.jump_times for p in paths])
+    jumps = np.zeros((times.size, model.dimension))
+    offset = 0
+    for i, p in enumerate(paths):
+        jumps[offset:offset + p.n_jumps, i] = p.jump_sizes
+        offset += p.n_jumps
+    order = np.argsort(times, kind="stable")
+    return times[order], jumps[order]
+
+
 def simulate_operator_path(model: OperatorModel, horizon: float,
                            stream: RngStream) -> OperatorPath:
-    driver = model.driver
-    d = model.dimension
-    if isinstance(driver, IndependentCoordinates):
-        # d == 1 reuses the caller's stream so the scalar pipeline is
-        # reproduced draw for draw.
-        streams = [stream] if d == 1 else stream.split(d)
-        paths = [simulate_path(m, horizon, s) for m, s in zip(driver.models, streams)]
-        times = np.concatenate([p.jump_times for p in paths])
-        jumps = np.zeros((times.size, d))
-        offset = 0
-        for i, p in enumerate(paths):
-            jumps[offset:offset + p.n_jumps, i] = p.jump_sizes
-            offset += p.n_jumps
-        order = np.argsort(times, kind="stable")
-        return OperatorPath(horizon, times[order], jumps[order],
-                            driver.drift_vector(), tuple(streams))
-    path = simulate_path(driver.model, horizon, stream)
-    direction = np.asarray(driver.direction, float)
-    return OperatorPath(horizon, path.jump_times,
-                        np.outer(path.jump_sizes, direction),
-                        driver.drift_vector(), (stream,))
+    # d == 1 reuses the caller's stream so the scalar pipeline is
+    # reproduced draw for draw.
+    if isinstance(model.driver, IndependentCoordinates) and model.dimension > 1:
+        streams = tuple(stream.split(model.dimension))
+    else:
+        streams = (stream,)
+    times, jumps = _driver_jumps(model, 0.0, horizon, streams)
+    return OperatorPath(horizon, times, jumps, model.driver.drift_vector(), streams)
 
 
 def _extend_operator_path(path: OperatorPath, model: OperatorModel,
                           new_horizon: float) -> OperatorPath:
-    driver = model.driver
-    d = model.dimension
-    if isinstance(driver, IndependentCoordinates):
-        extra_times = []
-        extra_jumps = []
-        span = new_horizon - path.horizon
-        for i, (m, s) in enumerate(zip(driver.models, path._coord_streams)):
-            if m.jump_rate <= 0:
-                continue
-            scalar = simulate_path(m, span, s)
-            t = path.horizon + scalar.jump_times
-            j = np.zeros((t.size, d))
-            j[:, i] = scalar.jump_sizes
-            extra_times.append(t)
-            extra_jumps.append(j)
-        if extra_times:
-            t_new = np.concatenate(extra_times)
-            j_new = np.concatenate(extra_jumps)
-            order = np.argsort(t_new, kind="stable")
-            times = np.concatenate([path.times, t_new[order]])
-            jumps = np.concatenate([path.jumps, j_new[order]])
-        else:
-            times, jumps = path.times, path.jumps
-        return OperatorPath(new_horizon, times, jumps, path.drift, path._coord_streams)
-    (stream,) = path._coord_streams
-    scalar = simulate_path(driver.model, new_horizon - path.horizon, stream)
-    direction = np.asarray(driver.direction, float)
-    times = np.concatenate([path.times, path.horizon + scalar.jump_times])
-    jumps = np.concatenate([path.jumps, np.outer(scalar.jump_sizes, direction)])
-    return OperatorPath(new_horizon, times, jumps, path.drift, path._coord_streams)
+    times, jumps = _driver_jumps(model, path.horizon, new_horizon - path.horizon,
+                                 path._coord_streams)
+    return OperatorPath(new_horizon, np.concatenate([path.jump_times, times]),
+                        np.concatenate([path.jumps, jumps]), path.drift,
+                        path._coord_streams)
 
 
 def _eval_operator_integral(model: OperatorModel, path: OperatorPath,
                             t: float) -> np.ndarray:
     disc = model._discounter
-    idx = int(np.searchsorted(path.times, t, side="right"))
-    return (disc.discounted_sum(path.times[:idx], path.jumps[:idx])
+    idx = int(np.searchsorted(path.jump_times, t, side="right"))
+    return (disc.discounted_sum(path.jump_times[:idx], path.jumps[:idx])
             + disc.drift_integral(t, path.drift))
 
 
@@ -333,59 +315,20 @@ class OperatorDecompositionRecord:
         return self.residual <= rel_tol * (1.0 + float(np.linalg.norm(self.x_total)))
 
 
-def _operator_stopping(rule: StoppingRule, path: OperatorPath,
-                       stream: RngStream | None = None) -> float:
-    if isinstance(rule, FixedTime):
-        if rule.t > path.horizon:
-            raise InsufficientHorizonError("fixed time exceeds horizon")
-        return rule.t
-    if isinstance(rule, FirstJump):
-        if path.times.size == 0:
-            raise InsufficientHorizonError("no jump on the horizon")
-        return float(path.times[0])
-    if isinstance(rule, KthJump):
-        if path.times.size < rule.k:
-            raise InsufficientHorizonError(
-                f"insufficient horizon: {path.times.size} jumps, need {rule.k}")
-        return float(path.times[rule.k - 1])
-    if isinstance(rule, IndependentRandomTime):
-        t = float(rule.law.sample(stream))
-        if t > path.horizon:
-            raise InsufficientHorizonError("independent time exceeds horizon")
-        return t
-    raise ValueError(f"stopping rule {rule!r} is not supported on operator paths")
-
-
 def operator_decompose(model: OperatorModel, rule: StoppingRule,
                        policy: TruncationPolicy,
                        stream: RngStream) -> OperatorDecompositionRecord:
+    if isinstance(rule, FirstJumpIn):
+        raise ValueError("FirstJumpIn is not supported on operator paths")
     T = policy.horizon
     disc = model._discounter
-    if isinstance(rule, (FixedTime, IndependentRandomTime)):
-        if isinstance(rule, IndependentRandomTime):
-            time_stream = stream.split(1)[0]
-            tau = float(rule.law.sample(time_stream))
-        else:
-            tau = rule.t
-        path = simulate_operator_path(model, tau + T, stream)
-    else:
-        path = simulate_operator_path(model, 2.0 * T, stream)
-        for _ in range(_MAX_EXTENSIONS):
-            try:
-                tau = _operator_stopping(rule, path)
-            except InsufficientHorizonError:
-                tau = None
-            if tau is not None and tau + T <= path.horizon:
-                break
-            path = _extend_operator_path(path, model, path.horizon + 2.0 * T)
-        else:
-            raise InsufficientHorizonError(
-                f"stopping rule {rule!r} not realized within the extension budget")
-
+    path, tau = _stopped_path(
+        rule, T, lambda h: simulate_operator_path(model, h, stream),
+        lambda p, h: _extend_operator_path(p, model, h), stream)
     x_tau = _eval_operator_integral(model, path, tau)
-    lo = int(np.searchsorted(path.times, tau, side="right"))
-    hi = int(np.searchsorted(path.times, tau + T, side="right"))
-    x_prime = (disc.discounted_sum(path.times[lo:hi] - tau, path.jumps[lo:hi])
+    lo = int(np.searchsorted(path.jump_times, tau, side="right"))
+    hi = int(np.searchsorted(path.jump_times, tau + T, side="right"))
+    x_prime = (disc.discounted_sum(path.jump_times[lo:hi] - tau, path.jumps[lo:hi])
                + disc.drift_integral(T, path.drift))
     x_total = _eval_operator_integral(model, path, tau + T)
     return OperatorDecompositionRecord(

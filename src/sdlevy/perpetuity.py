@@ -42,9 +42,7 @@ class ConstantAffine:
     a: float
     b: float
 
-    def sample_pairs(self, stream: RngStream, size=None):
-        if size is None:
-            return self.a, self.b
+    def sample_pairs(self, stream: RngStream, size: int):
         n = int(size)
         return np.full(n, self.a), np.full(n, self.b)
 
@@ -60,13 +58,10 @@ class BetaGammaAffine:
     def __post_init__(self):
         GammaParams(self.shape, self.rate)
 
-    def sample_pairs(self, stream: RngStream, size=None):
-        n = 1 if size is None else int(size)
+    def sample_pairs(self, stream: RngStream, size: int):
+        n = int(size)
         a = stream.uniform(size=n) ** (1.0 / self.shape)
-        b = a * stream.exponential(self.rate, size=n)
-        if size is None:
-            return float(a[0]), float(b[0])
-        return a, b
+        return a, a * stream.exponential(self.rate, size=n)
 
 
 @dataclass(frozen=True)
@@ -75,11 +70,8 @@ class CustomAffine:
 
     sampler: Callable
 
-    def sample_pairs(self, stream: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        a, b = self.sampler(stream, n)
-        if size is None:
-            return float(np.asarray(a).ravel()[0]), float(np.asarray(b).ravel()[0])
+    def sample_pairs(self, stream: RngStream, size: int):
+        a, b = self.sampler(stream, int(size))
         return np.asarray(a, float), np.asarray(b, float)
 
 
@@ -91,14 +83,8 @@ class StoppedIntegralAffine:
     model: LevyModel
     rule: StoppingRule
 
-    def sample_pairs(self, stream: RngStream, size=None):
-        n = 1 if size is None else int(size)
-        a, b = self._sample(n, stream)
-        if size is None:
-            return float(a[0]), float(b[0])
-        return a, b
-
-    def _sample(self, n: int, stream: RngStream):
+    def sample_pairs(self, stream: RngStream, size: int):
+        n = int(size)
         model = self.model
         if isinstance(self.rule, FirstJump):
             if model.jump_rate <= 0:
@@ -157,17 +143,6 @@ def estimate_log_contraction(law, stream: RngStream, n: int = 512) -> float:
 # Iteration and the backward series
 # ---------------------------------------------------------------------------
 
-def iterate_to_stationarity(law, z0: float, n_steps: int, stream: RngStream) -> float:
-    """Z_{n_steps} of the forward iteration started at z0."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    z = float(z0)
-    for _ in range(n_steps):
-        a, b = law.sample_pairs(stream)
-        z = a * z + b
-    return z
-
-
 def iterate_many(law, z0: float, n_steps: int, n_chains: int,
                  stream: RngStream) -> np.ndarray:
     """Forward iteration over independent chains, vectorized per step."""
@@ -187,27 +162,11 @@ def _require_contractive(law, stream: RngStream):
             f"estimated E[log|A|] = {est:.4g} >= 0; the backward series diverges")
 
 
-def sample_backward_series(law, tail_tol: float, stream: RngStream,
-                           max_terms: int = 10_000) -> float:
-    """One exactly-stationary draw of Z = sum_k B_k prod_{l<k} A_l, truncated
-    once the running product drops below tail_tol (the truncation error is
-    bounded by tail_tol times a stationary copy)."""
-    if not (0.0 < tail_tol < 1.0):
-        raise ValueError("tail_tol must be in (0, 1)")
-    _require_contractive(law, stream)
-    z = 0.0
-    prod = 1.0
-    for _ in range(max_terms):
-        a, b = law.sample_pairs(stream)
-        z += prod * b
-        prod *= a
-        if abs(prod) < tail_tol:
-            return z
-    raise ContractionError(f"series did not contract within {max_terms} terms")
-
-
 def sample_backward_series_many(law, tail_tol: float, n: int, stream: RngStream,
                                 max_terms: int = 10_000) -> np.ndarray:
+    """n exactly-stationary draws of Z = sum_k B_k prod_{l<k} A_l, each
+    truncated once its running product drops below tail_tol (the truncation
+    error is bounded by tail_tol times a stationary copy)."""
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must be in (0, 1)")
     _require_contractive(law, stream)

@@ -1,8 +1,11 @@
 """Deterministic, splittable random streams and elementary samplers.
 
-Streams are counter-based (Philox), so the output sequence is a pure
-function of ``(seed, stream_id)``: Monte Carlo runs reproduce bit-for-bit
-no matter how work is scheduled across threads or processes. A single
+Streams are counter-based (Philox), so the raw draws are a pure function of
+``(seed, stream_id)``, the same on every machine and however work is
+scheduled across threads or processes. Values computed from them with
+numpy's vectorized math (exp, log, powers) can differ in the last bits
+between CPU feature sets, so run artifacts are byte-identical on one
+machine and numpy build, not across machines. A single
 stream must not be shared mutably between threads; use :meth:`RngStream.split`
 to hand independent child streams to parallel workers.
 """
@@ -28,7 +31,7 @@ class RngStream:
     """A named, reproducible stream of randomness.
 
     Distinct ``(seed, stream_id)`` pairs yield statistically independent
-    sequences; identical pairs yield identical sequences on every platform.
+    sequences; identical pairs yield identical raw draws on every platform.
     ``counter`` counts variates drawn, for report fingerprints.
     """
 

@@ -93,8 +93,9 @@ class TestRunners:
         assert doc["experiment"] == name
         assert len(doc["config_fingerprint"]) == 64
 
-    def test_artifacts_byte_identical(self, tmp_path):
-        cfg = SMALL_CONFIGS["verify-gamma-bdlp"]
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_artifacts_byte_identical(self, name, tmp_path):
+        cfg = SMALL_CONFIGS[name]
         out1, out2 = tmp_path / "a", tmp_path / "b"
         run(dict(cfg), out_dir=out1)
         run(dict(cfg), out_dir=out2)
@@ -148,6 +149,16 @@ class TestMain:
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
         doc["experiment"] = "verify-everything"
         assert main(["run", "--config", self._write(tmp_path, doc)]) == 2
+
+    def test_policy_tail_tol_rejected(self, tmp_path, capsys):
+        # the horizon is the only truncation knob; a tolerance field that no
+        # sampler reads is a schema violation, not a silent no-op
+        doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
+        doc["policy"] = {"horizon": 40.0, "tail_tol": 1e-16}
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "tail_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):
         cfg = dict(SMALL_CONFIGS["verify-gamma-bdlp"])

@@ -5,9 +5,8 @@ import pytest
 
 from sdlevy.decomposition import (RECORD_CSV_HEADER, DecompositionRecord, FirstJump,
                                   FirstJumpIn, FixedTime, IndependentRandomTime,
-                                  KthJump, check_pathwise_identity, decompose,
-                                  decompose_many, evaluate_stopping,
-                                  first_value_identity, first_value_identity_detail,
+                                  KthJump, decompose, decompose_many,
+                                  evaluate_stopping, first_value_identity,
                                   records_to_csv, restricted_jump_identity)
 from sdlevy.discount import TruncationPolicy, eval_by_parts, eval_jump_sum
 from sdlevy.errors import InsufficientHorizonError
@@ -92,7 +91,7 @@ class TestPathwiseFactorization:
         records = decompose_many(_gamma_model(), rule, POLICY, 200, make_stream())
         for r in records:
             assert r.passes(1e-10)
-            assert check_pathwise_identity(r) == r.residual
+            assert r.residual == abs(r.x_total - (r.x_tau + r.discount * r.x_prime))
 
     def test_residual_with_drift_and_gaussian(self, make_stream):
         # the Gaussian cache must hand the shifted view the same realization
@@ -151,8 +150,9 @@ class TestFirstValueIdentity:
     def test_pathwise_equality(self, make_stream):
         stream = make_stream()
         for s in stream.split(300):
-            lhs, rhs = first_value_identity(_gamma_model(), POLICY, s)
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+            d = first_value_identity(_gamma_model(), POLICY, s)
+            assert d.residual == abs(d.lhs - d.rhs)
+            assert d.residual <= 1e-10 * (1.0 + abs(d.lhs))
 
     def test_requires_pure_jump_model(self, make_stream):
         with pytest.raises(ValueError):
@@ -164,14 +164,14 @@ class TestFirstValueIdentity:
 
     def test_lhs_is_gamma(self, make_stream):
         stream = make_stream()
-        lhs = np.array([first_value_identity(_gamma_model(), POLICY, s)[0]
+        lhs = np.array([first_value_identity(_gamma_model(), POLICY, s).lhs
                         for s in stream.split(20_000)])
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
         assert ks_two_sample(lhs, ref)[2]
 
     def test_discount_independent_of_shifted_integral(self, make_stream):
         stream = make_stream()
-        details = [first_value_identity_detail(_gamma_model(), POLICY, s)
+        details = [first_value_identity(_gamma_model(), POLICY, s)
                    for s in stream.split(10_000)]
         disc = np.array([d.discount for d in details])
         shifted = np.array([d.shifted_integral for d in details])
@@ -181,8 +181,9 @@ class TestFirstValueIdentity:
         jump_set = JumpSet("ge", 1.0)
         stream = make_stream()
         for s in stream.split(300):
-            lhs, rhs = restricted_jump_identity(_gamma_model(), jump_set, POLICY, s)
-            assert abs(lhs - rhs) <= 1e-10 * (1.0 + abs(lhs))
+            d = restricted_jump_identity(_gamma_model(), jump_set, POLICY, s)
+            assert jump_set.contains(d.first_size)
+            assert abs(d.lhs - d.rhs) <= 1e-10 * (1.0 + abs(d.lhs))
 
     def test_full_support_set_reduces_to_first_value(self, make_stream):
         # a set containing every positive jump makes the restricted identity

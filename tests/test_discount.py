@@ -23,14 +23,7 @@ class TestPolicy:
         with pytest.raises(ValueError):
             TruncationPolicy(horizon=0.0)
         with pytest.raises(ValueError):
-            TruncationPolicy(tail_tol=0.0)
-        with pytest.raises(ValueError):
-            TruncationPolicy(tail_tol=1.0)
-
-    def test_from_tolerance_covers_tail(self):
-        pol = TruncationPolicy.from_tolerance(_gamma_model(), 1e-12)
-        # e^{-T} * E|Y(1)| must be at most the tolerance
-        assert np.exp(-pol.horizon) * _gamma_model().unit_abs_scale() <= 1e-12 * 1.001
+            TruncationPolicy(horizon=-1.0)
 
 
 class TestClosedForms:

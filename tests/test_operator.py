@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump)
+                                  IndependentRandomTime, KthJump, decompose_many)
 from sdlevy.discount import (TruncationPolicy, sample_discounted_integral,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
@@ -99,6 +99,25 @@ class TestScalarConsistency:
         x_sc = sample_discounted_integral(model, POLICY, RngStream(99))
         assert x_op.shape == (1,)
         assert float(x_op[0]) == x_sc  # exact, same draws and float ops
+
+    @pytest.mark.parametrize("rule", [
+        FirstJump(), KthJump(170), FixedTime(0.7),
+        IndependentRandomTime(ExponentialJumps(1.0)),
+    ], ids=["first_jump", "kth_jump_170", "fixed_time", "independent_time"])
+    def test_d1_decomposition_matches_scalar(self, rule):
+        # Q = [[1]] is the scalar case: the shared stop-and-extend core must
+        # draw the same stopping times and paths, record for record. At rate 2
+        # a 2T horizon holds about 160 jumps, so KthJump(170) always extends.
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
+        op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
+        ops = operator_decompose_many(op, rule, POLICY, 50, RngStream(2024))
+        scalars = decompose_many(model, rule, POLICY, 50, RngStream(2024))
+        for o, s in zip(ops, scalars):
+            assert o.tau == s.tau
+            assert o.discount.shape == (1, 1)
+            for field in ("x_tau", "x_prime", "x_total"):
+                a, b = float(getattr(o, field)[0]), getattr(s, field)
+                assert abs(a - b) <= 1e-14 * max(abs(b), 1e-300), field
 
     def test_scaled_identity_reduces_per_coordinate(self, make_stream):
         # with Q = cI the coordinate integral sum_k e^{-c t_k} J_k has the

@@ -11,8 +11,7 @@ from sdlevy.levy import ExponentialJumps, LevyModel
 from sdlevy.perpetuity import (BetaGammaAffine, ConstantAffine, CustomAffine,
                                StoppedIntegralAffine, beta_gamma_identity_samples,
                                estimate_log_contraction, gamma_factor_samples,
-                               iterate_many, iterate_to_stationarity,
-                               sample_backward_series, sample_backward_series_many,
+                               iterate_many, sample_backward_series_many,
                                selfdecomposable_as_perpetuity)
 from sdlevy.rng import GammaParams, sample_gamma
 from sdlevy.stats import ks_two_sample
@@ -27,19 +26,19 @@ def _gamma_model(alpha=2.0, lam=1.0):
 class TestIteration:
     def test_a_zero_forgets_the_start(self, make_stream):
         law = ConstantAffine(0.0, 3.0)
-        assert iterate_to_stationarity(law, 1e9, 1, make_stream()) == 3.0
+        np.testing.assert_array_equal(iterate_many(law, 1e9, 1, 5, make_stream()), 3.0)
 
     def test_geometric_contraction(self, make_stream):
         # Z_{n+1} = Z_n / 2 + 1 converges to 2 exactly in float
         law = ConstantAffine(0.5, 1.0)
-        z = iterate_to_stationarity(law, 0.0, 200, make_stream())
-        assert z == pytest.approx(2.0, abs=1e-12)
+        z = iterate_many(law, 0.0, 200, 1, make_stream())
+        assert z[0] == pytest.approx(2.0, abs=1e-12)
         zs = iterate_many(law, 10.0, 200, 50, make_stream())
         np.testing.assert_allclose(zs, 2.0, atol=1e-12)
 
     def test_step_count_validated(self, make_stream):
         with pytest.raises(ValueError):
-            iterate_to_stationarity(ConstantAffine(0.5, 1.0), 0.0, 0, make_stream())
+            iterate_many(ConstantAffine(0.5, 1.0), 0.0, 0, 10, make_stream())
 
     def test_gamma_chain_stationary_law(self, make_stream):
         # the C-form chain Z' = A(Z + C) with A = U^{1/a}, C = Exp(lam)
@@ -57,19 +56,21 @@ class TestIteration:
 class TestBackwardSeries:
     def test_constant_law_closed_form(self, make_stream):
         # sum of 1 * (1/2)^k = 2 up to the truncation tail
-        z = sample_backward_series(ConstantAffine(0.5, 1.0), 1e-12, make_stream())
-        assert z == pytest.approx(2.0, abs=1e-10)
+        z = sample_backward_series_many(ConstantAffine(0.5, 1.0), 1e-12, 5, make_stream())
+        np.testing.assert_allclose(z, 2.0, rtol=0, atol=1e-10)
 
     def test_tail_tol_validated(self, make_stream):
         with pytest.raises(ValueError):
-            sample_backward_series(ConstantAffine(0.5, 1.0), 0.0, make_stream())
+            sample_backward_series_many(ConstantAffine(0.5, 1.0), 0.0, 10,
+                                        make_stream())
         with pytest.raises(ValueError):
             sample_backward_series_many(ConstantAffine(0.5, 1.0), 2.0, 10,
                                         make_stream())
 
     def test_divergent_law_rejected(self, make_stream):
         with pytest.raises(ContractionError):
-            sample_backward_series(ConstantAffine(1.0, 1.0), 1e-12, make_stream())
+            sample_backward_series_many(ConstantAffine(1.0, 1.0), 1e-12, 10,
+                                        make_stream())
         with pytest.raises(ContractionError):
             sample_backward_series_many(ConstantAffine(1.5, 1.0), 1e-12, 10,
                                         make_stream())
@@ -98,8 +99,8 @@ class TestBackwardSeries:
         law = BetaGammaAffine(2.0, 1.0)
         streams1 = RngStream(314159).split(5000)
         streams2 = RngStream(314159).split(5000)
-        z1 = np.array([sample_backward_series(law, 1e-8, s) for s in streams1])
-        z2 = np.array([sample_backward_series(law, 1e-12, s) for s in streams2])
+        z1 = np.array([sample_backward_series_many(law, 1e-8, 1, s)[0] for s in streams1])
+        z2 = np.array([sample_backward_series_many(law, 1e-12, 1, s)[0] for s in streams2])
         assert np.max(np.abs(z1 - z2)) < 1e-6
         se = z1.std() / np.sqrt(z1.size)
         assert abs(z1.mean() - z2.mean()) < se
