@@ -76,6 +76,11 @@ _RULE_SCHEMA = {
     ]
 }
 
+# operator_decompose has no FirstJumpIn; rejecting it in the schema makes such
+# a config invalid (exit 2) instead of a failed run.
+_OPERATOR_RULE_SCHEMA = {"oneOf": [r for r in _RULE_SCHEMA["oneOf"]
+                                   if r["properties"]["kind"]["const"] != "first_jump_in"]}
+
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 _PARAMS_SCHEMAS = {
@@ -124,7 +129,7 @@ _PARAMS_SCHEMAS = {
                                "drift": {"type": "number"}},
                 "required": ["jump_rate", "exp_jump_rate"],
             }},
-            "rule": _RULE_SCHEMA,
+            "rule": _OPERATOR_RULE_SCHEMA,
             "n_records": {"type": "integer", "minimum": 100},
         },
         "required": ["q", "coords"],

@@ -11,7 +11,6 @@ factorization in ``operator.py``.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -251,21 +250,3 @@ def restricted_jump_identity(model: LevyModel, jump_set: JumpSet,
     _require_pure_jump(model)
     return _first_jump_identity(model, jump_set, policy, stream)
 
-
-# ---------------------------------------------------------------------------
-# Serialization
-# ---------------------------------------------------------------------------
-
-RECORD_CSV_HEADER = "tau,x_tau,discount,x_prime,x_total,residual"
-
-
-def records_to_csv(records: list[DecompositionRecord]) -> str:
-    """CSV at full double precision so residual claims survive a round trip."""
-    buf = io.StringIO()
-    buf.write(RECORD_CSV_HEADER + "\n")
-    for r in records:
-        buf.write(",".join(
-            format(v, ".17g")
-            for v in (r.tau, r.x_tau, r.discount, r.x_prime, r.x_total, r.residual)
-        ) + "\n")
-    return buf.getvalue()

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import JumpPath, LevyModel, simulate_path
+from .levy import JumpPath, LevyModel
 from .rng import RngStream
 
 
@@ -76,34 +76,35 @@ def eval_by_parts(path: JumpPath, t: float) -> float:
     return math.exp(-t) * y_t + integral
 
 
-def sample_discounted_integral(model: LevyModel, policy: TruncationPolicy,
-                               stream: RngStream) -> float:
-    """One draw of the discounted integral truncated at the policy horizon."""
-    path = simulate_path(model, policy.horizon, stream)
-    return eval_jump_sum(path, policy.horizon)
+def _integral_batch(model: LevyModel, window, n: int, stream: RngStream,
+                    rate: float = 1.0) -> np.ndarray:
+    """For each of n independent paths, int_(0,w] e^{-rate*s} dY(s) over the
+    path's window w (a scalar, or one value per path).
+
+    Jump times within each path are laid down as uniform order statistics
+    given the Poisson count, which leaves the discounted sum's law unchanged
+    because the summands are exchangeable. Variates are drawn in the order
+    Poisson counts, uniform times, jump sizes, normals.
+    """
+    out = np.zeros(n)
+    if model.jump_rate > 0:
+        counts = stream.poisson(model.jump_rate * window, size=n)
+        owner = np.repeat(np.arange(n), counts)
+        times = stream.uniform(size=owner.size) * (
+            window[owner] if np.ndim(window) else window)
+        sizes = np.atleast_1d(model.jump_law.sample(stream, size=owner.size))
+        out += np.bincount(owner, weights=np.exp(-rate * times) * sizes, minlength=n)
+    out += model.drift * -np.expm1(-rate * window) / rate
+    if model.gauss_var > 0:
+        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * rate * window) / rate)
+        out += sd * stream.normal(size=n)
+    return out
 
 
 def sample_discounted_integral_many(model: LevyModel, policy: TruncationPolicy,
                                     n: int, stream: RngStream) -> np.ndarray:
-    """Vectorized batch of truncated discounted-integral draws.
-
-    Jump times within each path are laid down as uniform order statistics
-    given the Poisson count, which leaves the discounted sum's law unchanged
-    because the summands are exchangeable.
-    """
+    """n independent draws of the discounted integral truncated at the
+    policy horizon."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    T = policy.horizon
-    out = np.zeros(n)
-    if model.jump_rate > 0:
-        counts = stream.poisson(model.jump_rate * T, size=n)
-        total = int(counts.sum())
-        t_all = stream.uniform(size=total) * T
-        sizes = np.atleast_1d(model.jump_law.sample(stream, size=total))
-        weights = np.exp(-t_all) * sizes
-        out += np.bincount(np.repeat(np.arange(n), counts), weights=weights, minlength=n)
-    out += model.drift * -np.expm1(-T)
-    if model.gauss_var > 0:
-        sd = math.sqrt(model.gauss_var * 0.5 * -math.expm1(-2.0 * T))
-        out += sd * stream.normal(size=n)
-    return out
+    return _integral_batch(model, policy.horizon, n, stream)

@@ -39,10 +39,6 @@ class ExponentialJumps:
     def mean(self) -> float:
         return 1.0 / self.rate
 
-    @property
-    def abs_mean(self) -> float:
-        return 1.0 / self.rate
-
 
 @dataclass(frozen=True)
 class GammaJumps:
@@ -57,10 +53,6 @@ class GammaJumps:
 
     @property
     def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def abs_mean(self) -> float:
         return self.shape / self.rate
 
 
@@ -79,10 +71,6 @@ class ConstantJumps:
     def mean(self) -> float:
         return self.value
 
-    @property
-    def abs_mean(self) -> float:
-        return abs(self.value)
-
 
 @dataclass(frozen=True)
 class UniformJumps:
@@ -100,15 +88,6 @@ class UniformJumps:
     @property
     def mean(self) -> float:
         return 0.5 * (self.low + self.high)
-
-    @property
-    def abs_mean(self) -> float:
-        a, b = self.low, self.high
-        if a >= 0:
-            return self.mean
-        if b <= 0:
-            return -self.mean
-        return (a * a + b * b) / (2.0 * (b - a))
 
 
 @dataclass(frozen=True)
@@ -139,10 +118,6 @@ class TableJumps:
     @property
     def mean(self) -> float:
         return float(np.dot(self.values, self.probs))
-
-    @property
-    def abs_mean(self) -> float:
-        return float(np.dot(np.abs(self.values), self.probs))
 
 
 JumpLaw = Union[ExponentialJumps, GammaJumps, ConstantJumps, UniformJumps, TableJumps]

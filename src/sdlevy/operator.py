@@ -10,7 +10,6 @@ are small and matrices dense.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Union
 
@@ -18,7 +17,7 @@ import numpy as np
 import scipy.linalg
 
 from .decomposition import FirstJumpIn, StoppingRule, _stopped_path
-from .discount import TruncationPolicy
+from .discount import TruncationPolicy, _integral_batch
 from .errors import SpectralGateError
 from .levy import LevyModel, simulate_path
 from .rng import RngStream
@@ -259,36 +258,18 @@ def _eval_operator_integral(model: OperatorModel, path: OperatorPath,
             + disc.drift_integral(t, path.drift))
 
 
-def sample_operator_integral(model: OperatorModel, policy: TruncationPolicy,
-                             stream: RngStream) -> np.ndarray:
-    """One draw of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift."""
-    path = simulate_operator_path(model, policy.horizon, stream)
-    return _eval_operator_integral(model, path, policy.horizon)
-
-
 def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy,
                                   n: int, stream: RngStream) -> np.ndarray:
-    """Batch of draws, vectorized for diagonal Q with independent coordinates;
-    other shapes fall back to the per-draw path sampler."""
+    """n draws of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift as rows.
+    For diagonal Q with independent coordinates, coordinate i is the scalar
+    batch discounted at rate Q_ii; other shapes simulate one path per draw."""
     disc = model._discounter
     driver = model.driver
     T = policy.horizon
     if disc.mode == "diag" and isinstance(driver, IndependentCoordinates):
-        out = np.zeros((n, model.dimension))
-        for i, m in enumerate(driver.models):
-            qi = disc.diag[i]
-            col = np.zeros(n)
-            if m.jump_rate > 0:
-                counts = stream.poisson(m.jump_rate * T, size=n)
-                total = int(counts.sum())
-                t_all = stream.uniform(size=total) * T
-                sizes = np.atleast_1d(m.jump_law.sample(stream, size=total))
-                col += np.bincount(np.repeat(np.arange(n), counts),
-                                   weights=np.exp(-qi * t_all) * sizes, minlength=n)
-            col += m.drift * -np.expm1(-T * qi) / qi
-            out[:, i] = col
-        return out
-    return np.array([sample_operator_integral(model, policy, s)
+        return np.column_stack([_integral_batch(m, T, n, stream, rate=q)
+                                for m, q in zip(driver.models, disc.diag)])
+    return np.array([_eval_operator_integral(model, simulate_operator_path(model, T, s), T)
                      for s in stream.split(n)])
 
 

@@ -18,18 +18,17 @@ at a = 1 (checked by the CDF identity P(e^{-Exp(a)} <= x) = x^a).
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, StoppingRule,
                             decompose)
-from .discount import TruncationPolicy, sample_discounted_integral_many
+from .discount import TruncationPolicy, _integral_batch, sample_discounted_integral_many
 from .errors import ContractionError
 from .levy import ExponentialJumps, LevyModel
-from .rng import GammaParams, RngStream, sample_gamma, sample_uniform
+from .rng import GammaParams, RngStream, sample_gamma
 from .stats import StatReport, compare_samples
 
 
@@ -91,16 +90,20 @@ class StoppedIntegralAffine:
                 raise ValueError("FirstJump needs a positive jump rate")
             tau = stream.exponential(model.jump_rate, size=n)
             jumps = np.atleast_1d(model.jump_law.sample(stream, size=n))
-            b = np.exp(-tau) * jumps
-            return self._finish(tau, b, n, stream)
+            # No jump before tau: only the drift and Gaussian parts remain.
+            a = np.exp(-tau)
+            rest = _integral_batch(replace(model, jump_rate=0.0), tau, n, stream)
+            return a, a * jumps + rest
         if isinstance(self.rule, FixedTime):
             tau = np.full(n, self.rule.t)
-            return self._finish(tau, self._jump_part(tau, n, stream), n, stream)
+            return np.exp(-tau), _integral_batch(model, tau, n, stream)
         if isinstance(self.rule, IndependentRandomTime):
             time_stream = stream.split(1)[0]
             tau = np.atleast_1d(self.rule.law.sample(time_stream, size=n))
-            return self._finish(tau, self._jump_part(tau, n, stream), n, stream)
-        # Generic rules fall back to full per-record decomposition.
+            return np.exp(-tau), _integral_batch(model, tau, n, stream)
+        # Generic rules fall back to full per-record decomposition. The law
+        # of (e^{-tau}, X_tau) does not depend on the horizon, so the default
+        # policy serves every caller.
         policy = TruncationPolicy()
         a = np.empty(n)
         b = np.empty(n)
@@ -108,28 +111,6 @@ class StoppedIntegralAffine:
             rec = decompose(self.model, self.rule, policy, s)
             a[i], b[i] = rec.discount, rec.x_tau
         return a, b
-
-    def _jump_part(self, tau: np.ndarray, n: int, stream: RngStream) -> np.ndarray:
-        """Discounted jump sum over (0, tau_i] per draw, via uniform order
-        statistics given the per-window Poisson count."""
-        model = self.model
-        out = np.zeros(n)
-        if model.jump_rate > 0:
-            counts = stream.poisson(model.jump_rate * tau, size=n)
-            total = int(counts.sum())
-            owner = np.repeat(np.arange(n), counts)
-            t_all = stream.uniform(size=total) * tau[owner]
-            sizes = np.atleast_1d(model.jump_law.sample(stream, size=total))
-            out += np.bincount(owner, weights=np.exp(-t_all) * sizes, minlength=n)
-        return out
-
-    def _finish(self, tau: np.ndarray, jump_part: np.ndarray, n: int, stream: RngStream):
-        model = self.model
-        b = jump_part + model.drift * -np.expm1(-tau)
-        if model.gauss_var > 0:
-            sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * tau))
-            b = b + sd * stream.normal(size=n)
-        return np.exp(-tau), b
 
 
 def estimate_log_contraction(law, stream: RngStream, n: int = 512) -> float:
@@ -196,7 +177,7 @@ def beta_gamma_identity_samples(shape: float, rate: float, n: int,
         raise ValueError("n must be at least 1")
     s_lhs, s_rhs = stream.split(2)
     lhs = sample_gamma(GammaParams(shape, rate), s_lhs, size=n)
-    rhs = sample_uniform(s_rhs, size=n) ** (1.0 / shape) * sample_gamma(
+    rhs = s_rhs.uniform(size=n) ** (1.0 / shape) * sample_gamma(
         GammaParams(shape + 1.0, rate), s_rhs, size=n)
     return lhs, rhs
 

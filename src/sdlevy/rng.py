@@ -108,11 +108,6 @@ class GammaParams:
         return self.shape / self.rate**2
 
 
-def sample_uniform(stream: RngStream, size=None):
-    """One (or ``size``) uniform draw(s) in the open interval (0, 1)."""
-    return stream.uniform(size=size)
-
-
 def _marsaglia_tsang(shape: float, stream: RngStream, n: int) -> np.ndarray:
     # Rejection sampler for shape >= 1 (Marsaglia & Tsang squeeze).
     d = shape - 1.0 / 3.0

@@ -1,11 +1,14 @@
 """Config validation, experiment runners, artifacts, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from sdlevy.cli import EXPERIMENTS, main, run, validate_config
 from sdlevy.errors import ConfigError
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def _config(experiment, params, n=400, seed=7, **extra):
@@ -49,6 +52,13 @@ class TestValidation:
     def test_valid_configs_pass(self):
         for doc in SMALL_CONFIGS.values():
             validate_config(dict(doc))
+
+    def test_shipped_configs_valid(self):
+        # a schema edit must not silently break an example config
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        assert paths
+        for path in paths:
+            validate_config(json.loads(path.read_text()))
 
     def test_unknown_top_level_field(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
@@ -158,6 +168,16 @@ class TestMain:
         assert main(["run", "--config", self._write(tmp_path, doc),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert "tail_tol" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_operator_first_jump_in_rejected(self, tmp_path, capsys):
+        # operator paths have no FirstJumpIn: the config is invalid (exit 2)
+        # and no output directory is made, not a failed run (exit 1)
+        doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
+        doc["params"]["rule"] = {"kind": "first_jump_in", "threshold": 1.0}
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert "first_jump_in" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_seed_override(self, tmp_path):

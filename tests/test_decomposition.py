@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from sdlevy.decomposition import (RECORD_CSV_HEADER, DecompositionRecord, FirstJump,
-                                  FirstJumpIn, FixedTime, IndependentRandomTime,
-                                  KthJump, decompose, decompose_many,
-                                  evaluate_stopping, first_value_identity,
-                                  records_to_csv, restricted_jump_identity)
+from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
+                                  FixedTime, IndependentRandomTime, KthJump,
+                                  decompose, decompose_many, evaluate_stopping,
+                                  first_value_identity, restricted_jump_identity)
 from sdlevy.discount import TruncationPolicy, eval_by_parts, eval_jump_sum
 from sdlevy.errors import InsufficientHorizonError
 from sdlevy.levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel,
@@ -134,16 +133,6 @@ class TestPathwiseFactorization:
         band = independence_pass_band(len(records))
         disc = np.array([r.discount for r in records])
         assert independence_diagnostic(disc, x_prime) <= band
-
-    def test_records_csv(self, make_stream):
-        records = decompose_many(_gamma_model(), FirstJump(), POLICY, 5, make_stream())
-        text = records_to_csv(records)
-        lines = text.strip().split("\n")
-        assert lines[0] == RECORD_CSV_HEADER
-        assert len(lines) == 6
-        fields = [float(v) for v in lines[1].split(",")]
-        assert fields[0] == records[0].tau
-        assert fields[5] == records[0].residual  # full precision round trip
 
 
 class TestFirstValueIdentity:

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
-                             sample_discounted_integral,
                              sample_discounted_integral_many)
 from sdlevy.levy import ExponentialJumps, JumpPath, LevyModel, simulate_path
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
@@ -94,7 +93,8 @@ class TestSampling:
         model = _gamma_model(1.5, 2.0)
         batch = sample_discounted_integral_many(model, pol, 20_000, make_stream())
         stream = make_stream()
-        loop = np.array([sample_discounted_integral(model, pol, s)
+        T = pol.horizon
+        loop = np.array([eval_jump_sum(simulate_path(model, T, s), T)
                          for s in stream.split(5_000)])
         assert ks_two_sample(batch, loop)[2]
 

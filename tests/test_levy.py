@@ -22,12 +22,7 @@ class TestJumpLaws:
         assert ExponentialJumps(4.0).mean == 0.25
         assert GammaJumps(3.0, 2.0).mean == 1.5
         assert ConstantJumps(-2.0).mean == -2.0
-        assert ConstantJumps(-2.0).abs_mean == 2.0
         assert UniformJumps(-1.0, 3.0).mean == 1.0
-
-    def test_uniform_abs_mean_straddling_zero(self):
-        # E|U| for U ~ Uniform(-1, 3) is (1 + 9) / (2 * 4)
-        assert UniformJumps(-1.0, 3.0).abs_mean == pytest.approx(1.25)
 
     def test_table_law(self, make_stream):
         law = TableJumps(values=(1.0, 2.0, 4.0), probs=(0.5, 0.25, 0.25))

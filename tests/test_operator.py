@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump, decompose_many)
-from sdlevy.discount import (TruncationPolicy, sample_discounted_integral,
-                             sample_discounted_integral_many)
+from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
 from sdlevy.operator import (IndependentCoordinates, OperatorModel,
                              SharedJumpDirection, matrix_exp, operator_decompose,
-                             operator_decompose_many, sample_operator_integral,
-                             sample_operator_integral_many)
+                             operator_decompose_many, sample_operator_integral_many)
 from sdlevy.rng import RngStream
 from sdlevy.stats import ks_two_sample
 
@@ -95,10 +93,10 @@ class TestScalarConsistency:
     def test_d1_bit_identical_to_scalar(self):
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.5)
         op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
-        x_op = sample_operator_integral(op, POLICY, RngStream(99))
-        x_sc = sample_discounted_integral(model, POLICY, RngStream(99))
-        assert x_op.shape == (1,)
-        assert float(x_op[0]) == x_sc  # exact, same draws and float ops
+        x_op = sample_operator_integral_many(op, POLICY, 2000, RngStream(99))
+        x_sc = sample_discounted_integral_many(model, POLICY, 2000, RngStream(99))
+        assert x_op.shape == (2000, 1)
+        assert np.array_equal(x_op[:, 0], x_sc)  # exact, same draws and float ops
 
     @pytest.mark.parametrize("rule", [
         FirstJump(), KthJump(170), FixedTime(0.7),
@@ -147,18 +145,14 @@ class TestMeanIdentity:
         model = _model_2d(q)
         np.testing.assert_allclose(model.q @ model.mean_integral(),
                                    model.driver.mean_unit_increment(), rtol=1e-12)
-        stream = make_stream()
-        draws = np.array([sample_operator_integral(model, POLICY, s)
-                          for s in stream.split(20_000)])
+        draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 3.0 * se)
 
     def test_shared_direction_driver(self, make_stream):
         driver = SharedJumpDirection(_coord(2.0, 1.0), (1.0, -0.5))
         model = OperatorModel(np.diag([1.0, 2.0]), driver)
-        stream = make_stream()
-        draws = np.array([sample_operator_integral(model, POLICY, s)
-                          for s in stream.split(20_000)])
+        draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 4.0 * se)
 

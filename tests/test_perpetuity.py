@@ -187,10 +187,17 @@ class TestStoppedIntegralAffine:
         assert ks_two_sample(b, np.array([r.x_tau for r in records]))[2]
 
     def test_generic_rule_fallback(self, make_stream):
-        law = StoppedIntegralAffine(_gamma_model(alpha=3.0), KthJump(2))
-        a, b = law.sample_pairs(make_stream(), size=300)
+        # the second jump at rate 3 comes at tau ~ gamma(2, 3), and X_tau has
+        # the law of the per-record decomposition's x_tau
+        model = _gamma_model(alpha=3.0)
+        law = StoppedIntegralAffine(model, KthJump(2))
+        a, b = law.sample_pairs(make_stream(), size=2_000)
         assert np.all((a > 0.0) & (a < 1.0))
         assert np.all(b >= 0.0)
+        tau = sample_gamma(GammaParams(2.0, 3.0), make_stream(), size=2_000)
+        assert ks_two_sample(-np.log(a), tau)[2]
+        records = decompose_many(model, KthJump(2), POLICY, 2_000, make_stream())
+        assert ks_two_sample(b, np.array([r.x_tau for r in records]))[2]
 
     def test_first_jump_requires_jumps(self, make_stream):
         law = StoppedIntegralAffine(LevyModel(drift=1.0), FirstJump())

@@ -8,8 +8,7 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlevy.rng import (GammaParams, RngStream, sample_gamma,
-                        sample_poisson_arrivals, sample_uniform)
+from sdlevy.rng import GammaParams, RngStream, sample_gamma, sample_poisson_arrivals
 from sdlevy.stats import ks_two_sample
 
 
@@ -48,11 +47,11 @@ class TestStreamDeterminism:
 
 class TestUniform:
     def test_open_interval(self, make_stream):
-        u = sample_uniform(make_stream(), size=200_000)
+        u = make_stream().uniform(size=200_000)
         assert np.all(u > 0.0) and np.all(u < 1.0)
 
     def test_mean_and_var(self, make_stream):
-        u = sample_uniform(make_stream(), size=1_000_000)
+        u = make_stream().uniform(size=1_000_000)
         # SE of the mean is sqrt(1/12)/1000 ~ 2.9e-4
         assert abs(u.mean() - 0.5) < 1e-3
         assert abs(u.var() - 1.0 / 12.0) < 1e-3
@@ -61,7 +60,7 @@ class TestUniform:
         # E[U^{1/a}] via numeric quadrature, no closed form assumed.
         for a in (0.5, 2.0):
             target, _ = scipy.integrate.quad(lambda u: u ** (1.0 / a), 0.0, 1.0)
-            draws = sample_uniform(make_stream(), size=500_000) ** (1.0 / a)
+            draws = make_stream().uniform(size=500_000) ** (1.0 / a)
             assert abs(draws.mean() - target) < 4.0 * draws.std() / np.sqrt(draws.size)
 
 
@@ -88,7 +87,7 @@ class TestGamma:
         # Oracle draws via scipy's inverse CDF applied to our own uniforms.
         s1, s2 = make_stream(), make_stream()
         ours = sample_gamma(GammaParams(shape, 1.0), s1, size=100_000)
-        oracle = scipy.stats.gamma(a=shape).ppf(sample_uniform(s2, size=100_000))
+        oracle = scipy.stats.gamma(a=shape).ppf(s2.uniform(size=100_000))
         d, thr, ok = ks_two_sample(ours, oracle)
         assert ok, f"shape={shape}: D={d:.4g} >= {thr:.4g}"
 
