@@ -218,52 +218,44 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
     alpha, lam = params["alpha"], params["lam"]
     model = _gamma_model(alpha, lam)
     s_rec, s_gamma = stream.split(2)
-    records = dec.decompose_many(model, dec.FirstJump(), policy, n, s_rec)
-    x_total = np.array([r.x_total for r in records])
-    x_prime = np.array([r.x_prime for r in records])
-    x_tau = np.array([r.x_tau for r in records])
-    disc = np.array([r.discount for r in records])
+    rec = dec.decompose_many(model, dec.FirstJump(), policy, n, s_rec)
+    rel = rec.residual / (1.0 + np.abs(rec.x_total))
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
-    r_total = compare_samples("x_total_vs_direct", x_total, direct)
-    r_prime = compare_samples("x_prime_vs_direct", x_prime, direct)
+    r_total = compare_samples("x_total_vs_direct", rec.x_total, direct)
+    r_prime = compare_samples("x_prime_vs_direct", rec.x_prime, direct)
     band = independence_pass_band(n)
-    d1 = independence_diagnostic(x_tau, x_prime)
-    d2 = independence_diagnostic(disc, x_prime)
+    d1 = independence_diagnostic(rec.x_tau, rec.x_prime)
+    d2 = independence_diagnostic(rec.discount, rec.x_prime)
     extras = {
         "independence_x_tau_x_prime": d1,
         "independence_discount_x_prime": d2,
         "independence_band": band,
         "independence_pass": bool(d1 <= band and d2 <= band),
-        "max_relative_residual": max(
-            r.residual / (1.0 + abs(r.x_total)) for r in records),
+        "max_relative_residual": float(rel.max()),
     }
     verdict = r_total.verdict and r_prime.verdict and extras["independence_pass"]
     return ExperimentResult(
         verdict=verdict, reports=[r_total, r_prime], extras=extras,
-        samples={"tau": np.array([r.tau for r in records]), "x_tau": x_tau,
-                 "discount": disc, "x_prime": x_prime, "x_total": x_total},
-        primary=(x_total, direct), ref_cf=gamma_cf(alpha, lam),
+        samples={"tau": rec.tau, "x_tau": rec.x_tau, "discount": rec.discount,
+                 "x_prime": rec.x_prime, "x_total": rec.x_total},
+        primary=(rec.x_total, direct), ref_cf=gamma_cf(alpha, lam),
     )
 
 
 def _run_corollary2(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(params["alpha"], params["lam"])
     rule = _parse_rule(params["rule"])
-    records = dec.decompose_many(model, rule, policy, n, stream)
-    rel = np.array([r.residual / (1.0 + abs(r.x_total)) for r in records])
+    rec = dec.decompose_many(model, rule, policy, n, stream)
+    rel = rec.residual / (1.0 + np.abs(rec.x_total))
     verdict = bool(np.all(rel <= 1e-10))
     return ExperimentResult(
         verdict=verdict,
         extras={"max_relative_residual": float(rel.max()),
-                "residual_tolerance": 1e-10, "n_records": len(records)},
-        samples={"tau": np.array([r.tau for r in records]),
-                 "x_tau": np.array([r.x_tau for r in records]),
-                 "discount": np.array([r.discount for r in records]),
-                 "x_prime": np.array([r.x_prime for r in records]),
-                 "x_total": np.array([r.x_total for r in records]),
-                 "residual": np.array([r.residual for r in records])},
-        primary=(np.array([r.x_total for r in records]),
-                 np.array([r.x_prime for r in records])),
+                "residual_tolerance": 1e-10, "n_records": int(rec.tau.size)},
+        samples={"tau": rec.tau, "x_tau": rec.x_tau, "discount": rec.discount,
+                 "x_prime": rec.x_prime, "x_total": rec.x_total,
+                 "residual": rec.residual},
+        primary=(rec.x_total, rec.x_prime),
     )
 
 

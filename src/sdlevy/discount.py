@@ -76,24 +76,42 @@ def eval_by_parts(path: JumpPath, t: float) -> float:
     return math.exp(-t) * y_t + integral
 
 
+def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
+    """The jumps of n independent compound Poisson paths on (0, w_i], with
+    w a scalar or one window per path, as ragged arrays: the path each jump
+    belongs to (grouped in path order), its time and its size.
+
+    Given the Poisson count, a path's jump times are laid down as uniform
+    order statistics and left unsorted: every sum over a path's jumps is
+    exchangeable in them. Variates are drawn in the order Poisson counts,
+    uniform times, jump sizes; a jump-free model draws nothing.
+    """
+    if model.jump_rate <= 0:
+        return np.empty(0, np.intp), np.empty(0), np.empty(0)
+    counts = stream.poisson(model.jump_rate * window, size=n)
+    owner = np.repeat(np.arange(n), counts)
+    times = stream.uniform(size=owner.size) * (
+        window[owner] if np.ndim(window) else window)
+    sizes = np.atleast_1d(model.jump_law.sample(stream, size=owner.size))
+    return owner, times, sizes
+
+
+def _sum_by_path(owner, weights, n: int) -> np.ndarray:
+    """Per-path sums of ragged weights, as floats even when there are none
+    (``bincount`` of an empty array returns integers)."""
+    return np.bincount(owner, weights=weights, minlength=n).astype(float, copy=False)
+
+
 def _integral_batch(model: LevyModel, window, n: int, stream: RngStream,
                     rate: float = 1.0) -> np.ndarray:
     """For each of n independent paths, int_(0,w] e^{-rate*s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
-    Jump times within each path are laid down as uniform order statistics
-    given the Poisson count, which leaves the discounted sum's law unchanged
-    because the summands are exchangeable. Variates are drawn in the order
-    Poisson counts, uniform times, jump sizes, normals.
+    The jumps come from ``_poisson_jumps``; the normals of the Gaussian part
+    are drawn after them.
     """
-    out = np.zeros(n)
-    if model.jump_rate > 0:
-        counts = stream.poisson(model.jump_rate * window, size=n)
-        owner = np.repeat(np.arange(n), counts)
-        times = stream.uniform(size=owner.size) * (
-            window[owner] if np.ndim(window) else window)
-        sizes = np.atleast_1d(model.jump_law.sample(stream, size=owner.size))
-        out += np.bincount(owner, weights=np.exp(-rate * times) * sizes, minlength=n)
+    owner, times, sizes = _poisson_jumps(model, window, n, stream)
+    out = _sum_by_path(owner, np.exp(-rate * times) * sizes, n)
     out += model.drift * -np.expm1(-rate * window) / rate
     if model.gauss_var > 0:
         sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * rate * window) / rate)

@@ -1,14 +1,19 @@
 """Config validation, experiment runners, artifacts, and exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sdlevy.cli import EXPERIMENTS, main, run, validate_config
 from sdlevy.errors import ConfigError
 
-CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
+ROOT = Path(__file__).resolve().parent.parent
+CONFIG_DIR = ROOT / "configs"
 
 
 def _config(experiment, params, n=400, seed=7, **extra):
@@ -188,3 +193,67 @@ class TestMain:
                      "--out-dir", str(tmp_path / "b")]) == 0
         doc = json.loads((tmp_path / "b" / "report.json").read_text())
         assert doc["seed"] == 123
+
+
+def _cpu_features() -> dict:
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:
+        return {}
+    return __cpu_features__
+
+
+# The AVX-512 dispatch targets of numpy's SIMD math that this CPU has.
+_AVX512_TARGETS = [f for f in ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+                   if _cpu_features().get(f)]
+
+_CHILD = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_features__
+from sdlevy.cli import run
+configs, out = json.loads(sys.argv[1]), sys.argv[2]
+status = {name: run(cfg, out_dir=f"{out}/{name}") for name, cfg in configs.items()}
+print(json.dumps({"x86_v4": bool(__cpu_features__["X86_V4"]), "status": status}))
+"""
+
+
+def _columns(path: Path) -> dict:
+    lines = path.read_text().strip().split("\n")
+    names = lines[0].split(",")
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    return dict(zip(names, rows.T))
+
+
+class TestCpuDispatch:
+    @pytest.mark.skipif(not _AVX512_TARGETS, reason="CPU without AVX-512")
+    def test_avx512_dispatch_moves_only_last_bits(self, tmp_path):
+        # Raw draws are identical everywhere; numpy's vectorized exp may round
+        # differently without AVX-512. Stopping times compare stored jump
+        # times only, so they must not move at all, and no verdict may flip.
+        names = ("verify-theorem1", "verify-corollary2-pathwise")
+        configs = json.dumps({name: SMALL_CONFIGS[name] for name in names})
+        src = str(ROOT / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        results = {}
+        for tag, extra in (("native", {}),
+                           ("no_avx512", {"NPY_DISABLE_CPU_FEATURES":
+                                          " ".join(_AVX512_TARGETS)})):
+            env = {**os.environ, "PYTHONPATH": path, **extra}
+            proc = subprocess.run([sys.executable, "-c", _CHILD, configs,
+                                   str(tmp_path / tag)], env=env, capture_output=True,
+                                  text=True, timeout=300, check=True)
+            results[tag] = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert results["native"]["x86_v4"] and not results["no_avx512"]["x86_v4"]
+        assert results["native"]["status"] == results["no_avx512"]["status"]
+        for name in names:
+            reports = [json.loads((tmp_path / tag / name / "report.json").read_text())
+                       for tag in results]
+            assert reports[0]["verdict"] is reports[1]["verdict"] is True
+            a, b = (_columns(tmp_path / tag / name / "samples.csv") for tag in results)
+            assert a.keys() == b.keys()
+            assert np.array_equal(a["tau"], b["tau"])
+            for col in a:
+                # the residual is judged on the scale 1 + |x_total|
+                scale = (1.0 + np.abs(a["x_total"]) if col == "residual"
+                         else np.maximum(np.abs(a[col]), np.abs(b[col])))
+                assert np.all(np.abs(a[col] - b[col]) <= 4 * np.spacing(scale)), (name, col)

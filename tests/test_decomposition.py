@@ -1,16 +1,20 @@
 """Stopping rules, the pathwise factorization, and the first-jump identities."""
 
+import math
+
 import numpy as np
 import pytest
 
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
                                   FixedTime, IndependentRandomTime, KthJump,
-                                  decompose, decompose_many, evaluate_stopping,
-                                  first_value_identity, restricted_jump_identity)
+                                  _levy_stopped_path, _stopped_jumps, decompose,
+                                  decompose_many,
+                                  evaluate_stopping, first_value_identity,
+                                  restricted_jump_identity)
 from sdlevy.discount import TruncationPolicy, eval_by_parts, eval_jump_sum
 from sdlevy.errors import InsufficientHorizonError
-from sdlevy.levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel,
-                         simulate_path, thin_path)
+from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, JumpSet,
+                         LevyModel, shift_path, simulate_path, thin_path)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import independence_diagnostic, independence_pass_band, ks_two_sample
 
@@ -20,6 +24,19 @@ def _gamma_model(alpha=2.0, lam=1.0):
 
 
 POLICY = TruncationPolicy()
+
+# The five rule kinds, each realized early at the default horizon.
+RULES = [
+    FixedTime(0.7),
+    FirstJump(),
+    FirstJumpIn(JumpSet("ge", 1.0)),
+    KthJump(3),
+    IndependentRandomTime(ExponentialJumps(1.0)),
+]
+RULE_IDS = ["fixed_time", "first_jump", "first_jump_in", "kth_jump", "independent_time"]
+
+DRIFT_GAUSS = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0),
+                        drift=0.5, gauss_var=1.0)
 
 
 class TestStoppingRules:
@@ -78,26 +95,138 @@ class TestStoppingRules:
         assert ks_two_sample(taus, ref)[2]
 
 
+class TestStoppedPath:
+    @pytest.mark.parametrize("rule", RULES + [KthJump(170)],
+                             ids=RULE_IDS + ["kth_jump_170"])
+    def test_horizon_is_tau_plus_T(self, rule, make_stream):
+        # the path is simulated, or extended, to exactly tau + T and no
+        # further (one ulp up where fl(tau + T) - tau falls short of T);
+        # KthJump(170) needs extensions at rate 2
+        T = POLICY.horizon
+        for s in make_stream().split(40):
+            path, tau = _levy_stopped_path(_gamma_model(), rule, T, s)
+            end = tau + T
+            assert path.horizon == (end if end - tau >= T else math.nextafter(end, math.inf))
+            assert path.jump_times.size == 0 or path.jump_times[-1] <= path.horizon
+
+    def test_rounded_window_still_holds_T(self, make_stream):
+        # fl(30.1 + 40) - 30.1 < 40: the horizon moves up one ulp so that the
+        # shifted path still covers (0, T] and decompose can evaluate X' there
+        T = POLICY.horizon
+        assert (30.1 + T) - 30.1 < T
+        path, tau = _levy_stopped_path(_gamma_model(), FixedTime(30.1), T, make_stream())
+        assert path.horizon == math.nextafter(30.1 + T, math.inf)
+        assert shift_path(path, tau).horizon >= T
+        assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes(1e-10)
+
+    def test_reach(self):
+        # Path-dependent rules are looked for on (0, 15T]. At rate 1e4 and
+        # T = 1 the 145000th jump lies in (14, 15] and the 155000th past 15,
+        # each by more than 12 standard deviations of the Poisson counts.
+        model = LevyModel(jump_rate=1e4, jump_law=ConstantJumps(1.0))
+        policy = TruncationPolicy(horizon=1.0)
+        rec = decompose(model, KthJump(145_000), policy, RngStream(3))
+        assert 14.0 < rec.tau <= 15.0 and rec.passes(1e-10)
+        batch = decompose_many(model, KthJump(145_000), policy, 3, RngStream(4))
+        assert np.all((batch.tau > 14.0) & (batch.tau <= 15.0))
+        assert batch.passes(1e-10).all()
+        with pytest.raises(InsufficientHorizonError):
+            decompose(model, KthJump(155_000), policy, RngStream(3))
+        with pytest.raises(InsufficientHorizonError):
+            decompose_many(model, KthJump(155_000), policy, 3, RngStream(4))
+
+    def test_unrealizable_rule_raises(self, make_stream):
+        # no jump of size 1 ever lies in [2, inf): never capped, always raised
+        model = LevyModel(jump_rate=2.0, jump_law=ConstantJumps(1.0))
+        rule = FirstJumpIn(JumpSet("ge", 2.0))
+        with pytest.raises(InsufficientHorizonError):
+            decompose(model, rule, POLICY, make_stream())
+        with pytest.raises(InsufficientHorizonError):
+            decompose_many(model, rule, POLICY, 300, make_stream())
+
+
+class TestBatchEngine:
+    @pytest.mark.parametrize("model", [_gamma_model(), DRIFT_GAUSS],
+                             ids=["gamma", "drift_gauss"])
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_law_matches_per_record(self, model, rule, make_stream):
+        # two routes to one joint law: the chunked ragged-array engine and
+        # the path-object route, one record at a time
+        if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
+            with pytest.raises(ValueError):
+                decompose_many(model, rule, POLICY, 10, make_stream())
+            return
+        n = 2_000
+        batch = decompose_many(model, rule, POLICY, n, make_stream())
+        loop = [decompose(model, rule, POLICY, s) for s in make_stream().split(n)]
+        for field in ("tau", "x_tau", "x_prime", "x_total"):
+            ref = np.array([getattr(r, field) for r in loop])
+            if isinstance(rule, FixedTime) and field == "tau":
+                assert np.all(getattr(batch, field) == ref[0])
+                continue
+            assert ks_two_sample(getattr(batch, field), ref, significance=0.001)[2], field
+
+    @pytest.mark.parametrize("rule", RULES[1:4], ids=RULE_IDS[1:4])
+    def test_jumps_end_at_tau_plus_T(self, rule, make_stream):
+        # each record's jumps cover (0, tau + T] and nothing past it: every
+        # time lies inside, and the count matches the Poisson mean over it
+        # (162k jumps, so 1.5% is 6 standard errors)
+        T, m = POLICY.horizon, 2_000
+        owner, times, _, tau = _stopped_jumps(_gamma_model(), rule, T, m, make_stream())
+        assert np.all((times > 0.0) & (times <= tau[owner] + T))
+        assert owner.size == pytest.approx(2.0 * np.sum(tau + T), rel=0.015)
+
+    @pytest.mark.parametrize("n", [1, 256, 257, 1000])
+    def test_chunk_edges(self, n, make_stream):
+        r = decompose_many(DRIFT_GAUSS, KthJump(3), POLICY, n, make_stream())
+        for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
+            assert getattr(r, field).shape == (n,)
+            assert np.all(np.isfinite(getattr(r, field)))
+        assert np.all(r.tau > 0) and r.passes(1e-10).all()
+        assert np.array_equal(r.discount, np.exp(-r.tau))
+
+    @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
+    def test_prefix_stable_and_reproducible(self, rule):
+        # chunk i draws from child i of the stream, so a record depends on
+        # its index only: n = 768 starts with the n = 256 records
+        short = decompose_many(_gamma_model(), rule, POLICY, 256, RngStream(11))
+        long = decompose_many(_gamma_model(), rule, POLICY, 768, RngStream(11))
+        again = decompose_many(_gamma_model(), rule, POLICY, 768, RngStream(11))
+        for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
+            assert np.array_equal(getattr(long, field)[:256], getattr(short, field))
+            assert np.array_equal(getattr(long, field), getattr(again, field))
+
+    @pytest.mark.parametrize("model", [_gamma_model(), DRIFT_GAUSS],
+                             ids=["gamma", "drift_gauss"])
+    def test_fixed_time_zero_degenerates(self, model, make_stream):
+        r = decompose_many(model, FixedTime(0.0), POLICY, 300, make_stream())
+        assert np.all(r.tau == 0.0) and np.all(r.x_tau == 0.0)
+        assert np.all(r.discount == 1.0)
+        assert np.array_equal(r.x_prime, r.x_total)
+        assert np.all(r.residual == 0.0)
+
+    def test_n_validated(self, make_stream):
+        with pytest.raises(ValueError):
+            decompose_many(_gamma_model(), FirstJump(), POLICY, 0, make_stream())
+
+
 class TestPathwiseFactorization:
-    @pytest.mark.parametrize("rule", [
-        FixedTime(0.7),
-        FirstJump(),
-        FirstJumpIn(JumpSet("ge", 1.0)),
-        KthJump(3),
-        IndependentRandomTime(ExponentialJumps(1.0)),
-    ])
+    @pytest.mark.parametrize("rule", RULES)
     def test_residual_tiny(self, rule, make_stream):
-        records = decompose_many(_gamma_model(), rule, POLICY, 200, make_stream())
-        for r in records:
-            assert r.passes(1e-10)
-            assert r.residual == abs(r.x_total - (r.x_tau + r.discount * r.x_prime))
+        r = decompose_many(_gamma_model(), rule, POLICY, 200, make_stream())
+        assert r.tau.shape == (200,)
+        assert r.passes(1e-10).all()
+        assert np.array_equal(r.residual,
+                              np.abs(r.x_total - (r.x_tau + r.discount * r.x_prime)))
 
     def test_residual_with_drift_and_gaussian(self, make_stream):
-        # the Gaussian cache must hand the shifted view the same realization
-        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0),
-                          drift=0.5, gauss_var=1.0)
-        records = decompose_many(model, FirstJump(), POLICY, 200, make_stream())
-        assert all(r.passes(1e-10) for r in records)
+        # per record, the Gaussian cache must hand the shifted view the same
+        # realization; in the batch, the total must take the shifted window's
+        # normal discounted by e^{-tau}
+        records = decompose_many(DRIFT_GAUSS, FirstJump(), POLICY, 200, make_stream())
+        assert records.passes(1e-10).all()
+        assert all(decompose(DRIFT_GAUSS, FirstJump(), POLICY, s).passes(1e-10)
+                   for s in make_stream().split(200))
 
     def test_fixed_time_zero_degenerates(self, make_stream):
         r = decompose(_gamma_model(), FixedTime(0.0), POLICY, make_stream())
@@ -114,25 +243,23 @@ class TestPathwiseFactorization:
     def test_fixed_time_distributional_identity(self, make_stream):
         # X =d X_t + e^{-t} X' with the three pieces independent of t's past
         t = 0.7
-        records = decompose_many(_gamma_model(), FixedTime(t), POLICY, 30_000,
-                                 make_stream())
-        recombined = np.array([r.x_tau + r.discount * r.x_prime for r in records])
+        r = decompose_many(_gamma_model(), FixedTime(t), POLICY, 30_000,
+                           make_stream())
+        recombined = r.x_tau + r.discount * r.x_prime
         direct = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=30_000)
         assert ks_two_sample(recombined, direct)[2]
-        x_prime = np.array([r.x_prime for r in records])
-        assert ks_two_sample(x_prime, direct)[2]
+        assert ks_two_sample(r.x_prime, direct)[2]
 
     def test_marginals_at_first_jump(self, make_stream):
-        records = decompose_many(_gamma_model(), FirstJump(), POLICY, 30_000,
-                                 make_stream())
-        direct = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=30_000)
-        x_total = np.array([r.x_total for r in records])
-        x_prime = np.array([r.x_prime for r in records])
-        assert ks_two_sample(x_total, direct)[2]
-        assert ks_two_sample(x_prime, direct)[2]
-        band = independence_pass_band(len(records))
-        disc = np.array([r.discount for r in records])
-        assert independence_diagnostic(disc, x_prime) <= band
+        # n = 1e5, the acceptance sample size: the KS thresholds and the
+        # independence band tighten as 1/sqrt(n)
+        n = 100_000
+        r = decompose_many(_gamma_model(), FirstJump(), POLICY, n, make_stream())
+        direct = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=n)
+        assert ks_two_sample(r.x_total, direct)[2]
+        assert ks_two_sample(r.x_prime, direct)[2]
+        band = independence_pass_band(r.tau.size)
+        assert independence_diagnostic(r.discount, r.x_prime) <= band
 
 
 class TestFirstValueIdentity:

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump, decompose_many)
+                                  IndependentRandomTime, KthJump, decompose)
 from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
@@ -105,11 +105,11 @@ class TestScalarConsistency:
     def test_d1_decomposition_matches_scalar(self, rule):
         # Q = [[1]] is the scalar case: the shared stop-and-extend core must
         # draw the same stopping times and paths, record for record. At rate 2
-        # a 2T horizon holds about 160 jumps, so KthJump(170) always extends.
+        # a T horizon holds about 80 jumps, so KthJump(170) always extends.
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
         op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
         ops = operator_decompose_many(op, rule, POLICY, 50, RngStream(2024))
-        scalars = decompose_many(model, rule, POLICY, 50, RngStream(2024))
+        scalars = [decompose(model, rule, POLICY, s) for s in RngStream(2024).split(50)]
         for o, s in zip(ops, scalars):
             assert o.tau == s.tau
             assert o.discount.shape == (1, 1)
