@@ -24,8 +24,8 @@ from .errors import InsufficientHorizonError
 from .levy import JumpPath, JumpSet, LevyModel, extend_path, shift_path, simulate_path, thin_path
 from .rng import RngStream
 
-# Path-dependent rules are looked for on (0, _REACH * T], one block of length
-# T at a time.
+# Path-dependent rules are looked for on (0, _REACH * T]: in blocks of length
+# 2T by the per-record core, of length T by the batch engine.
 _REACH = 15
 # Records per chunk of decompose_many; it bounds the size of the ragged
 # arrays and is part of the stream layout, so it is not a parameter.
@@ -163,30 +163,31 @@ def _preset_time(rule, stream: RngStream, size: int | None = None):
 
 def _stopped_path(rule: StoppingRule, T: float, simulate, extend,
                   stream: RngStream):
-    """A path on (0, tau + T] for the stopping time of ``rule``; returns
-    (path, tau).
+    """A path long enough to hold (0, tau + T] for the stopping time of
+    ``rule``; returns (path, tau).
 
     ``simulate(horizon)`` draws a fresh path and ``extend(path, horizon)``
     continues one. Fixed and independent times are known up front, so the
     path is simulated to tau + T directly (an independent time comes from a
     child stream, disjoint from the path's draws). Path-dependent rules start
-    on T and extend by T while the rule is not realized, up to _REACH * T;
-    the realized path is then extended to exactly tau + T.
+    on 2T and extend by 2T until tau + T fits, up to (_REACH + 1) * T, so
+    every tau <= _REACH * T is realized.
     """
     if isinstance(rule, (FixedTime, IndependentRandomTime)):
         tau = float(_preset_time(rule, stream))
         return simulate(_window_end(tau, T)), tau
-    path = simulate(T)
-    for _ in range(_REACH - 1):
+    path = simulate(2.0 * T)
+    for i in range((_REACH + 1) // 2):
+        if i:
+            path = extend(path, path.horizon + 2.0 * T)
         try:
             tau = evaluate_stopping(rule, path)
-            break
         except InsufficientHorizonError:
-            path = extend(path, path.horizon + T)
-    else:
-        tau = evaluate_stopping(rule, path)  # raises past the reach
-    end = _window_end(tau, T)
-    return (extend(path, end) if end > path.horizon else path), tau
+            continue
+        if _window_end(tau, T) <= path.horizon:
+            return path, tau
+    raise InsufficientHorizonError(
+        f"stopping rule {rule!r} not realized on (0, {_REACH} * {T}]")
 
 
 def _levy_stopped_path(model: LevyModel, rule: StoppingRule, T: float,
@@ -212,14 +213,10 @@ def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
 
 def _kth_times(owner, times, count, rank, rows):
     """For each record in ``rows``, the rank-th smallest of its ``times``;
-    ``owner`` is grouped by record and ``count`` holds each record's hits.
-    Rank 1 everywhere is a per-record minimum, done by reduceat over the
-    record segments with no sort."""
-    if np.all(rank == 1):
+    ``count`` holds each record's number of ``times``."""
+    if np.all(rank == 1):  # a per-record minimum needs no sort
         first = np.full(count.size, np.inf)
-        if owner.size:
-            starts = np.flatnonzero(np.r_[True, owner[1:] != owner[:-1]])
-            first[owner[starts]] = np.minimum.reduceat(times, starts)
+        np.minimum.at(first, owner, times)
         return first[rows]
     order = np.lexsort((times, owner))
     return times[order[np.cumsum(count)[rows] - count[rows] + rank - 1]]

@@ -98,15 +98,21 @@ class TestStoppingRules:
 class TestStoppedPath:
     @pytest.mark.parametrize("rule", RULES + [KthJump(170)],
                              ids=RULE_IDS + ["kth_jump_170"])
-    def test_horizon_is_tau_plus_T(self, rule, make_stream):
-        # the path is simulated, or extended, to exactly tau + T and no
-        # further (one ulp up where fl(tau + T) - tau falls short of T);
-        # KthJump(170) needs extensions at rate 2
+    def test_horizon_holds_tau_plus_T(self, rule, make_stream):
+        # a known time is simulated to exactly tau + T (one ulp up where
+        # fl(tau + T) - tau falls short of T); a path-dependent one stops at
+        # the first 2T block that holds tau + T. KthJump(170) needs
+        # extensions at rate 2
         T = POLICY.horizon
         for s in make_stream().split(40):
             path, tau = _levy_stopped_path(_gamma_model(), rule, T, s)
             end = tau + T
-            assert path.horizon == (end if end - tau >= T else math.nextafter(end, math.inf))
+            end = end if end - tau >= T else math.nextafter(end, math.inf)
+            if isinstance(rule, (FixedTime, IndependentRandomTime)):
+                assert path.horizon == end
+            else:
+                assert end <= path.horizon < end + 2.0 * T
+                assert path.horizon / (2.0 * T) == round(path.horizon / (2.0 * T))
             assert path.jump_times.size == 0 or path.jump_times[-1] <= path.horizon
 
     def test_rounded_window_still_holds_T(self, make_stream):

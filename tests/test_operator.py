@@ -105,7 +105,7 @@ class TestScalarConsistency:
     def test_d1_decomposition_matches_scalar(self, rule):
         # Q = [[1]] is the scalar case: the shared stop-and-extend core must
         # draw the same stopping times and paths, record for record. At rate 2
-        # a T horizon holds about 80 jumps, so KthJump(170) always extends.
+        # a 2T horizon holds about 160 jumps, so KthJump(170) always extends.
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
         op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
         ops = operator_decompose_many(op, rule, POLICY, 50, RngStream(2024))
