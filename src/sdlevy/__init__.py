@@ -16,7 +16,7 @@ from .levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath, JumpSe
                    shift_path, simulate_path, thin_path)
 from .operator import (IndependentCoordinates, OperatorDecompositionRecord,
                        OperatorModel, SharedJumpDirection, matrix_exp,
-                       operator_decompose, sample_operator_integral_many)
+                       operator_decompose_many, sample_operator_integral_many)
 from .perpetuity import (BetaGammaAffine, ConstantAffine, CustomAffine,
                          StoppedIntegralAffine, beta_gamma_identity_samples,
                          gamma_factor_samples, iterate_many, sample_backward_series_many,

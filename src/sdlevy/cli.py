@@ -76,7 +76,7 @@ _RULE_SCHEMA = {
     ]
 }
 
-# operator_decompose has no FirstJumpIn; rejecting it in the schema makes such
+# operator_decompose_many has no FirstJumpIn; rejecting it in the schema makes such
 # a config invalid (exit 2) instead of a failed run.
 _OPERATOR_RULE_SCHEMA = {"oneOf": [r for r in _RULE_SCHEMA["oneOf"]
                                    if r["properties"]["kind"]["const"] != "first_jump_in"]}
@@ -359,9 +359,8 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
     rule = _parse_rule(params.get("rule", {"kind": "first_jump"}))
     n_records = params.get("n_records", 2000)
     s_rec, s_mean = stream.split(2)
-    records = operator_decompose_many(model, rule, policy, n_records, s_rec)
-    rel = np.array([r.residual / (1.0 + float(np.linalg.norm(r.x_total)))
-                    for r in records])
+    rec = operator_decompose_many(model, rule, policy, n_records, s_rec)
+    rel = rec.residual / (1.0 + np.linalg.norm(rec.x_total, axis=1))
     draws = sample_operator_integral_many(model, policy, n, s_mean)
     target = model.mean_integral()
     se = draws.std(axis=0) / np.sqrt(n)
@@ -373,7 +372,7 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
         gate_ok = False
     except SpectralGateError:
         gate_ok = True
-    x_total = np.array([r.x_total for r in records])
+    x_total = rec.x_total
     reports = [
         compare_samples(f"x_total_coord{i}_vs_integral", x_total[:, i], draws[:n_records, i])
         for i in range(model.dimension)
@@ -448,17 +447,27 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+def _write_rows(fh, row_fmt: str, cols: list):
+    """Write the rows of equal-length float columns through row_fmt, one '%'
+    call per block of 4096 rows ('%.17g' prints what format(v, ".17g") does)."""
+    rows = np.column_stack(cols)
+    for lo in range(0, len(rows), 4096):
+        part = rows[lo:lo + 4096]
+        fh.write((row_fmt * len(part)) % tuple(part.ravel().tolist()))
+
+
 def _write_samples_csv(path: Path, columns: dict):
     names = list(columns)
+    cols = [np.asarray(columns[k], float) for k in names]
     with path.open("w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        if not names:
-            return
-        n = max(len(columns[k]) for k in names)
-        for i in range(n):
-            fh.write(",".join(
-                _fmt(columns[k][i]) if i < len(columns[k]) else "" for k in names
-            ) + "\n")
+        # Rows [lo, hi) between two column lengths have the same columns
+        # present; a column past its length writes "".
+        edges = sorted({0, *(c.size for c in cols)})
+        for lo, hi in zip(edges, edges[1:]):
+            live = [c.size > lo for c in cols]
+            row_fmt = ",".join("%.17g" if on else "" for on in live) + "\n"
+            _write_rows(fh, row_fmt, [c[lo:hi] for c, on in zip(cols, live) if on])
 
 
 def _write_cdf_csv(path: Path, pair):
@@ -471,8 +480,7 @@ def _write_cdf_csv(path: Path, pair):
         grid = np.sort(np.concatenate([a, b]))
         fa = np.searchsorted(a, grid, side="right") / a.size
         fb = np.searchsorted(b, grid, side="right") / b.size
-        for x, ya, yb in zip(grid, fa, fb):
-            fh.write(f"{_fmt(x)},{_fmt(ya)},{_fmt(yb)}\n")
+        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid, fa, fb])
 
 
 def _write_ecf_csv(path: Path, pair, ref_cf):

@@ -5,9 +5,9 @@ integral X' on the same realization, so the recombination
 x_total = x_tau + e^{-tau} * x_prime holds pathwise (to roundoff), not just
 in distribution. Path-dependent stopping times are looked for on
 (0, _REACH * T]; one that is not realized there raises
-InsufficientHorizonError and is never silently capped. One stop-and-extend
-loop serves the single records, the first-jump identities and the operator
-factorization in ``operator.py``; ``decompose_many`` runs the same
+InsufficientHorizonError and is never silently capped. A stop-and-extend
+loop on path objects serves ``decompose`` and the first-jump identities;
+``decompose_many`` and the operator records in ``operator.py`` run the same
 construction on ragged arrays, a chunk of records at a time.
 """
 
@@ -27,7 +27,7 @@ from .rng import RngStream
 # Path-dependent rules are looked for on (0, _REACH * T]: in blocks of length
 # 2T by the per-record core, of length T by the batch engine.
 _REACH = 15
-# Records per chunk of decompose_many; it bounds the size of the ragged
+# Records per chunk of the batch engine; it bounds the size of the ragged
 # arrays and is part of the stream layout, so it is not a parameter.
 _CHUNK = 256
 
@@ -79,10 +79,8 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
                       stream: RngStream | None = None) -> float:
     """Realize the stopping time of ``rule`` on ``path``.
 
-    Only ``horizon`` and ``jump_times`` are read (FirstJumpIn also reads
-    ``jump_sizes`` and ``gauss_var``), so scalar and operator paths share
-    this evaluator. Raises InsufficientHorizonError when the rule is not
-    realized within the path horizon (no silent capping).
+    Raises InsufficientHorizonError when the rule is not realized within
+    the path horizon (no silent capping).
     """
     if isinstance(rule, FixedTime):
         if rule.t > path.horizon:
@@ -161,25 +159,24 @@ def _preset_time(rule, stream: RngStream, size: int | None = None):
     return tau
 
 
-def _stopped_path(rule: StoppingRule, T: float, simulate, extend,
+def _stopped_path(model: LevyModel, rule: StoppingRule, T: float,
                   stream: RngStream):
-    """A path long enough to hold (0, tau + T] for the stopping time of
-    ``rule``; returns (path, tau).
+    """A path of ``model`` long enough to hold (0, tau + T] for the stopping
+    time of ``rule``; returns (path, tau).
 
-    ``simulate(horizon)`` draws a fresh path and ``extend(path, horizon)``
-    continues one. Fixed and independent times are known up front, so the
-    path is simulated to tau + T directly (an independent time comes from a
-    child stream, disjoint from the path's draws). Path-dependent rules start
-    on 2T and extend by 2T until tau + T fits, up to (_REACH + 1) * T, so
-    every tau <= _REACH * T is realized.
+    Fixed and independent times are known up front, so the path is simulated
+    to tau + T directly (an independent time comes from a child stream,
+    disjoint from the path's draws). Path-dependent rules start on 2T and
+    extend by 2T until tau + T fits, up to (_REACH + 1) * T, so every
+    tau <= _REACH * T is realized.
     """
     if isinstance(rule, (FixedTime, IndependentRandomTime)):
         tau = float(_preset_time(rule, stream))
-        return simulate(_window_end(tau, T)), tau
-    path = simulate(2.0 * T)
+        return simulate_path(model, _window_end(tau, T), stream), tau
+    path = simulate_path(model, 2.0 * T, stream)
     for i in range((_REACH + 1) // 2):
         if i:
-            path = extend(path, path.horizon + 2.0 * T)
+            path = extend_path(path, model, path.horizon + 2.0 * T, stream)
         try:
             tau = evaluate_stopping(rule, path)
         except InsufficientHorizonError:
@@ -190,19 +187,13 @@ def _stopped_path(rule: StoppingRule, T: float, simulate, extend,
         f"stopping rule {rule!r} not realized on (0, {_REACH} * {T}]")
 
 
-def _levy_stopped_path(model: LevyModel, rule: StoppingRule, T: float,
-                       stream: RngStream):
-    return _stopped_path(rule, T, lambda h: simulate_path(model, h, stream),
-                         lambda p, h: extend_path(p, model, h, stream), stream)
-
-
 def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
               stream: RngStream) -> DecompositionRecord:
     """Simulate one path plus tail and factor the discounted integral at the
     stopping time: X_tau over (0, tau], X' over the shifted path, both on the
     same realization."""
     T = policy.horizon
-    path, tau = _levy_stopped_path(model, rule, T, stream)
+    path, tau = _stopped_path(model, rule, T, stream)
     x_tau = eval_jump_sum(path, tau)
     x_prime = eval_jump_sum(shift_path(path, tau), T) if tau > 0 else eval_jump_sum(path, T)
     x_total = eval_jump_sum(path, tau + T)
@@ -222,14 +213,22 @@ def _kth_times(owner, times, count, rank, rows):
     return times[order[np.cumsum(count)[rows] - count[rows] + rank - 1]]
 
 
-def _stopped_jumps(model: LevyModel, rule: StoppingRule, T: float, m: int,
-                   stream: RngStream):
-    """The path-dependent half of ``_decompose_chunk``: m paths simulated one
-    block (H, H + T] at a time while their rule is pending, up to _REACH * T,
-    then each extended by a fresh segment to exactly tau + T (memorylessness,
-    as in ``extend_path``). Returns (owner, times, sizes, tau)."""
-    if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
-        raise ValueError("FirstJumpIn requires a purely discontinuous path")
+def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream):
+    """The jumps of m paths on (0, tau_i + T] and their stopping times.
+
+    ``draw(window, k)`` gives k fresh paths' jumps on (0, window_j] as ragged
+    arrays (owner, time, size, ...), the one part that the scalar and the
+    operator records do not share. Known times (fixed, or independent from
+    a child stream) are drawn to tau + T at once. Path-dependent rules read
+    the merged times (FirstJumpIn also the sizes) of one block (H, H + T] at
+    a time while pending, up to _REACH * T; each path then gets a fresh
+    segment to exactly tau + T (memorylessness, as in ``extend_path``).
+    Returns (owner, times, sizes, ..., tau)."""
+    if isinstance(rule, (FixedTime, IndependentRandomTime)):
+        tau = np.asarray(_preset_time(rule, stream, m), float)
+        return (*draw(tau + T, m), tau)
+    if not isinstance(rule, (FirstJump, FirstJumpIn, KthJump)):
+        raise TypeError(f"unknown stopping rule {rule!r}")
     k = rule.k if isinstance(rule, KthJump) else 1
     tau = np.empty(m)
     seen = np.zeros(m, np.intp)
@@ -237,13 +236,13 @@ def _stopped_jumps(model: LevyModel, rule: StoppingRule, T: float, m: int,
     pending = np.arange(m)
     parts = []
     for _ in range(_REACH):
-        local, offsets, sizes = _poisson_jumps(model, T, pending.size, stream)
+        local, offsets, *rest = draw(T, pending.size)
         owner = pending[local]
         times = ends[owner] + offsets
         ends[pending] += T
-        parts.append((owner, times, sizes))
+        parts.append((owner, times, *rest))
         if isinstance(rule, FirstJumpIn):
-            hit = rule.jump_set.contains(sizes)
+            hit = rule.jump_set.contains(rest[0])
             owner, times = owner[hit], times[hit]
         count = np.bincount(owner, minlength=m)
         got = count[pending] >= k - seen[pending]
@@ -257,10 +256,9 @@ def _stopped_jumps(model: LevyModel, rule: StoppingRule, T: float, m: int,
         raise InsufficientHorizonError(
             f"stopping rule {rule!r} not realized on (0, {_REACH} * {T}] "
             f"for {pending.size} of {m} records")
-    owner, offsets, sizes = _poisson_jumps(model, tau + T - ends, m, stream)
-    parts.append((owner, ends[owner] + offsets, sizes))
-    owner, times, sizes = (np.concatenate(a) for a in zip(*parts))
-    return owner, times, sizes, tau
+    owner, offsets, *rest = draw(tau + T - ends, m)
+    parts.append((owner, ends[owner] + offsets, *rest))
+    return (*(np.concatenate(a) for a in zip(*parts)), tau)
 
 
 def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
@@ -270,13 +268,10 @@ def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
     shifted times t - tau and the total the absolute ones, so the pathwise
     residual compares two routes. The Gaussian part is two independent
     normals per record, over (0, tau] and over the shifted (0, T]."""
-    if isinstance(rule, (FixedTime, IndependentRandomTime)):
-        tau = np.asarray(_preset_time(rule, stream, m), float)
-        owner, times, sizes = _poisson_jumps(model, tau + T, m, stream)
-    elif isinstance(rule, (FirstJump, FirstJumpIn, KthJump)):
-        owner, times, sizes, tau = _stopped_jumps(model, rule, T, m, stream)
-    else:
-        raise TypeError(f"unknown stopping rule {rule!r}")
+    if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
+        raise ValueError("FirstJumpIn requires a purely discontinuous path")
+    owner, times, sizes, tau = _stopped_jumps(
+        lambda window, k: _poisson_jumps(model, window, k, stream), rule, T, m, stream)
     disc = np.exp(-tau)
     weighted = np.exp(-times) * sizes
     before = times <= tau[owner]
@@ -297,6 +292,17 @@ def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
     return tau, x_tau, disc, x_prime, x_total
 
 
+def _by_chunks(chunk, n: int, stream: RngStream) -> list[np.ndarray]:
+    """The columns of ``chunk(m, child)`` over n records in chunks of
+    _CHUNK, each column concatenated; chunk i gets only child i of
+    ``stream.split(ceil(n / _CHUNK))``."""
+    if n < 1:
+        raise ValueError("n must be at least 1")
+    chunks = stream.split(-(-n // _CHUNK))
+    cols = [chunk(min(_CHUNK, n - i * _CHUNK), s) for i, s in enumerate(chunks)]
+    return [np.concatenate(c) for c in zip(*cols)]
+
+
 def decompose_many(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
                    n: int, stream: RngStream) -> DecompositionRecord:
     """n independent decomposition records as one record of length-n arrays.
@@ -306,13 +312,8 @@ def decompose_many(model: LevyModel, rule: StoppingRule, policy: TruncationPolic
     stream and its index only: the first k * _CHUNK records are the same
     for every n >= k * _CHUNK.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
-    chunks = stream.split(-(-n // _CHUNK))
-    cols = [_decompose_chunk(model, rule, policy.horizon,
-                             min(_CHUNK, n - i * _CHUNK), s)
-            for i, s in enumerate(chunks)]
-    return DecompositionRecord(*(np.concatenate(c) for c in zip(*cols)))
+    return DecompositionRecord(*_by_chunks(
+        lambda m, s: _decompose_chunk(model, rule, policy.horizon, m, s), n, stream))
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +348,7 @@ def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
                          policy: TruncationPolicy, stream: RngStream) -> IdentityDetail:
     T = policy.horizon
     rule = FirstJump() if jump_set is None else FirstJumpIn(jump_set)
-    path, tau = _levy_stopped_path(model, rule, T, stream)
+    path, tau = _stopped_path(model, rule, T, stream)
     target = path if jump_set is None else thin_path(path, jump_set)[0]
     first_size = float(target.jump_sizes[0])
     lhs = eval_jump_sum(target, tau + T)

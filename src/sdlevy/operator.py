@@ -6,20 +6,28 @@ Drivers are purely discontinuous (compound Poisson plus drift); a Gaussian
 component would need the Lyapunov-equation covariance machinery the scalar
 case avoids, and none of the exercised identities require it. Dimensions
 are small and matrices dense.
+
+A driver is a list of independent scalar jump sources, each pushed along a
+fixed direction: one per coordinate, or one shared. Integrals and records
+run on the ragged batch engine of ``decomposition``: each source's jumps are
+one ragged batch from ``discount._poisson_jumps``, and ``_QDiscounter``
+sums e^{-tQ} u*size over them per row. The scalar case is d = 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 import scipy.linalg
 
-from .decomposition import FirstJumpIn, StoppingRule, _stopped_path
-from .discount import TruncationPolicy, _integral_batch
+from .decomposition import FirstJumpIn, StoppingRule, _by_chunks, _stopped_jumps
+from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
 from .errors import SpectralGateError
-from .levy import LevyModel, simulate_path
+# simulate_path stays bound here: perfbench/tests/test_bench_tracer.py::
+# test_instrument_sdlevy_rebinds_from_imports_and_restores_all reads it.
+from .levy import LevyModel, simulate_path  # noqa: F401
 from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
@@ -61,6 +69,11 @@ class IndependentCoordinates:
     def dimension(self) -> int:
         return len(self.models)
 
+    def sources(self) -> list[tuple[LevyModel, np.ndarray]]:
+        """(model, direction) of each independent jump source: e_i for
+        coordinate i."""
+        return list(zip(self.models, np.eye(self.dimension)))
+
     def mean_unit_increment(self) -> np.ndarray:
         return np.array([m.mean_unit_increment() for m in self.models])
 
@@ -85,6 +98,9 @@ class SharedJumpDirection:
     def dimension(self) -> int:
         return len(self.direction)
 
+    def sources(self) -> list[tuple[LevyModel, np.ndarray]]:
+        return [(self.model, np.asarray(self.direction, float))]
+
     def mean_unit_increment(self) -> np.ndarray:
         return np.asarray(self.direction, float) * self.model.mean_unit_increment()
 
@@ -100,9 +116,9 @@ OperatorDriver = Union[IndependentCoordinates, SharedJumpDirection]
 # ---------------------------------------------------------------------------
 
 class _QDiscounter:
-    """Applies e^{-tQ} to jump batches: coordinatewise for diagonal Q,
-    through the eigenbasis when Q is diagonalizable with a well-conditioned
-    eigenvector matrix, and by per-jump expm otherwise."""
+    """Applies e^{-tQ} to ragged jump batches: coordinatewise for diagonal
+    Q, through the eigenbasis when Q is diagonalizable with a
+    well-conditioned eigenvector matrix, and by per-jump expm otherwise."""
 
     def __init__(self, q: np.ndarray):
         self.q = q
@@ -120,45 +136,54 @@ class _QDiscounter:
         else:
             self.mode = "dense"
 
-    def discounted_sum(self, times: np.ndarray, jumps: np.ndarray) -> np.ndarray:
-        """Sum_k e^{-t_k Q} dY_k for jump rows dY_k at times t_k."""
-        if times.size == 0:
-            return np.zeros(self.d)
-        if self.mode == "diag":
-            return np.array([
-                np.sum(np.exp(-times * self.diag[i]) * jumps[:, i])
-                for i in range(self.d)
-            ])
-        if self.mode == "eigen":
-            coeff = self.vinv @ jumps.T                       # (d, K)
-            decay = np.exp(-self.w[:, None] * times[None, :])  # (d, K)
-            return (self.v @ (decay * coeff).sum(axis=1)).real
-        acc = np.zeros(self.d)
-        for t, jump in zip(times, jumps):
-            acc += matrix_exp(-t * self.q) @ jump
-        return acc
+    def ragged_sum(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+                   u: np.ndarray, n: int) -> np.ndarray:
+        """Row i of the (n, d) result: the sum over the jumps k with
+        owner[k] == i of e^{-t_k Q} u * sizes_k.
 
-    def drift_integral(self, t: float, drift: np.ndarray) -> np.ndarray:
-        """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift."""
+        For diagonal Q column j sums e^{-Q_jj t} u_j * size, the weights of
+        ``_integral_batch(rate=Q_jj)``; in the eigenbasis mode k sums
+        e^{-w_k t} (V^{-1} u)_k * size, real and imaginary parts apart, and
+        V maps the modes back.
+        """
         if self.mode == "diag":
-            return np.array([
-                drift[i] * -np.expm1(-t * self.diag[i]) / self.diag[i]
-                for i in range(self.d)
-            ])
-        eye = np.eye(self.d)
-        return np.linalg.solve(self.q, (eye - self.matrix(t)) @ drift)
-
-    def matrix(self, t: float) -> np.ndarray:
-        """e^{-tQ}."""
-        if self.mode == "diag":
-            return np.diag(np.exp(-t * self.diag))
+            out = np.zeros((n, self.d))
+            for j in np.flatnonzero(u):
+                out[:, j] = _sum_by_path(
+                    owner, np.exp(-self.diag[j] * times) * (u[j] * sizes), n)
+            return out
         if self.mode == "eigen":
-            return (self.v @ np.diag(np.exp(-t * self.w)) @ self.vinv).real
-        return matrix_exp(-t * self.q)
+            modes = np.empty((n, self.d), complex)
+            for k, (w, c) in enumerate(zip(self.w, self.vinv @ u)):
+                z = np.exp(-w * times) * (c * sizes)
+                modes[:, k] = _sum_by_path(owner, np.real(z), n)
+                modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
+            return (modes @ self.v.T).real
+        out = np.zeros((n, self.d))
+        for i, t, s in zip(owner, times, sizes):
+            out[i] += matrix_exp(-t * self.q) @ u * s
+        return out
+
+    def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
+        """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
+        time in t."""
+        t = np.atleast_1d(np.asarray(t, float))
+        if self.mode == "diag":
+            return drift * -np.expm1(-t[:, None] * self.diag) / self.diag
+        return np.linalg.solve(self.q, (drift - self.matrix(t) @ drift).T).T
+
+    def matrix(self, t) -> np.ndarray:
+        """e^{-tQ} for each time in t, as an (n, d, d) array."""
+        t = np.atleast_1d(np.asarray(t, float))
+        if self.mode == "diag":
+            return np.exp(-t[:, None] * self.diag)[:, :, None] * np.eye(self.d)
+        if self.mode == "eigen":
+            return ((self.v * np.exp(-t[:, None, None] * self.w)) @ self.vinv).real
+        return np.array([matrix_exp(-s * self.q) for s in t])
 
 
 # ---------------------------------------------------------------------------
-# Model and paths
+# Model and integral
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -195,82 +220,21 @@ class OperatorModel:
         return np.linalg.solve(self.q, self.driver.mean_unit_increment())
 
 
-@dataclass
-class OperatorPath:
-    """Merged d-dimensional jump trajectory: sorted times, jump vectors as
-    rows, and the deterministic drift vector."""
-
-    horizon: float
-    jump_times: np.ndarray
-    jumps: np.ndarray
-    drift: np.ndarray
-    _coord_streams: tuple = field(default=(), repr=False, compare=False)
-
-
-def _driver_jumps(model: OperatorModel, start: float, span: float,
-                  streams: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """The driver's jumps on (start, start + span]: times in order and jump
-    vectors as rows, one stream per coordinate (a single stream for a shared
-    direction). Ties keep coordinate order."""
-    driver = model.driver
-    if isinstance(driver, SharedJumpDirection):
-        (stream,) = streams
-        path = simulate_path(driver.model, span, stream)
-        direction = np.asarray(driver.direction, float)
-        return start + path.jump_times, np.outer(path.jump_sizes, direction)
-    paths = [simulate_path(m, span, s) for m, s in zip(driver.models, streams)]
-    times = start + np.concatenate([p.jump_times for p in paths])
-    jumps = np.zeros((times.size, model.dimension))
-    offset = 0
-    for i, p in enumerate(paths):
-        jumps[offset:offset + p.n_jumps, i] = p.jump_sizes
-        offset += p.n_jumps
-    order = np.argsort(times, kind="stable")
-    return times[order], jumps[order]
-
-
-def simulate_operator_path(model: OperatorModel, horizon: float,
-                           stream: RngStream) -> OperatorPath:
-    # d == 1 reuses the caller's stream so the scalar pipeline is
-    # reproduced draw for draw.
-    if isinstance(model.driver, IndependentCoordinates) and model.dimension > 1:
-        streams = tuple(stream.split(model.dimension))
-    else:
-        streams = (stream,)
-    times, jumps = _driver_jumps(model, 0.0, horizon, streams)
-    return OperatorPath(horizon, times, jumps, model.driver.drift_vector(), streams)
-
-
-def _extend_operator_path(path: OperatorPath, model: OperatorModel,
-                          new_horizon: float) -> OperatorPath:
-    times, jumps = _driver_jumps(model, path.horizon, new_horizon - path.horizon,
-                                 path._coord_streams)
-    return OperatorPath(new_horizon, np.concatenate([path.jump_times, times]),
-                        np.concatenate([path.jumps, jumps]), path.drift,
-                        path._coord_streams)
-
-
-def _eval_operator_integral(model: OperatorModel, path: OperatorPath,
-                            t: float) -> np.ndarray:
-    disc = model._discounter
-    idx = int(np.searchsorted(path.jump_times, t, side="right"))
-    return (disc.discounted_sum(path.jump_times[:idx], path.jumps[:idx])
-            + disc.drift_integral(t, path.drift))
-
-
 def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy,
                                   n: int, stream: RngStream) -> np.ndarray:
     """n draws of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift as rows.
-    For diagonal Q with independent coordinates, coordinate i is the scalar
-    batch discounted at rate Q_ii; other shapes simulate one path per draw."""
+
+    The driver's jump sources are drawn from the stream one after another,
+    each as one ragged batch that is discounted before the next is drawn;
+    for diagonal Q coordinate i is the scalar batch at rate Q_ii, draw for
+    draw.
+    """
     disc = model._discounter
-    driver = model.driver
     T = policy.horizon
-    if disc.mode == "diag" and isinstance(driver, IndependentCoordinates):
-        return np.column_stack([_integral_batch(m, T, n, stream, rate=q)
-                                for m, q in zip(driver.models, disc.diag)])
-    return np.array([_eval_operator_integral(model, simulate_operator_path(model, T, s), T)
-                     for s in stream.split(n)])
+    out = np.zeros((n, model.dimension))
+    for source, u in model.driver.sources():
+        out += disc.ragged_sum(*_poisson_jumps(source, T, n, stream), u, n)
+    return out + disc.drift_integral(T, model.driver.drift_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -279,46 +243,63 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
 
 @dataclass(frozen=True, eq=False)
 class OperatorDecompositionRecord:
-    """One realization of (tau, X_tau, e^{-tau Q}, X') with the recombined total."""
+    """n realizations of (tau, X_tau, e^{-tau Q}, X') with the recombined
+    total: ``tau`` has shape (n,), ``discount`` (n, d, d) and the others
+    (n, d). ``residual`` and ``passes`` work per row, with a row norm."""
 
-    tau: float
+    tau: np.ndarray
     x_tau: np.ndarray
     discount: np.ndarray
     x_prime: np.ndarray
     x_total: np.ndarray
 
     @property
-    def residual(self) -> float:
-        gap = self.x_total - (self.x_tau + self.discount @ self.x_prime)
-        return float(np.linalg.norm(gap))
+    def residual(self) -> np.ndarray:
+        recombined = self.x_tau + np.einsum("nij,nj->ni", self.discount, self.x_prime)
+        return np.linalg.norm(self.x_total - recombined, axis=-1)
 
-    def passes(self, rel_tol: float = 1e-9) -> bool:
-        return self.residual <= rel_tol * (1.0 + float(np.linalg.norm(self.x_total)))
+    def passes(self, rel_tol: float = 1e-9) -> np.ndarray:
+        return self.residual <= rel_tol * (1.0 + np.linalg.norm(self.x_total, axis=-1))
 
 
-def operator_decompose(model: OperatorModel, rule: StoppingRule,
-                       policy: TruncationPolicy,
-                       stream: RngStream) -> OperatorDecompositionRecord:
-    if isinstance(rule, FirstJumpIn):
-        raise ValueError("FirstJumpIn is not supported on operator paths")
-    T = policy.horizon
+def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,
+                    stream: RngStream) -> tuple[np.ndarray, ...]:
+    """m records on one stream, as ``decomposition._decompose_chunk`` draws
+    them: each block draws the driver's sources one after another, the rule
+    stops on the merged jump times, and X_tau, X' and the total are ragged
+    sums over the same jumps (X' over the shifted times t - tau)."""
     disc = model._discounter
-    path, tau = _stopped_path(
-        rule, T, lambda h: simulate_operator_path(model, h, stream),
-        lambda p, h: _extend_operator_path(p, model, h), stream)
-    x_tau = _eval_operator_integral(model, path, tau)
-    lo = int(np.searchsorted(path.jump_times, tau, side="right"))
-    hi = int(np.searchsorted(path.jump_times, tau + T, side="right"))
-    x_prime = (disc.discounted_sum(path.jump_times[lo:hi] - tau, path.jumps[lo:hi])
-               + disc.drift_integral(T, path.drift))
-    x_total = _eval_operator_integral(model, path, tau + T)
-    return OperatorDecompositionRecord(
-        tau=tau, x_tau=x_tau, discount=disc.matrix(tau),
-        x_prime=x_prime, x_total=x_total,
-    )
+    sources = model.driver.sources()
+
+    def draw(window, k):
+        parts = [_poisson_jumps(source, window, k, stream) for source, _ in sources]
+        which = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
+        return (*(np.concatenate(a) for a in zip(*parts)), which)
+
+    owner, times, sizes, which, tau = _stopped_jumps(draw, rule, T, m, stream)
+    before = times <= tau[owner]
+
+    def jump_sum(keep, t):
+        out = np.zeros((m, model.dimension))
+        for j, (_, u) in enumerate(sources):
+            sel = keep & (which == j)
+            out += disc.ragged_sum(owner[sel], t[sel], sizes[sel], u, m)
+        return out
+
+    drift = model.driver.drift_vector()
+    x_tau = jump_sum(before, times) + disc.drift_integral(tau, drift)
+    x_prime = jump_sum(~before, times - tau[owner]) + disc.drift_integral(T, drift)
+    x_total = jump_sum(True, times) + disc.drift_integral(tau + T, drift)
+    return tau, x_tau, disc.matrix(tau), x_prime, x_total
 
 
 def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
                             policy: TruncationPolicy, n: int,
-                            stream: RngStream) -> list[OperatorDecompositionRecord]:
-    return [operator_decompose(model, rule, policy, s) for s in stream.split(n)]
+                            stream: RngStream) -> OperatorDecompositionRecord:
+    """n independent operator records as one record of arrays, in the
+    chunk layout of ``decompose_many``: chunk i draws only from child i of
+    ``stream.split(ceil(n / 256))``."""
+    if isinstance(rule, FirstJumpIn):
+        raise ValueError("FirstJumpIn is not supported on operator paths")
+    return OperatorDecompositionRecord(*_by_chunks(
+        lambda m, s: _operator_chunk(model, rule, policy.horizon, m, s), n, stream))

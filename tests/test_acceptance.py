@@ -177,8 +177,8 @@ def test_08_operator_factorization():
     s_rec, s_mean = stream.split(2)
 
     records = operator_decompose_many(model, FirstJump(), POLICY, 2000, s_rec)
-    worst = max(r.residual / (1.0 + float(np.linalg.norm(r.x_total)))
-                for r in records)
+    worst = float(np.max(records.residual
+                         / (1.0 + np.linalg.norm(records.x_total, axis=1))))
 
     draws = sample_operator_integral_many(model, POLICY, N, s_mean)
     target = model.mean_integral()

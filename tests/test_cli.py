@@ -117,6 +117,18 @@ class TestRunners:
         for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
 
+    def test_operator_eigen_mode(self, tmp_path):
+        # a Q with complex eigenvalues runs the eigenbasis discounter; it is a
+        # separate test because SMALL_CONFIGS is keyed by experiment
+        doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
+        doc["params"]["q"] = [[1.0, -0.5], [0.5, 1.5]]
+        out1, out2 = tmp_path / "a", tmp_path / "b"
+        assert run(json.loads(json.dumps(doc)), out_dir=out1) == 0
+        assert json.loads((out1 / "report.json").read_text())["verdict"] is True
+        run(doc, out_dir=out2)
+        for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
+            assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
+
     def test_seed_changes_samples(self, tmp_path):
         cfg1 = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
         cfg2 = dict(cfg1)

@@ -7,11 +7,11 @@ import pytest
 
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
                                   FixedTime, IndependentRandomTime, KthJump,
-                                  _levy_stopped_path, _stopped_jumps, decompose,
+                                  _stopped_jumps, _stopped_path, decompose,
                                   decompose_many,
                                   evaluate_stopping, first_value_identity,
                                   restricted_jump_identity)
-from sdlevy.discount import TruncationPolicy, eval_by_parts, eval_jump_sum
+from sdlevy.discount import TruncationPolicy, _poisson_jumps, eval_by_parts, eval_jump_sum
 from sdlevy.errors import InsufficientHorizonError
 from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, JumpSet,
                          LevyModel, shift_path, simulate_path, thin_path)
@@ -105,7 +105,7 @@ class TestStoppedPath:
         # extensions at rate 2
         T = POLICY.horizon
         for s in make_stream().split(40):
-            path, tau = _levy_stopped_path(_gamma_model(), rule, T, s)
+            path, tau = _stopped_path(_gamma_model(), rule, T, s)
             end = tau + T
             end = end if end - tau >= T else math.nextafter(end, math.inf)
             if isinstance(rule, (FixedTime, IndependentRandomTime)):
@@ -120,7 +120,7 @@ class TestStoppedPath:
         # shifted path still covers (0, T] and decompose can evaluate X' there
         T = POLICY.horizon
         assert (30.1 + T) - 30.1 < T
-        path, tau = _levy_stopped_path(_gamma_model(), FixedTime(30.1), T, make_stream())
+        path, tau = _stopped_path(_gamma_model(), FixedTime(30.1), T, make_stream())
         assert path.horizon == math.nextafter(30.1 + T, math.inf)
         assert shift_path(path, tau).horizon >= T
         assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes(1e-10)
@@ -178,7 +178,9 @@ class TestBatchEngine:
         # time lies inside, and the count matches the Poisson mean over it
         # (162k jumps, so 1.5% is 6 standard errors)
         T, m = POLICY.horizon, 2_000
-        owner, times, _, tau = _stopped_jumps(_gamma_model(), rule, T, m, make_stream())
+        s = make_stream()
+        owner, times, _, tau = _stopped_jumps(
+            lambda window, k: _poisson_jumps(_gamma_model(), window, k, s), rule, T, m, s)
         assert np.all((times > 0.0) & (times <= tau[owner] + T))
         assert owner.size == pytest.approx(2.0 * np.sum(tau + T), rel=0.015)
 

@@ -7,13 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump, decompose)
-from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
+                                  IndependentRandomTime, KthJump, decompose_many)
+from sdlevy.discount import (TruncationPolicy, _integral_batch, _poisson_jumps,
+                             sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
 from sdlevy.operator import (IndependentCoordinates, OperatorModel,
-                             SharedJumpDirection, matrix_exp, operator_decompose,
-                             operator_decompose_many, sample_operator_integral_many)
+                             SharedJumpDirection, matrix_exp, operator_decompose_many,
+                             sample_operator_integral_many)
 from sdlevy.rng import RngStream
 from sdlevy.stats import ks_two_sample
 
@@ -103,19 +104,19 @@ class TestScalarConsistency:
         IndependentRandomTime(ExponentialJumps(1.0)),
     ], ids=["first_jump", "kth_jump_170", "fixed_time", "independent_time"])
     def test_d1_decomposition_matches_scalar(self, rule):
-        # Q = [[1]] is the scalar case: the shared stop-and-extend core must
-        # draw the same stopping times and paths, record for record. At rate 2
-        # a 2T horizon holds about 160 jumps, so KthJump(170) always extends.
+        # Q = [[1]] is the scalar case: the shared batch engine must draw the
+        # same stopping times and paths, record for record. At rate 2 a
+        # block of length T holds about 80 jumps, so KthJump(170) always
+        # takes more than two blocks.
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
         op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
-        ops = operator_decompose_many(op, rule, POLICY, 50, RngStream(2024))
-        scalars = [decompose(model, rule, POLICY, s) for s in RngStream(2024).split(50)]
-        for o, s in zip(ops, scalars):
-            assert o.tau == s.tau
-            assert o.discount.shape == (1, 1)
-            for field in ("x_tau", "x_prime", "x_total"):
-                a, b = float(getattr(o, field)[0]), getattr(s, field)
-                assert abs(a - b) <= 1e-14 * max(abs(b), 1e-300), field
+        o = operator_decompose_many(op, rule, POLICY, 300, RngStream(2024))
+        s = decompose_many(model, rule, POLICY, 300, RngStream(2024))
+        assert np.array_equal(o.tau, s.tau)
+        assert o.discount.shape == (300, 1, 1)
+        for field in ("discount", "x_tau", "x_prime", "x_total"):
+            a, b = getattr(o, field).reshape(-1), getattr(s, field)
+            assert np.all(np.abs(a - b) <= 1e-14 * np.maximum(np.abs(b), 1e-300)), field
 
     def test_scaled_identity_reduces_per_coordinate(self, make_stream):
         # with Q = cI the coordinate integral sum_k e^{-c t_k} J_k has the
@@ -165,25 +166,25 @@ class TestOperatorDecomposition:
     def test_residuals(self, rule, make_stream):
         records = operator_decompose_many(_model_2d(), rule, POLICY, 200,
                                           make_stream())
-        assert all(r.passes(1e-9) for r in records)
+        assert records.passes(1e-9).all()
 
     def test_non_diagonal_residuals(self, make_stream):
         model = _model_2d(np.array([[2.0, 1.0], [0.5, 3.0]]))
         records = operator_decompose_many(model, FirstJump(), POLICY, 200,
                                           make_stream())
-        assert all(r.passes(1e-9) for r in records)
+        assert records.passes(1e-9).all()
 
     def test_fixed_time_zero(self, make_stream):
-        r = operator_decompose(_model_2d(), FixedTime(0.0), POLICY, make_stream())
-        np.testing.assert_array_equal(r.x_tau, np.zeros(2))
-        np.testing.assert_allclose(r.discount, np.eye(2))
+        r = operator_decompose_many(_model_2d(), FixedTime(0.0), POLICY, 1, make_stream())
+        np.testing.assert_array_equal(r.x_tau, np.zeros((1, 2)))
+        np.testing.assert_allclose(r.discount, np.eye(2)[None])
         np.testing.assert_allclose(r.x_prime, r.x_total)
 
     def test_marginal_matches_integral(self, make_stream):
         model = _model_2d()
         records = operator_decompose_many(model, FirstJump(), POLICY, 5_000,
                                           make_stream())
-        x_total = np.array([r.x_total for r in records])
+        x_total = records.x_total
         draws = sample_operator_integral_many(model, POLICY, 5_000, make_stream())
         assert ks_two_sample(x_total[:, 0], draws[:, 0])[2]
         assert ks_two_sample(x_total[:, 1], draws[:, 1])[2]
@@ -191,4 +192,89 @@ class TestOperatorDecomposition:
     def test_unsupported_rule(self, make_stream):
         rule = FirstJumpIn(JumpSet("ge", 1.0))
         with pytest.raises(ValueError):
-            operator_decompose(_model_2d(), rule, POLICY, make_stream())
+            operator_decompose_many(_model_2d(), rule, POLICY, 1, make_stream())
+
+
+# The complex-eigenvalue Q of the benchmark's eigen-mode config.
+_ROTATING_Q = [[1.0, -0.5], [0.5, 1.5]]
+
+
+class TestRaggedSum:
+    """The discounter's ragged sum against evaluators that share no code
+    with its eigenbasis or its row accumulation."""
+
+    def _jumps(self, stream, n=40):
+        return _poisson_jumps(_coord(2.0, 1.0), 6.0, n, stream)
+
+    @pytest.mark.parametrize("q", [[[2.0, 1.0], [0.0, 1.0]], _ROTATING_Q],
+                             ids=["real_eigen", "complex_eigen"])
+    @pytest.mark.parametrize("u", [(1.0, 0.0), (0.0, 1.0), (1.0, -0.5)])
+    def test_eigen_matches_per_jump_expm(self, q, u, make_stream):
+        disc = _model_2d(q)._discounter
+        assert disc.mode == "eigen"
+        owner, times, sizes = self._jumps(make_stream())
+        u = np.asarray(u)
+        got = disc.ragged_sum(owner, times, sizes, u, 40)
+        ref = np.zeros((40, 2))
+        for i, t, s in zip(owner, times, sizes):
+            ref[i] += matrix_exp(-t * np.asarray(q)) @ u * s
+        scale = np.linalg.norm(ref, axis=1)
+        assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
+
+    def test_diag_is_the_scalar_batch(self, make_stream):
+        model = _model_2d()
+        disc = model._discounter
+        for j, (coord, u) in enumerate(model.driver.sources()):
+            driftless = LevyModel(jump_rate=coord.jump_rate, jump_law=coord.jump_law)
+            jumps = _poisson_jumps(driftless, POLICY.horizon, 500, RngStream(5, j))
+            got = disc.ragged_sum(*jumps, u, 500)
+            ref = _integral_batch(driftless, POLICY.horizon, 500, RngStream(5, j),
+                                  rate=disc.diag[j])
+            assert np.array_equal(got[:, j], ref)
+            assert not np.any(got[:, 1 - j])
+
+
+class TestOperatorRecordsEngine:
+    def test_shared_direction_records(self, make_stream):
+        driver = SharedJumpDirection(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
+        model = OperatorModel(np.array([[2.0, 1.0], [0.5, 3.0]]), driver)
+        records = operator_decompose_many(model, FirstJump(), POLICY, 3_000,
+                                          make_stream())
+        assert records.passes(1e-9).all()
+        draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
+        for i in range(2):
+            assert ks_two_sample(records.x_total[:, i], draws[:, i])[2]
+
+    def test_complex_eigenvalue_records(self, make_stream):
+        model = _model_2d(_ROTATING_Q)
+        assert np.iscomplexobj(model._discounter.w)
+        records = operator_decompose_many(model, KthJump(2), POLICY, 3_000,
+                                          make_stream())
+        assert records.passes(1e-9).all()
+        draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
+        for i in range(2):
+            assert ks_two_sample(records.x_total[:, i], draws[:, i])[2]
+
+    def test_dense_mode_records(self, make_stream):
+        model = _model_2d([[1.0, 1.0], [0.0, 1.0]])  # a Jordan block
+        assert model._discounter.mode == "dense"
+        records = operator_decompose_many(model, FirstJump(), POLICY, 5,
+                                          make_stream())
+        assert records.passes(1e-9).all()
+
+    @pytest.mark.parametrize("n", [1, 256, 257])
+    def test_chunk_edges(self, n):
+        records = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(),
+                                          POLICY, n, RngStream(31))
+        assert records.tau.shape == (n,)
+        assert records.x_total.shape == records.x_prime.shape == (n, 2)
+        assert records.discount.shape == (n, 2, 2)
+        assert records.passes(1e-9).all()
+
+    def test_full_chunks_do_not_depend_on_n(self):
+        a = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(), POLICY,
+                                    256, RngStream(32))
+        b = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(), POLICY,
+                                    768, RngStream(32))
+        for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)[:256]), field
