@@ -221,7 +221,7 @@ class TestRaggedSum:
         scale = np.linalg.norm(ref, axis=1)
         assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
 
-    def test_diag_is_the_scalar_batch(self, make_stream):
+    def test_diag_is_the_scalar_batch(self):
         model = _model_2d()
         disc = model._discounter
         for j, (coord, u) in enumerate(model.driver.sources()):
