@@ -264,18 +264,14 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(alpha, lam)
     jump_set = JumpSet("ge", params["set_threshold"])
     s_first, s_restr, s_gamma = stream.split(3)
-    details = [dec.first_value_identity(model, policy, s)
-               for s in s_first.split(n)]
-    restricted = [dec.restricted_jump_identity(model, jump_set, policy, s)
-                  for s in s_restr.split(n)]
-    lhs = np.array([d.lhs for d in details])
+    first = dec.first_value_identity(model, policy, n, s_first)
+    restricted = dec.restricted_jump_identity(model, jump_set, policy, n, s_restr)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
-    report = compare_samples("first_value_lhs_vs_direct", lhs, direct)
+    report = compare_samples("first_value_lhs_vs_direct", first.lhs, direct)
     band = independence_pass_band(n)
-    diag = independence_diagnostic(np.array([d.discount for d in details]),
-                                   np.array([d.shifted_integral for d in details]))
-    rel1 = max(d.residual / (1.0 + abs(d.lhs)) for d in details)
-    rel2 = max(d.residual / (1.0 + abs(d.lhs)) for d in restricted)
+    diag = independence_diagnostic(first.discount, first.shifted_integral)
+    rel1 = float(np.max(first.residual / (1.0 + np.abs(first.lhs))))
+    rel2 = float(np.max(restricted.residual / (1.0 + np.abs(restricted.lhs))))
     extras = {
         "max_relative_residual_first_value": rel1,
         "max_relative_residual_restricted": rel2,
@@ -287,10 +283,9 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     verdict = report.verdict and extras["pathwise_pass"] and extras["independence_pass"]
     return ExperimentResult(
         verdict=verdict, reports=[report], extras=extras,
-        samples={"lhs": lhs, "rhs": np.array([d.rhs for d in details]),
-                 "restricted_lhs": np.array([d.lhs for d in restricted]),
-                 "restricted_rhs": np.array([d.rhs for d in restricted])},
-        primary=(lhs, direct), ref_cf=gamma_cf(alpha, lam),
+        samples={"lhs": first.lhs, "rhs": first.rhs,
+                 "restricted_lhs": restricted.lhs, "restricted_rhs": restricted.rhs},
+        primary=(first.lhs, direct), ref_cf=gamma_cf(alpha, lam),
     )
 
 

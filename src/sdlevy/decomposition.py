@@ -1,14 +1,15 @@
 """Stopping rules on paths and the factorization X =d X_tau + e^{-tau} X'.
 
-``decompose`` evaluates both the stopped integral X_tau and the shifted
-integral X' on the same realization, so the recombination
-x_total = x_tau + e^{-tau} * x_prime holds pathwise (to roundoff), not just
-in distribution. Path-dependent stopping times are looked for on
-(0, _REACH * T]; one that is not realized there raises
-InsufficientHorizonError and is never silently capped. A stop-and-extend
-loop on path objects serves ``decompose`` and the first-jump identities;
-``decompose_many`` and the operator records in ``operator.py`` run the same
-construction on ragged arrays, a chunk of records at a time.
+One engine stops every scalar path: ``_stopped_jumps`` draws ragged jump
+arrays on (0, tau + T], a chunk of records at a time, and serves
+``decompose_many`` (``decompose`` is its n = 1 row), the first-value and
+restricted-jump identities of Corollary 3 and the operator records in
+``operator.py``. X_tau and X' are evaluated on the same realization, so the
+recombination x_total = x_tau + e^{-tau} * x_prime holds pathwise (to
+roundoff), not just in distribution. Path-dependent stopping times are
+looked for on (0, _REACH * T]; one that is not realized there raises
+InsufficientHorizonError and is never silently capped. ``evaluate_stopping``
+realizes a rule on one path object, the independent reference route.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from typing import Union
 
 import numpy as np
 
-from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path, eval_jump_sum
+from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
 from .errors import InsufficientHorizonError
-from .levy import JumpPath, JumpSet, LevyModel, extend_path, shift_path, simulate_path, thin_path
+# simulate_path stays bound here: perfbench/tests/test_bench_tracer.py reads it.
+from .levy import JumpPath, JumpSet, LevyModel, simulate_path  # noqa: F401
 from .rng import RngStream
 
-# Path-dependent rules are looked for on (0, _REACH * T]: in blocks of length
-# 2T by the per-record core, of length T by the batch engine.
+# Path-dependent rules are looked for on (0, _REACH * T], in blocks of length T.
 _REACH = 15
 # Records per chunk of the batch engine; it bounds the size of the ragged
 # arrays and is part of the stream layout, so it is not a parameter.
@@ -92,8 +93,6 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
             raise InsufficientHorizonError("no jump on the horizon")
         return float(path.jump_times[0])
     if isinstance(rule, FirstJumpIn):
-        if path.gauss_var > 0:
-            raise ValueError("FirstJumpIn requires a purely discontinuous path")
         hits = np.flatnonzero(rule.jump_set.contains(path.jump_sizes))
         if hits.size == 0:
             raise InsufficientHorizonError("no jump in the target set on the horizon")
@@ -140,13 +139,6 @@ class DecompositionRecord:
         return self.residual <= rel_tol * (1.0 + abs(self.x_total))
 
 
-def _window_end(tau: float, T: float) -> float:
-    """tau + T, one ulp up where the rounded sum would leave the shifted
-    window (0, end - tau] shorter than T."""
-    end = tau + T
-    return end if end - tau >= T else math.nextafter(end, math.inf)
-
-
 def _preset_time(rule, stream: RngStream, size: int | None = None):
     """The time of a FixedTime or IndependentRandomTime rule, known before
     the path is drawn; an independent time comes from a child stream,
@@ -157,49 +149,6 @@ def _preset_time(rule, stream: RngStream, size: int | None = None):
     if np.any(np.asarray(tau) < 0):
         raise ValueError("independent random time must be nonnegative")
     return tau
-
-
-def _stopped_path(model: LevyModel, rule: StoppingRule, T: float,
-                  stream: RngStream):
-    """A path of ``model`` long enough to hold (0, tau + T] for the stopping
-    time of ``rule``; returns (path, tau).
-
-    Fixed and independent times are known up front, so the path is simulated
-    to tau + T directly (an independent time comes from a child stream,
-    disjoint from the path's draws). Path-dependent rules start on 2T and
-    extend by 2T until tau + T fits, up to (_REACH + 1) * T, so every
-    tau <= _REACH * T is realized.
-    """
-    if isinstance(rule, (FixedTime, IndependentRandomTime)):
-        tau = float(_preset_time(rule, stream))
-        return simulate_path(model, _window_end(tau, T), stream), tau
-    path = simulate_path(model, 2.0 * T, stream)
-    for i in range((_REACH + 1) // 2):
-        if i:
-            path = extend_path(path, model, path.horizon + 2.0 * T, stream)
-        try:
-            tau = evaluate_stopping(rule, path)
-        except InsufficientHorizonError:
-            continue
-        if _window_end(tau, T) <= path.horizon:
-            return path, tau
-    raise InsufficientHorizonError(
-        f"stopping rule {rule!r} not realized on (0, {_REACH} * {T}]")
-
-
-def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
-              stream: RngStream) -> DecompositionRecord:
-    """Simulate one path plus tail and factor the discounted integral at the
-    stopping time: X_tau over (0, tau], X' over the shifted path, both on the
-    same realization."""
-    T = policy.horizon
-    path, tau = _stopped_path(model, rule, T, stream)
-    x_tau = eval_jump_sum(path, tau)
-    x_prime = eval_jump_sum(shift_path(path, tau), T) if tau > 0 else eval_jump_sum(path, T)
-    x_total = eval_jump_sum(path, tau + T)
-    return DecompositionRecord(
-        tau=tau, x_tau=x_tau, discount=math.exp(-tau), x_prime=x_prime, x_total=x_total
-    )
 
 
 def _kth_times(owner, times, count, rank, rows):
@@ -222,7 +171,7 @@ def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream
     a child stream) are drawn to tau + T at once. Path-dependent rules read
     the merged times (FirstJumpIn also the sizes) of one block (H, H + T] at
     a time while pending, up to _REACH * T; each path then gets a fresh
-    segment to exactly tau + T (memorylessness, as in ``extend_path``).
+    segment to exactly tau + T (memorylessness).
     Returns (owner, times, sizes, ..., tau)."""
     if isinstance(rule, (FixedTime, IndependentRandomTime)):
         tau = np.asarray(_preset_time(rule, stream, m), float)
@@ -316,24 +265,32 @@ def decompose_many(model: LevyModel, rule: StoppingRule, policy: TruncationPolic
         lambda m, s: _decompose_chunk(model, rule, policy.horizon, m, s), n, stream))
 
 
+def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
+              stream: RngStream) -> DecompositionRecord:
+    """One record, as floats: the n = 1 row of ``decompose_many``."""
+    rec = decompose_many(model, rule, policy, 1, stream)
+    return DecompositionRecord(*(float(v[0]) for v in vars(rec).values()))
+
+
 # ---------------------------------------------------------------------------
 # First-value and restricted-jump identities
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class IdentityDetail:
-    """Both sides of a first-jump identity on one realization, with the
-    pieces of the right-hand side."""
+    """Both sides of a first-jump identity on n realizations, with the
+    pieces of the right-hand side, as length-n arrays; ``residual`` works
+    elementwise."""
 
-    tau: float
-    first_size: float
-    discount: float
-    shifted_integral: float
-    lhs: float
-    rhs: float
+    tau: np.ndarray
+    first_size: np.ndarray
+    discount: np.ndarray
+    shifted_integral: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
 
     @property
-    def residual(self) -> float:
+    def residual(self) -> np.ndarray:
         return abs(self.lhs - self.rhs)
 
 
@@ -344,33 +301,48 @@ def _require_pure_jump(model: LevyModel):
         raise ValueError("identity requires a positive jump rate")
 
 
-def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
-                         policy: TruncationPolicy, stream: RngStream) -> IdentityDetail:
-    T = policy.horizon
+def _identity_chunk(model: LevyModel, jump_set: JumpSet | None, T: float, m: int,
+                    stream: RngStream) -> tuple[np.ndarray, ...]:
+    """m records on one stream: the jumps on (0, tau + T] up to the first
+    jump (in ``jump_set``, when given), then both sides of the identity as
+    masked sums over the kept jumps: lhs over the absolute times, the
+    shifted integral over t - tau for the jumps after tau."""
     rule = FirstJump() if jump_set is None else FirstJumpIn(jump_set)
-    path, tau = _stopped_path(model, rule, T, stream)
-    target = path if jump_set is None else thin_path(path, jump_set)[0]
-    first_size = float(target.jump_sizes[0])
-    lhs = eval_jump_sum(target, tau + T)
-    shifted = eval_jump_sum(shift_path(target, tau), T)
-    disc = math.exp(-tau)
-    rhs = disc * first_size + disc * shifted
-    return IdentityDetail(tau, first_size, disc, shifted, lhs, rhs)
+    owner, times, sizes, tau = _stopped_jumps(
+        lambda window, k: _poisson_jumps(model, window, k, stream), rule, T, m, stream)
+    if jump_set is not None:
+        keep = jump_set.contains(sizes)
+        owner, times, sizes = owner[keep], times[keep], sizes[keep]
+    at = times == tau[owner]
+    after = times > tau[owner]
+    first = _sum_by_path(owner[at], sizes[at], m)
+    shifted = _sum_by_path(owner[after], np.exp(-(times[after] - tau[owner[after]]))
+                           * sizes[after], m)
+    lhs = _sum_by_path(owner, np.exp(-times) * sizes, m)
+    disc = np.exp(-tau)
+    return tau, first, disc, shifted, lhs, disc * first + disc * shifted
 
 
-def first_value_identity(model: LevyModel, policy: TruncationPolicy,
+def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
+                         policy: TruncationPolicy, n: int,
                          stream: RngStream) -> IdentityDetail:
-    """Both sides of the first-nonzero-value factorization on one realization:
+    """n records of the identity in the chunk layout of ``decompose_many``."""
+    return IdentityDetail(*_by_chunks(
+        lambda m, s: _identity_chunk(model, jump_set, policy.horizon, m, s), n, stream))
+
+
+def first_value_identity(model: LevyModel, policy: TruncationPolicy, n: int,
+                         stream: RngStream) -> IdentityDetail:
+    """Both sides of the first-nonzero-value factorization on n realizations:
     lhs is the full discounted integral, rhs is
     e^{-tau0}*(first jump) + e^{-tau0}*(shifted integral)."""
     _require_pure_jump(model)
-    return _first_jump_identity(model, None, policy, stream)
+    return _first_jump_identity(model, None, policy, n, stream)
 
 
 def restricted_jump_identity(model: LevyModel, jump_set: JumpSet,
-                             policy: TruncationPolicy,
+                             policy: TruncationPolicy, n: int,
                              stream: RngStream) -> IdentityDetail:
     """Same identity on the thinned process keeping only jumps in the set."""
     _require_pure_jump(model)
-    return _first_jump_identity(model, jump_set, policy, stream)
-
+    return _first_jump_identity(model, jump_set, policy, n, stream)

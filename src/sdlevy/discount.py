@@ -38,29 +38,17 @@ def _check_time(path: JumpPath, t: float):
 
 
 def eval_jump_sum(path: JumpPath, t: float) -> float:
-    """Sum_{tau_k <= t} e^{-tau_k} dY_k + drift*(1 - e^{-t}) + Gaussian term.
-
-    The Gaussian contribution over (0, t] has exact variance
-    gauss_var * (1 - e^{-2t}) / 2 and is cached on the path, so repeated
-    evaluations and shifted views see one realization.
-    """
+    """Sum_{tau_k <= t} e^{-tau_k} dY_k + drift*(1 - e^{-t}), on a jump +
+    drift path (path objects have no Gaussian part)."""
     _check_time(path, t)
     idx = int(np.searchsorted(path.jump_times, t, side="right"))
     val = float(np.sum(np.exp(-path.jump_times[:idx]) * path.jump_sizes[:idx]))
-    val += path.drift * -np.expm1(-t)
-    if path.gauss_var > 0:
-        val += path.gauss_discounted(t)
-    return val
+    return val + path.drift * -np.expm1(-t)
 
 
 def eval_by_parts(path: JumpPath, t: float) -> float:
-    """e^{-t} Y(t) + int_(0,t] Y(s-) e^{-s} ds with exact segment integrals.
-
-    Requires a piecewise-constant-plus-linear path, so Gaussian parts are
-    refused rather than silently discretized.
-    """
-    if path.gauss_var > 0:
-        raise ValueError("eval_by_parts requires a path without a Gaussian part")
+    """e^{-t} Y(t) + int_(0,t] Y(s-) e^{-s} ds with exact segment integrals
+    of the piecewise-constant-plus-linear path."""
     _check_time(path, t)
     idx = int(np.searchsorted(path.jump_times, t, side="right"))
     times = path.jump_times[:idx]

@@ -1,6 +1,11 @@
-"""Finite-horizon Levy trajectories: compound Poisson jumps, drift, and an
-optional Gaussian component, plus the shift / restrict / thin operations the
-discounted-integral constructions need.
+"""Levy models (compound Poisson jumps, drift and an optional Gaussian
+component) and finite-horizon jump + drift trajectories, with the shift and
+thin operations the discounted-integral constructions need.
+
+Path objects have no Gaussian part: ``simulate_path`` refuses a model with
+one, and the batch samplers in ``discount`` and ``decomposition`` draw it
+exactly, as normals. Path objects are the independent reference route for
+the evaluators and the stopping rules.
 
 Only finite-activity jumps are supported: every identity exercised here
 lives in the compound Poisson world, and infinite-activity measures would
@@ -9,10 +14,9 @@ introduce simulation bias the exact pathwise checks cannot absorb.
 
 from __future__ import annotations
 
-import bisect
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -184,102 +188,22 @@ class JumpSet:
 
 
 # ---------------------------------------------------------------------------
-# Lazy Gaussian caches
-# ---------------------------------------------------------------------------
-
-class _GaussIncrementCache:
-    """Lazily materialized Gaussian process with independent increments.
-
-    ``var_fn(t)`` is the cumulative variance profile. Values past the frontier
-    are drawn as fresh increments; values inside it are filled in by Gaussian
-    bridging, so every evaluator touching the path sees one consistent
-    realization. Single-writer, append-only contract.
-    """
-
-    def __init__(self, var_fn, stream: RngStream):
-        self._var = var_fn
-        self._stream = stream
-        self._ts = [0.0]
-        self._vals = [0.0]
-
-    def value(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("time must be nonnegative")
-        if t == 0.0:
-            return 0.0
-        ts, vals = self._ts, self._vals
-        i = bisect.bisect_left(ts, t)
-        if i < len(ts) and ts[i] == t:
-            return vals[i]
-        if i == len(ts):
-            dv = self._var(t) - self._var(ts[-1])
-            val = vals[-1] + math.sqrt(max(dv, 0.0)) * self._stream.normal()
-            ts.append(t)
-            vals.append(val)
-            return val
-        lo, hi = ts[i - 1], ts[i]
-        v1 = self._var(t) - self._var(lo)
-        v2 = self._var(hi) - self._var(t)
-        span = vals[i] - vals[i - 1]
-        if v1 + v2 <= 0.0:
-            val = vals[i - 1]
-        else:
-            mean = span * v1 / (v1 + v2)
-            var = v1 * v2 / (v1 + v2)
-            val = vals[i - 1] + mean + math.sqrt(max(var, 0.0)) * self._stream.normal()
-        ts.insert(i, t)
-        vals.insert(i, val)
-        return val
-
-    def grid(self) -> list[tuple[float, float]]:
-        return list(zip(self._ts, self._vals))
-
-
-class _ShiftedPlainCache:
-    """View of a parent level cache started at time tau: W(tau+u) - W(tau)."""
-
-    def __init__(self, parent, tau: float):
-        self._parent = parent
-        self._tau = tau
-
-    def value(self, u: float) -> float:
-        base = self._parent.value(self._tau)
-        return self._parent.value(self._tau + u) - base
-
-
-class _ShiftedDiscountedCache:
-    """View of a parent discounted cache under the shift Y_tau: the shifted
-    discounted Gaussian integral is e^{tau} * (G(tau+u) - G(tau))."""
-
-    def __init__(self, parent, tau: float):
-        self._parent = parent
-        self._tau = tau
-
-    def value(self, u: float) -> float:
-        base = self._parent.value(self._tau)
-        return math.exp(self._tau) * (self._parent.value(self._tau + u) - base)
-
-
-# ---------------------------------------------------------------------------
 # Paths
 # ---------------------------------------------------------------------------
 
 @dataclass
 class JumpPath:
-    """One realized trajectory on (0, horizon].
+    """One realized finite-activity jump + drift trajectory on (0, horizon].
 
-    Y(t) = drift*t + sum of jumps at times <= t + Gaussian part; cadlag by
-    construction, Y(0) = 0. A jump exactly at t belongs to (0, t].
-    Immutable after simulation except for the append-only Gaussian caches.
+    Y(t) = drift*t + sum of jumps at times <= t; cadlag by construction,
+    Y(0) = 0. A jump exactly at t belongs to (0, t]. Path objects have no
+    Gaussian part: the batch samplers draw it exactly, as normals.
     """
 
     horizon: float
     jump_times: np.ndarray
     jump_sizes: np.ndarray
     drift: float = 0.0
-    gauss_var: float = 0.0
-    _plain_gauss: object = field(default=None, repr=False, compare=False)
-    _disc_gauss: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         self.jump_times = np.asarray(self.jump_times, float)
@@ -304,75 +228,33 @@ class JumpPath:
         if not (0.0 <= t <= self.horizon):
             raise ValueError(f"time {t} outside [0, {self.horizon}]")
 
-    def gauss_level(self, t: float) -> float:
-        """Gaussian component of Y(t); zero when gauss_var == 0."""
-        if self.gauss_var == 0.0 or t == 0.0:
-            return 0.0
-        return self._plain_gauss.value(t)
-
-    def gauss_discounted(self, t: float) -> float:
-        """Gaussian component of the discounted integral over (0, t]."""
-        if self.gauss_var == 0.0 or t == 0.0:
-            return 0.0
-        return self._disc_gauss.value(t)
-
     def value(self, t: float) -> float:
         """Y(t), right-continuous."""
         self._check_time(t)
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
-        return self.drift * t + float(np.sum(self.jump_sizes[:idx])) + self.gauss_level(t)
+        return self.drift * t + float(np.sum(self.jump_sizes[:idx]))
 
     def value_left(self, t: float) -> float:
         """Y(t-): excludes a jump landing exactly at t."""
         self._check_time(t)
         idx = int(np.searchsorted(self.jump_times, t, side="left"))
-        return self.drift * t + float(np.sum(self.jump_sizes[:idx])) + self.gauss_level(t)
+        return self.drift * t + float(np.sum(self.jump_sizes[:idx]))
 
 
 def simulate_path(model: LevyModel, horizon: float, stream: RngStream) -> JumpPath:
-    """Simulate one trajectory of ``model`` on (0, horizon]."""
+    """Simulate one trajectory of ``model`` on (0, horizon]; a model with a
+    Gaussian part is refused, since path objects carry none."""
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
+    if model.gauss_var > 0:
+        raise ValueError("path objects have no Gaussian part; use the batch samplers")
     if model.jump_rate > 0:
         times = sample_poisson_arrivals(model.jump_rate, horizon, stream)
         sizes = np.atleast_1d(model.jump_law.sample(stream, size=times.size))
     else:
         times = np.empty(0)
         sizes = np.empty(0)
-    path = JumpPath(horizon, times, sizes, drift=model.drift, gauss_var=model.gauss_var)
-    if model.gauss_var > 0:
-        # The level and discounted-integral Gaussian components are separate
-        # lazy realizations; only the discounted one enters pathwise identities.
-        s_level, s_disc = stream.split(2)
-        var = model.gauss_var
-        path._plain_gauss = _GaussIncrementCache(lambda t: var * t, s_level)
-        path._disc_gauss = _GaussIncrementCache(
-            lambda t: var * 0.5 * -math.expm1(-2.0 * t), s_disc
-        )
-    return path
-
-
-def extend_path(path: JumpPath, model: LevyModel, new_horizon: float, stream: RngStream) -> JumpPath:
-    """Continue a realized path to a longer horizon.
-
-    New arrivals start with a fresh Exp(rate) gap from the old horizon
-    (memorylessness); Gaussian caches carry over and keep extending lazily.
-    """
-    if new_horizon <= path.horizon:
-        raise ValueError("new_horizon must exceed the current horizon")
-    if model.jump_rate > 0:
-        extra = path.horizon + sample_poisson_arrivals(
-            model.jump_rate, new_horizon - path.horizon, stream
-        )
-        extra_sizes = np.atleast_1d(model.jump_law.sample(stream, size=extra.size))
-        times = np.concatenate([path.jump_times, extra])
-        sizes = np.concatenate([path.jump_sizes, extra_sizes])
-    else:
-        times, sizes = path.jump_times, path.jump_sizes
-    return JumpPath(
-        new_horizon, times, sizes, drift=path.drift, gauss_var=path.gauss_var,
-        _plain_gauss=path._plain_gauss, _disc_gauss=path._disc_gauss,
-    )
+    return JumpPath(horizon, times, sizes, drift=model.drift)
 
 
 def shift_path(path: JumpPath, tau: float) -> JumpPath:
@@ -382,27 +264,16 @@ def shift_path(path: JumpPath, tau: float) -> JumpPath:
     if tau == 0.0:
         return path
     keep = path.jump_times > tau
-    shifted = JumpPath(
-        path.horizon - tau,
-        path.jump_times[keep] - tau,
-        path.jump_sizes[keep],
-        drift=path.drift,
-        gauss_var=path.gauss_var,
-    )
-    if path.gauss_var > 0:
-        shifted._plain_gauss = _ShiftedPlainCache(path._plain_gauss, tau)
-        shifted._disc_gauss = _ShiftedDiscountedCache(path._disc_gauss, tau)
-    return shifted
+    return JumpPath(path.horizon - tau, path.jump_times[keep] - tau,
+                    path.jump_sizes[keep], drift=path.drift)
 
 
 def thin_path(path: JumpPath, jump_set: JumpSet) -> tuple[JumpPath, JumpPath]:
-    """Split the jumps of a purely discontinuous path by membership in A.
+    """Split the jumps of a path by membership in A.
 
     Returns (in_A, rest); the drift stays with ``rest``. The two parts
     partition the jump multiset exactly and are independent Levy processes.
     """
-    if path.gauss_var > 0:
-        raise ValueError("thinning applies to paths without a Gaussian part")
     mask = jump_set.contains(path.jump_sizes) if path.n_jumps else np.zeros(0, bool)
     in_a = JumpPath(path.horizon, path.jump_times[mask], path.jump_sizes[mask])
     rest = JumpPath(
@@ -420,15 +291,16 @@ def path_to_json(path: JumpPath) -> str:
         "horizon": path.horizon,
         "jumps": [[float(t), float(s)] for t, s in zip(path.jump_times, path.jump_sizes)],
         "drift": path.drift,
-        "gauss_var": path.gauss_var,
     }
     return json.dumps(doc, sort_keys=True)
 
 
 def path_from_json(text: str) -> JumpPath:
+    """The path of a ``path_to_json`` document. A nonzero ``gauss_var`` is
+    refused: a path object cannot hold the Gaussian part it describes."""
     doc = json.loads(text)
+    if float(doc.get("gauss_var", 0.0)) != 0.0:
+        raise ValueError("path documents with a Gaussian part are not supported")
     jumps = np.asarray(doc["jumps"], float).reshape(-1, 2)
-    return JumpPath(
-        float(doc["horizon"]), jumps[:, 0], jumps[:, 1],
-        drift=float(doc["drift"]), gauss_var=float(doc["gauss_var"]),
-    )
+    return JumpPath(float(doc["horizon"]), jumps[:, 0], jumps[:, 1],
+                    drift=float(doc["drift"]))

@@ -23,8 +23,9 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, StoppingRule,
-                            decompose)
+from .decomposition import FirstJump, FixedTime, IndependentRandomTime, StoppingRule
+# decompose stays bound here: perfbench/tests/test_bench_tracer.py reads it.
+from .decomposition import decompose, decompose_many  # noqa: F401
 from .discount import TruncationPolicy, _integral_batch, sample_discounted_integral_many
 from .errors import ContractionError
 from .levy import ExponentialJumps, LevyModel
@@ -101,16 +102,11 @@ class StoppedIntegralAffine:
             time_stream = stream.split(1)[0]
             tau = np.atleast_1d(self.rule.law.sample(time_stream, size=n))
             return np.exp(-tau), _integral_batch(model, tau, n, stream)
-        # Generic rules fall back to full per-record decomposition. The law
-        # of (e^{-tau}, X_tau) does not depend on the horizon, so the default
+        # Generic rules fall back to the decomposition engine. The law of
+        # (e^{-tau}, X_tau) does not depend on the horizon, so the default
         # policy serves every caller.
-        policy = TruncationPolicy()
-        a = np.empty(n)
-        b = np.empty(n)
-        for i, s in enumerate(stream.split(n)):
-            rec = decompose(self.model, self.rule, policy, s)
-            a[i], b[i] = rec.discount, rec.x_tau
-        return a, b
+        rec = decompose_many(model, self.rule, TruncationPolicy(), n, stream)
+        return rec.discount, rec.x_tau
 
 
 def estimate_log_contraction(law, stream: RngStream, n: int = 512) -> float:

@@ -1,20 +1,18 @@
 """Stopping rules, the pathwise factorization, and the first-jump identities."""
 
-import math
-
 import numpy as np
 import pytest
 
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
                                   FixedTime, IndependentRandomTime, KthJump,
-                                  _stopped_jumps, _stopped_path, decompose,
-                                  decompose_many,
+                                  _stopped_jumps, decompose, decompose_many,
                                   evaluate_stopping, first_value_identity,
                                   restricted_jump_identity)
-from sdlevy.discount import TruncationPolicy, _poisson_jumps, eval_by_parts, eval_jump_sum
+from sdlevy.discount import (TruncationPolicy, _poisson_jumps, eval_by_parts, eval_jump_sum,
+                             sample_discounted_integral_many)
 from sdlevy.errors import InsufficientHorizonError
 from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, JumpSet,
-                         LevyModel, shift_path, simulate_path, thin_path)
+                         LevyModel, simulate_path, thin_path)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import independence_diagnostic, independence_pass_band, ks_two_sample
 
@@ -79,8 +77,7 @@ class TestStoppingRules:
     def test_first_jump_time_is_exponential(self, make_stream):
         alpha = 2.0
         stream = make_stream()
-        taus = np.array([decompose(_gamma_model(alpha), FirstJump(), POLICY, s).tau
-                         for s in stream.split(30_000)])
+        taus = decompose_many(_gamma_model(alpha), FirstJump(), POLICY, 30_000, stream).tau
         ref = make_stream().exponential(alpha, size=30_000)
         assert ks_two_sample(taus, ref)[2]
 
@@ -89,8 +86,7 @@ class TestStoppingRules:
         alpha, lam, a = 2.0, 1.0, 1.0
         rule = FirstJumpIn(JumpSet("ge", a))
         stream = make_stream()
-        taus = np.array([decompose(_gamma_model(alpha, lam), rule, POLICY, s).tau
-                         for s in stream.split(30_000)])
+        taus = decompose_many(_gamma_model(alpha, lam), rule, POLICY, 30_000, stream).tau
         ref = make_stream().exponential(alpha * np.exp(-lam * a), size=30_000)
         assert ks_two_sample(taus, ref)[2]
 
@@ -99,31 +95,29 @@ class TestStoppedPath:
     @pytest.mark.parametrize("rule", RULES + [KthJump(170)],
                              ids=RULE_IDS + ["kth_jump_170"])
     def test_horizon_holds_tau_plus_T(self, rule, make_stream):
-        # a known time is simulated to exactly tau + T (one ulp up where
-        # fl(tau + T) - tau falls short of T); a path-dependent one stops at
-        # the first 2T block that holds tau + T. KthJump(170) needs
-        # extensions at rate 2
-        T = POLICY.horizon
-        for s in make_stream().split(40):
-            path, tau = _stopped_path(_gamma_model(), rule, T, s)
-            end = tau + T
-            end = end if end - tau >= T else math.nextafter(end, math.inf)
-            if isinstance(rule, (FixedTime, IndependentRandomTime)):
-                assert path.horizon == end
-            else:
-                assert end <= path.horizon < end + 2.0 * T
-                assert path.horizon / (2.0 * T) == round(path.horizon / (2.0 * T))
-            assert path.jump_times.size == 0 or path.jump_times[-1] <= path.horizon
+        # every record's jumps lie in (0, tau + T]; a path-dependent tau is
+        # one of its own record's jump times. KthJump(170) needs more than
+        # two blocks of length T at rate 2
+        T, m = POLICY.horizon, 40
+        s = make_stream()
+        owner, times, _, tau = _stopped_jumps(
+            lambda window, k: _poisson_jumps(_gamma_model(), window, k, s), rule, T, m, s)
+        assert np.all((times > 0.0) & (times <= tau[owner] + T))
+        if isinstance(rule, FixedTime):
+            assert np.all(tau == rule.t)
+        elif not isinstance(rule, IndependentRandomTime):
+            hit = np.zeros(m, bool)
+            hit[owner[times == tau[owner]]] = True
+            assert hit.all()
 
     def test_rounded_window_still_holds_T(self, make_stream):
-        # fl(30.1 + 40) - 30.1 < 40: the horizon moves up one ulp so that the
-        # shifted path still covers (0, T] and decompose can evaluate X' there
+        # fl(30.1 + 40) - 30.1 < 40: a fixed time whose rounded window falls
+        # short of T by an ulp still decomposes and factors exactly
         T = POLICY.horizon
         assert (30.1 + T) - 30.1 < T
-        path, tau = _stopped_path(_gamma_model(), FixedTime(30.1), T, make_stream())
-        assert path.horizon == math.nextafter(30.1 + T, math.inf)
-        assert shift_path(path, tau).horizon >= T
         assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes(1e-10)
+        r = decompose_many(_gamma_model(), FixedTime(30.1), POLICY, 300, make_stream())
+        assert r.passes(1e-10).all()
 
     def test_reach(self):
         # Path-dependent rules are looked for on (0, 15T]. At rate 1e4 and
@@ -156,21 +150,66 @@ class TestBatchEngine:
                              ids=["gamma", "drift_gauss"])
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
     def test_law_matches_per_record(self, model, rule, make_stream):
-        # two routes to one joint law: the chunked ragged-array engine and
-        # the path-object route, one record at a time
+        # references that share no stopping code: tau against its closed-form
+        # law, X' and the total against the direct discounted-integral
+        # sampler (the total covers (0, tau + T], X' the shifted (0, T])
         if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
             with pytest.raises(ValueError):
                 decompose_many(model, rule, POLICY, 10, make_stream())
             return
         n = 2_000
         batch = decompose_many(model, rule, POLICY, n, make_stream())
-        loop = [decompose(model, rule, POLICY, s) for s in make_stream().split(n)]
-        for field in ("tau", "x_tau", "x_prime", "x_total"):
-            ref = np.array([getattr(r, field) for r in loop])
-            if isinstance(rule, FixedTime) and field == "tau":
-                assert np.all(getattr(batch, field) == ref[0])
-                continue
+        ref_stream = make_stream()
+        rate = model.jump_rate
+        if isinstance(rule, FixedTime):
+            assert np.all(batch.tau == rule.t)
+        else:
+            if isinstance(rule, FirstJump):
+                ref = ref_stream.exponential(rate, size=n)
+            elif isinstance(rule, FirstJumpIn):
+                # P(Exp(1) jump >= 1) = e^{-1}
+                ref = ref_stream.exponential(rate * np.exp(-1.0), size=n)
+            elif isinstance(rule, KthJump):
+                ref = sample_gamma(GammaParams(rule.k, rate), ref_stream, size=n)
+            else:
+                ref = rule.law.sample(ref_stream, size=n)
+            assert ks_two_sample(batch.tau, ref, significance=0.001)[2], "tau"
+        for field in ("x_prime", "x_total"):
+            ref = sample_discounted_integral_many(model, POLICY, n, make_stream())
             assert ks_two_sample(getattr(batch, field), ref, significance=0.001)[2], field
+
+    @pytest.mark.parametrize("rule", RULES[:4], ids=RULE_IDS[:4])
+    def test_records_match_path_objects(self, rule):
+        # rebuild each record of the pure-jump model from the engine's
+        # arrays as a sorted path object: the reference route re-finds tau
+        # bit for bit and the by-parts evaluator matches X_tau, the total
+        # and the identities' lhs (the restricted one after thinning); the
+        # records and the identities draw from the same chunk stream
+        m, T, seed = 50, POLICY.horizon, 77
+        model = _gamma_model()
+        child = RngStream(seed).split(1)[0]
+        owner, times, sizes, tau = _stopped_jumps(
+            lambda window, k: _poisson_jumps(model, window, k, child), rule, T, m, child)
+        rec = decompose_many(model, rule, POLICY, m, RngStream(seed))
+        assert np.array_equal(rec.tau, tau)
+        identity = None
+        if isinstance(rule, FirstJump):
+            identity = first_value_identity(model, POLICY, m, RngStream(seed))
+        elif isinstance(rule, FirstJumpIn):
+            identity = restricted_jump_identity(model, rule.jump_set, POLICY, m,
+                                                RngStream(seed))
+        for i in range(m):
+            order = np.argsort(times[owner == i])
+            path = JumpPath(tau[i] + T, times[owner == i][order], sizes[owner == i][order])
+            assert evaluate_stopping(rule, path) == tau[i]
+            for got, t in ((rec.x_tau[i], tau[i]), (rec.x_total[i], tau[i] + T)):
+                ref = eval_by_parts(path, t)
+                assert abs(got - ref) <= 1e-12 * abs(ref)
+            if identity is not None:
+                kept = path if isinstance(rule, FirstJump) else thin_path(path, rule.jump_set)[0]
+                ref = eval_by_parts(kept, tau[i] + T)
+                assert identity.tau[i] == tau[i]
+                assert abs(identity.lhs[i] - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("rule", RULES[1:4], ids=RULE_IDS[1:4])
     def test_jumps_end_at_tau_plus_T(self, rule, make_stream):
@@ -228,13 +267,23 @@ class TestPathwiseFactorization:
                               np.abs(r.x_total - (r.x_tau + r.discount * r.x_prime)))
 
     def test_residual_with_drift_and_gaussian(self, make_stream):
-        # per record, the Gaussian cache must hand the shifted view the same
-        # realization; in the batch, the total must take the shifted window's
-        # normal discounted by e^{-tau}
+        # the total must take the shifted window's normal discounted by
+        # e^{-tau}, in the batch and in its n = 1 rows
         records = decompose_many(DRIFT_GAUSS, FirstJump(), POLICY, 200, make_stream())
         assert records.passes(1e-10).all()
         assert all(decompose(DRIFT_GAUSS, FirstJump(), POLICY, s).passes(1e-10)
                    for s in make_stream().split(200))
+
+    def test_late_fixed_time_keeps_gaussian_variance(self, make_stream):
+        # at tau = 20, e^{-2 tau} < eps: X' must still carry the Gaussian
+        # part of its shifted window. Var X' = rate E[J^2] / 2 + gauss_var / 2
+        # = 2.5, and the sample variance has SE sqrt((mu4 - var^2) / n) with
+        # mu4 = kappa4 + 3 var^2, kappa4 = rate E[J^4] / 4 = 12
+        n, var = 2_000, 2.5
+        x_prime = np.array([decompose(DRIFT_GAUSS, FixedTime(20.0), POLICY, s).x_prime
+                            for s in make_stream().split(n)])
+        se = np.sqrt((12.0 + 2.0 * var ** 2) / n)
+        assert abs(x_prime.var(ddof=1) - var) < 3.0 * se
 
     def test_fixed_time_zero_degenerates(self, make_stream):
         r = decompose(_gamma_model(), FixedTime(0.0), POLICY, make_stream())
@@ -272,51 +321,44 @@ class TestPathwiseFactorization:
 
 class TestFirstValueIdentity:
     def test_pathwise_equality(self, make_stream):
-        stream = make_stream()
-        for s in stream.split(300):
-            d = first_value_identity(_gamma_model(), POLICY, s)
-            assert d.residual == abs(d.lhs - d.rhs)
-            assert d.residual <= 1e-10 * (1.0 + abs(d.lhs))
+        d = first_value_identity(_gamma_model(), POLICY, 300, make_stream())
+        assert d.lhs.shape == (300,)
+        assert np.array_equal(d.residual, np.abs(d.lhs - d.rhs))
+        assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.lhs)))
 
     def test_requires_pure_jump_model(self, make_stream):
         with pytest.raises(ValueError):
             first_value_identity(LevyModel(jump_rate=1.0,
                                            jump_law=ExponentialJumps(1.0),
-                                           drift=0.5), POLICY, make_stream())
+                                           drift=0.5), POLICY, 10, make_stream())
         with pytest.raises(ValueError):
-            first_value_identity(LevyModel(drift=1.0), POLICY, make_stream())
+            first_value_identity(LevyModel(drift=1.0), POLICY, 10, make_stream())
 
     def test_lhs_is_gamma(self, make_stream):
-        stream = make_stream()
-        lhs = np.array([first_value_identity(_gamma_model(), POLICY, s).lhs
-                        for s in stream.split(20_000)])
+        lhs = first_value_identity(_gamma_model(), POLICY, 20_000, make_stream()).lhs
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
         assert ks_two_sample(lhs, ref)[2]
 
     def test_discount_independent_of_shifted_integral(self, make_stream):
-        stream = make_stream()
-        details = [first_value_identity(_gamma_model(), POLICY, s)
-                   for s in stream.split(10_000)]
-        disc = np.array([d.discount for d in details])
-        shifted = np.array([d.shifted_integral for d in details])
-        assert independence_diagnostic(disc, shifted) <= independence_pass_band(10_000)
+        d = first_value_identity(_gamma_model(), POLICY, 10_000, make_stream())
+        assert (independence_diagnostic(d.discount, d.shifted_integral)
+                <= independence_pass_band(10_000))
 
     def test_restricted_identity(self, make_stream):
         jump_set = JumpSet("ge", 1.0)
-        stream = make_stream()
-        for s in stream.split(300):
-            d = restricted_jump_identity(_gamma_model(), jump_set, POLICY, s)
-            assert jump_set.contains(d.first_size)
-            assert abs(d.lhs - d.rhs) <= 1e-10 * (1.0 + abs(d.lhs))
+        d = restricted_jump_identity(_gamma_model(), jump_set, POLICY, 300, make_stream())
+        assert np.all(jump_set.contains(d.first_size))
+        assert np.all(np.abs(d.lhs - d.rhs) <= 1e-10 * (1.0 + np.abs(d.lhs)))
 
     def test_full_support_set_reduces_to_first_value(self, make_stream):
         # a set containing every positive jump makes the restricted identity
         # reproduce the plain one draw for draw
         full = JumpSet("ge", 1e-300)
-        a = first_value_identity(_gamma_model(), POLICY, make_stream(seed=42))
-        b = restricted_jump_identity(_gamma_model(), full, POLICY,
+        a = first_value_identity(_gamma_model(), POLICY, 300, make_stream(seed=42))
+        b = restricted_jump_identity(_gamma_model(), full, POLICY, 300,
                                      RngStream(42, stream_id=1))
-        assert a == b
+        for field in ("tau", "first_size", "discount", "shifted_integral", "lhs", "rhs"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_series_form_matches_evaluators(self, make_stream):
         # sum_k e^{-tau_k} * jump_k over the thinned path equals both

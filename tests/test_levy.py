@@ -1,5 +1,7 @@
 """Trajectory construction, shift/thin operations, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -68,28 +70,11 @@ class TestPathValues:
             JumpPath(1.0, np.array([0.0]), np.array([1.0]))  # jump at t = 0
 
     def test_value_decomposes_exactly(self, make_stream):
-        model = LevyModel(jump_rate=3.0, jump_law=ExponentialJumps(1.0),
-                          drift=-0.7, gauss_var=0.8)
+        model = LevyModel(jump_rate=3.0, jump_law=ExponentialJumps(1.0), drift=-0.7)
         p = simulate_path(model, 5.0, make_stream())
         for t in (0.3, 1.7, 5.0):
-            expected = (p.drift * t
-                        + float(np.sum(p.jump_sizes[p.jump_times <= t]))
-                        + p.gauss_level(t))
+            expected = p.drift * t + float(np.sum(p.jump_sizes[p.jump_times <= t]))
             assert p.value(t) == pytest.approx(expected, rel=1e-12, abs=1e-12)
-
-    def test_gauss_cache_is_consistent_across_query_orders(self, make_stream):
-        p = simulate_path(LevyModel(gauss_var=1.0), 8.0, make_stream())
-        v4 = p.gauss_level(4.0)
-        v2 = p.gauss_level(2.0)  # bridged inside [0, 4]
-        assert p.gauss_level(4.0) == v4
-        assert p.gauss_level(2.0) == v2
-
-    def test_gauss_level_variance(self, make_stream):
-        stream = make_stream()
-        vals = np.array([simulate_path(LevyModel(gauss_var=2.0), 3.0, s).gauss_level(3.0)
-                         for s in stream.split(20_000)])
-        # Var = 2 * 3 = 6; 4-sigma band on the sample variance
-        assert abs(vals.var() - 6.0) < 4.0 * 6.0 * np.sqrt(2.0 / 20_000)
 
     def test_drift_only_deterministic(self, make_stream):
         p = simulate_path(LevyModel(drift=2.0), 5.0, make_stream())
@@ -127,8 +112,7 @@ class TestShift:
         np.testing.assert_array_equal(q.jump_sizes, p.jump_sizes[2:])
 
     def test_shift_increment_identity(self, make_stream):
-        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0),
-                          drift=0.3, gauss_var=0.5)
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3)
         p = simulate_path(model, 6.0, make_stream())
         q = shift_path(p, 2.0)
         for u in (0.5, 1.5, 4.0):
@@ -194,9 +178,9 @@ class TestThin:
         assert abs(corr) < 3.0 / np.sqrt(na.size)
 
     def test_gaussian_part_refused(self, make_stream):
-        p = simulate_path(LevyModel(gauss_var=1.0), 2.0, make_stream())
+        # thinning needs a path, and a Gaussian model has none
         with pytest.raises(ValueError):
-            thin_path(p, JumpSet("ge", 1.0))
+            simulate_path(LevyModel(gauss_var=1.0), 2.0, make_stream())
 
     def test_jump_set_validation(self):
         with pytest.raises(ValueError):
@@ -244,7 +228,17 @@ class TestSerialization:
         assert q.horizon == p.horizon
         np.testing.assert_array_equal(q.jump_times, p.jump_times)
         np.testing.assert_array_equal(q.jump_sizes, p.jump_sizes)
-        assert q.drift == p.drift and q.gauss_var == p.gauss_var
+        assert q.drift == p.drift
+        assert "gauss_var" not in json.loads(path_to_json(p))
+
+    def test_gaussian_document_refused(self):
+        # a document that describes a Gaussian part cannot be replayed as a
+        # path object; it is refused, not read without it
+        doc = {"horizon": 1.0, "jumps": [[0.5, 1.0]], "drift": 0.0, "gauss_var": 0.5}
+        with pytest.raises(ValueError):
+            path_from_json(json.dumps(doc))
+        q = path_from_json(json.dumps({**doc, "gauss_var": 0.0}))
+        assert q.n_jumps == 1 and q.value(1.0) == 1.0
 
     def test_roundtrip_empty(self):
         p = JumpPath(1.0, np.empty(0), np.empty(0), drift=1.0)
