@@ -267,11 +267,11 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     first = dec.first_value_identity(model, policy, n, s_first)
     restricted = dec.restricted_jump_identity(model, jump_set, policy, n, s_restr)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
-    report = compare_samples("first_value_lhs_vs_direct", first.lhs, direct)
+    report = compare_samples("first_value_lhs_vs_direct", first.x_total, direct)
     band = independence_pass_band(n)
-    diag = independence_diagnostic(first.discount, first.shifted_integral)
-    rel1 = float(np.max(first.residual / (1.0 + np.abs(first.lhs))))
-    rel2 = float(np.max(restricted.residual / (1.0 + np.abs(restricted.lhs))))
+    diag = independence_diagnostic(first.discount, first.x_prime)
+    rel1 = float(np.max(first.residual / (1.0 + np.abs(first.x_total))))
+    rel2 = float(np.max(restricted.residual / (1.0 + np.abs(restricted.x_total))))
     extras = {
         "max_relative_residual_first_value": rel1,
         "max_relative_residual_restricted": rel2,
@@ -283,9 +283,11 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     verdict = report.verdict and extras["pathwise_pass"] and extras["independence_pass"]
     return ExperimentResult(
         verdict=verdict, reports=[report], extras=extras,
-        samples={"lhs": first.lhs, "rhs": first.rhs,
-                 "restricted_lhs": restricted.lhs, "restricted_rhs": restricted.rhs},
-        primary=(first.lhs, direct), ref_cf=gamma_cf(alpha, lam),
+        samples={"lhs": first.x_total,
+                 "rhs": first.x_tau + first.discount * first.x_prime,
+                 "restricted_lhs": restricted.x_total,
+                 "restricted_rhs": restricted.x_tau + restricted.discount * restricted.x_prime},
+        primary=(first.x_total, direct), ref_cf=gamma_cf(alpha, lam),
     )
 
 

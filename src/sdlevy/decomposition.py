@@ -2,14 +2,17 @@
 
 One engine stops every scalar path: ``_stopped_jumps`` draws ragged jump
 arrays on (0, tau + T], a chunk of records at a time, and serves
-``decompose_many`` (``decompose`` is its n = 1 row), the first-value and
-restricted-jump identities of Corollary 3 and the operator records in
-``operator.py``. X_tau and X' are evaluated on the same realization, so the
-recombination x_total = x_tau + e^{-tau} * x_prime holds pathwise (to
-roundoff), not just in distribution. Path-dependent stopping times are
-looked for on (0, _REACH * T]; one that is not realized there raises
-InsufficientHorizonError and is never silently capped. ``evaluate_stopping``
-realizes a rule on one path object, the independent reference route.
+``decompose_many`` (``decompose`` is its n = 1 row) and the operator records
+in ``operator.py``. The first-value and restricted-jump identities of
+Corollary 3 are decomposition records too: the factorization at the first
+jump of the driver, or of the driver thinned to a jump set, where X_tau is
+e^{-tau} times that jump. X_tau and X' are evaluated on the same
+realization, so the recombination x_total = x_tau + e^{-tau} * x_prime
+holds pathwise (to roundoff), not just in distribution. Path-dependent
+stopping times are looked for on (0, _REACH * T]; one that is not realized
+there raises InsufficientHorizonError and is never silently capped.
+``evaluate_stopping`` realizes a rule on one path object, the independent
+reference route.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ class IndependentRandomTime:
     """A nonnegative random time drawn independently of the path, from a
     stream disjoint from the path's stream."""
 
-    law: object  # any sampler with .sample(stream, size) supported on [0, inf)
+    law: object  # any law whose .sample(stream, size) returns size draws in [0, inf)
 
 
 StoppingRule = Union[FixedTime, FirstJump, FirstJumpIn, KthJump, IndependentRandomTime]
@@ -105,7 +108,7 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
     if isinstance(rule, IndependentRandomTime):
         if stream is None:
             raise ValueError("IndependentRandomTime needs an independent stream")
-        t = float(rule.law.sample(stream))
+        t = float(rule.law.sample(stream, 1)[0])
         if t < 0:
             raise ValueError("independent random time must be nonnegative")
         if t > path.horizon:
@@ -139,14 +142,14 @@ class DecompositionRecord:
         return self.residual <= rel_tol * (1.0 + abs(self.x_total))
 
 
-def _preset_time(rule, stream: RngStream, size: int | None = None):
-    """The time of a FixedTime or IndependentRandomTime rule, known before
-    the path is drawn; an independent time comes from a child stream,
+def _preset_time(rule, stream: RngStream, size: int) -> np.ndarray:
+    """``size`` times of a FixedTime or IndependentRandomTime rule, known
+    before the path is drawn; independent times come from a child stream,
     disjoint from the path's draws."""
     if isinstance(rule, FixedTime):
-        return rule.t if size is None else np.full(size, float(rule.t))
-    tau = rule.law.sample(stream.split(1)[0], size=size)
-    if np.any(np.asarray(tau) < 0):
+        return np.full(size, float(rule.t))
+    tau = np.asarray(rule.law.sample(stream.split(1)[0], size), float)
+    if np.any(tau < 0):
         raise ValueError("independent random time must be nonnegative")
     return tau
 
@@ -174,7 +177,7 @@ def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream
     segment to exactly tau + T (memorylessness).
     Returns (owner, times, sizes, ..., tau)."""
     if isinstance(rule, (FixedTime, IndependentRandomTime)):
-        tau = np.asarray(_preset_time(rule, stream, m), float)
+        tau = _preset_time(rule, stream, m)
         return (*draw(tau + T, m), tau)
     if not isinstance(rule, (FirstJump, FirstJumpIn, KthJump)):
         raise TypeError(f"unknown stopping rule {rule!r}")
@@ -211,16 +214,26 @@ def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream
 
 
 def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
-                     stream: RngStream) -> tuple[np.ndarray, ...]:
+                     stream: RngStream,
+                     jump_set: JumpSet | None = None) -> tuple[np.ndarray, ...]:
     """m records on one stream: ragged jumps on (0, tau_i + T], then X_tau,
     X' and the total as three masked sums over the same jumps. X' reads the
     shifted times t - tau and the total the absolute ones, so the pathwise
     residual compares two routes. The Gaussian part is two independent
-    normals per record, over (0, tau] and over the shifted (0, T]."""
+    normals per record, over (0, tau] and over the shifted (0, T]. With a
+    ``jump_set`` each block keeps only the jumps whose size lies in it (the
+    thinned driver), from the same variates."""
     if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
         raise ValueError("FirstJumpIn requires a purely discontinuous path")
-    owner, times, sizes, tau = _stopped_jumps(
-        lambda window, k: _poisson_jumps(model, window, k, stream), rule, T, m, stream)
+
+    def draw(window, k):
+        owner, times, sizes = _poisson_jumps(model, window, k, stream)
+        if jump_set is None:
+            return owner, times, sizes
+        keep = jump_set.contains(sizes)
+        return owner[keep], times[keep], sizes[keep]
+
+    owner, times, sizes, tau = _stopped_jumps(draw, rule, T, m, stream)
     disc = np.exp(-tau)
     weighted = np.exp(-times) * sizes
     before = times <= tau[owner]
@@ -276,24 +289,6 @@ def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
 # First-value and restricted-jump identities
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class IdentityDetail:
-    """Both sides of a first-jump identity on n realizations, with the
-    pieces of the right-hand side, as length-n arrays; ``residual`` works
-    elementwise."""
-
-    tau: np.ndarray
-    first_size: np.ndarray
-    discount: np.ndarray
-    shifted_integral: np.ndarray
-    lhs: np.ndarray
-    rhs: np.ndarray
-
-    @property
-    def residual(self) -> np.ndarray:
-        return abs(self.lhs - self.rhs)
-
-
 def _require_pure_jump(model: LevyModel):
     if model.gauss_var > 0 or model.drift != 0:
         raise ValueError("identity requires a purely discontinuous model")
@@ -301,48 +296,30 @@ def _require_pure_jump(model: LevyModel):
         raise ValueError("identity requires a positive jump rate")
 
 
-def _identity_chunk(model: LevyModel, jump_set: JumpSet | None, T: float, m: int,
-                    stream: RngStream) -> tuple[np.ndarray, ...]:
-    """m records on one stream: the jumps on (0, tau + T] up to the first
-    jump (in ``jump_set``, when given), then both sides of the identity as
-    masked sums over the kept jumps: lhs over the absolute times, the
-    shifted integral over t - tau for the jumps after tau."""
-    rule = FirstJump() if jump_set is None else FirstJumpIn(jump_set)
-    owner, times, sizes, tau = _stopped_jumps(
-        lambda window, k: _poisson_jumps(model, window, k, stream), rule, T, m, stream)
-    if jump_set is not None:
-        keep = jump_set.contains(sizes)
-        owner, times, sizes = owner[keep], times[keep], sizes[keep]
-    at = times == tau[owner]
-    after = times > tau[owner]
-    first = _sum_by_path(owner[at], sizes[at], m)
-    shifted = _sum_by_path(owner[after], np.exp(-(times[after] - tau[owner[after]]))
-                           * sizes[after], m)
-    lhs = _sum_by_path(owner, np.exp(-times) * sizes, m)
-    disc = np.exp(-tau)
-    return tau, first, disc, shifted, lhs, disc * first + disc * shifted
-
-
 def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
                          policy: TruncationPolicy, n: int,
-                         stream: RngStream) -> IdentityDetail:
-    """n records of the identity in the chunk layout of ``decompose_many``."""
-    return IdentityDetail(*_by_chunks(
-        lambda m, s: _identity_chunk(model, jump_set, policy.horizon, m, s), n, stream))
+                         stream: RngStream) -> DecompositionRecord:
+    """n records of the factorization at the first jump of the driver,
+    thinned to ``jump_set`` when given, in the chunk layout of
+    ``decompose_many``."""
+    return DecompositionRecord(*_by_chunks(
+        lambda m, s: _decompose_chunk(model, FirstJump(), policy.horizon, m, s, jump_set),
+        n, stream))
 
 
 def first_value_identity(model: LevyModel, policy: TruncationPolicy, n: int,
-                         stream: RngStream) -> IdentityDetail:
-    """Both sides of the first-nonzero-value factorization on n realizations:
-    lhs is the full discounted integral, rhs is
-    e^{-tau0}*(first jump) + e^{-tau0}*(shifted integral)."""
+                         stream: RngStream) -> DecompositionRecord:
+    """The first-nonzero-value factorization X = e^{-tau0} (J + X') on n
+    realizations: x_total is the full discounted integral (the lhs), x_tau
+    is e^{-tau0} * J for the first jump J, and x_tau + discount * x_prime
+    is the rhs."""
     _require_pure_jump(model)
     return _first_jump_identity(model, None, policy, n, stream)
 
 
 def restricted_jump_identity(model: LevyModel, jump_set: JumpSet,
                              policy: TruncationPolicy, n: int,
-                             stream: RngStream) -> IdentityDetail:
+                             stream: RngStream) -> DecompositionRecord:
     """Same identity on the thinned process keeping only jumps in the set."""
     _require_pure_jump(model)
     return _first_jump_identity(model, jump_set, policy, n, stream)

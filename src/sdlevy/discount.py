@@ -80,7 +80,7 @@ def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
     owner = np.repeat(np.arange(n), counts)
     times = stream.uniform(size=owner.size) * (
         window[owner] if np.ndim(window) else window)
-    sizes = np.atleast_1d(model.jump_law.sample(stream, size=owner.size))
+    sizes = model.jump_law.sample(stream, size=owner.size)
     return owner, times, sizes
 
 
@@ -90,19 +90,18 @@ def _sum_by_path(owner, weights, n: int) -> np.ndarray:
     return np.bincount(owner, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def _integral_batch(model: LevyModel, window, n: int, stream: RngStream,
-                    rate: float = 1.0) -> np.ndarray:
-    """For each of n independent paths, int_(0,w] e^{-rate*s} dY(s) over the
+def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.ndarray:
+    """For each of n independent paths, int_(0,w] e^{-s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
     The jumps come from ``_poisson_jumps``; the normals of the Gaussian part
     are drawn after them.
     """
     owner, times, sizes = _poisson_jumps(model, window, n, stream)
-    out = _sum_by_path(owner, np.exp(-rate * times) * sizes, n)
-    out += model.drift * -np.expm1(-rate * window) / rate
+    out = _sum_by_path(owner, np.exp(-times) * sizes, n)
+    out += model.drift * -np.expm1(-window)
     if model.gauss_var > 0:
-        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * rate * window) / rate)
+        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
         out += sd * stream.normal(size=n)
     return out
 

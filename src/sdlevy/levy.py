@@ -36,7 +36,7 @@ class ExponentialJumps:
         if not (self.rate > 0):
             raise ValueError("rate must be positive")
 
-    def sample(self, stream: RngStream, size=None):
+    def sample(self, stream: RngStream, size: int) -> np.ndarray:
         return stream.exponential(self.rate, size=size)
 
     @property
@@ -52,7 +52,7 @@ class GammaJumps:
     def __post_init__(self):
         GammaParams(self.shape, self.rate)  # validates
 
-    def sample(self, stream: RngStream, size=None):
+    def sample(self, stream: RngStream, size: int) -> np.ndarray:
         return sample_gamma(GammaParams(self.shape, self.rate), stream, size=size)
 
     @property
@@ -68,8 +68,8 @@ class ConstantJumps:
         if not np.isfinite(self.value):
             raise ValueError("value must be finite")
 
-    def sample(self, stream: RngStream, size=None):
-        return self.value if size is None else np.full(int(size), self.value)
+    def sample(self, stream: RngStream, size: int) -> np.ndarray:
+        return np.full(int(size), self.value)
 
     @property
     def mean(self) -> float:
@@ -85,7 +85,7 @@ class UniformJumps:
         if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low < self.high):
             raise ValueError("need finite low < high")
 
-    def sample(self, stream: RngStream, size=None):
+    def sample(self, stream: RngStream, size: int) -> np.ndarray:
         u = stream.uniform(size=size)
         return self.low + (self.high - self.low) * u
 
@@ -111,13 +111,10 @@ class TableJumps:
         if np.any(p < 0) or not math.isclose(p.sum(), 1.0, rel_tol=1e-9):
             raise ValueError("probs must be nonnegative and sum to 1")
 
-    def sample(self, stream: RngStream, size=None):
+    def sample(self, stream: RngStream, size: int) -> np.ndarray:
         cum = np.cumsum(np.asarray(self.probs, float))
-        u = stream.uniform(size=1 if size is None else size)
-        idx = np.searchsorted(cum, np.atleast_1d(u), side="left")
-        idx = np.minimum(idx, len(cum) - 1)
-        out = np.asarray(self.values, float)[idx]
-        return float(out[0]) if size is None else out
+        idx = np.searchsorted(cum, stream.uniform(size=size), side="left")
+        return np.asarray(self.values, float)[np.minimum(idx, len(cum) - 1)]
 
     @property
     def mean(self) -> float:
@@ -250,7 +247,7 @@ def simulate_path(model: LevyModel, horizon: float, stream: RngStream) -> JumpPa
         raise ValueError("path objects have no Gaussian part; use the batch samplers")
     if model.jump_rate > 0:
         times = sample_poisson_arrivals(model.jump_rate, horizon, stream)
-        sizes = np.atleast_1d(model.jump_law.sample(stream, size=times.size))
+        sizes = model.jump_law.sample(stream, size=times.size)
     else:
         times = np.empty(0)
         sizes = np.empty(0)

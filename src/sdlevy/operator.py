@@ -141,10 +141,9 @@ class _QDiscounter:
         """Row i of the (n, d) result: the sum over the jumps k with
         owner[k] == i of e^{-t_k Q} u * sizes_k.
 
-        For diagonal Q column j sums e^{-Q_jj t} u_j * size, the weights of
-        ``_integral_batch(rate=Q_jj)``; in the eigenbasis mode k sums
-        e^{-w_k t} (V^{-1} u)_k * size, real and imaginary parts apart, and
-        V maps the modes back.
+        For diagonal Q column j sums e^{-Q_jj t} u_j * size; in the
+        eigenbasis mode k sums e^{-w_k t} (V^{-1} u)_k * size, real and
+        imaginary parts apart, and V maps the modes back.
         """
         if self.mode == "diag":
             out = np.zeros((n, self.d))

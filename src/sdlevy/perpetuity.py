@@ -23,7 +23,8 @@ from typing import Callable
 
 import numpy as np
 
-from .decomposition import FirstJump, FixedTime, IndependentRandomTime, StoppingRule
+from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, StoppingRule,
+                            _preset_time)
 # decompose stays bound here: perfbench/tests/test_bench_tracer.py reads it.
 from .decomposition import decompose, decompose_many  # noqa: F401
 from .discount import TruncationPolicy, _integral_batch, sample_discounted_integral_many
@@ -31,6 +32,9 @@ from .errors import ContractionError
 from .levy import ExponentialJumps, LevyModel
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import StatReport, compare_samples
+
+# A backward series that needs more terms than this raises ContractionError.
+_MAX_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -90,17 +94,13 @@ class StoppedIntegralAffine:
             if model.jump_rate <= 0:
                 raise ValueError("FirstJump needs a positive jump rate")
             tau = stream.exponential(model.jump_rate, size=n)
-            jumps = np.atleast_1d(model.jump_law.sample(stream, size=n))
+            jumps = model.jump_law.sample(stream, size=n)
             # No jump before tau: only the drift and Gaussian parts remain.
             a = np.exp(-tau)
             rest = _integral_batch(replace(model, jump_rate=0.0), tau, n, stream)
             return a, a * jumps + rest
-        if isinstance(self.rule, FixedTime):
-            tau = np.full(n, self.rule.t)
-            return np.exp(-tau), _integral_batch(model, tau, n, stream)
-        if isinstance(self.rule, IndependentRandomTime):
-            time_stream = stream.split(1)[0]
-            tau = np.atleast_1d(self.rule.law.sample(time_stream, size=n))
+        if isinstance(self.rule, (FixedTime, IndependentRandomTime)):
+            tau = _preset_time(self.rule, stream, n)
             return np.exp(-tau), _integral_batch(model, tau, n, stream)
         # Generic rules fall back to the decomposition engine. The law of
         # (e^{-tau}, X_tau) does not depend on the horizon, so the default
@@ -139,8 +139,8 @@ def _require_contractive(law, stream: RngStream):
             f"estimated E[log|A|] = {est:.4g} >= 0; the backward series diverges")
 
 
-def sample_backward_series_many(law, tail_tol: float, n: int, stream: RngStream,
-                                max_terms: int = 10_000) -> np.ndarray:
+def sample_backward_series_many(law, tail_tol: float, n: int,
+                                stream: RngStream) -> np.ndarray:
     """n exactly-stationary draws of Z = sum_k B_k prod_{l<k} A_l, each
     truncated once its running product drops below tail_tol (the truncation
     error is bounded by tail_tol times a stationary copy)."""
@@ -150,7 +150,7 @@ def sample_backward_series_many(law, tail_tol: float, n: int, stream: RngStream,
     z = np.zeros(n)
     prod = np.ones(n)
     active = np.arange(n)
-    for _ in range(max_terms):
+    for _ in range(_MAX_TERMS):
         a, b = law.sample_pairs(stream, size=active.size)
         z[active] += prod[active] * b
         prod[active] *= a
@@ -158,7 +158,7 @@ def sample_backward_series_many(law, tail_tol: float, n: int, stream: RngStream,
         active = active[keep]
         if active.size == 0:
             return z
-    raise ContractionError(f"series did not contract within {max_terms} terms")
+    raise ContractionError(f"series did not contract within {_MAX_TERMS} terms")
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +204,7 @@ def gamma_factor_samples(shape: float, rate: float, n: int, stream: RngStream,
 
 def selfdecomposable_as_perpetuity(model: LevyModel, policy: TruncationPolicy,
                                    n: int, stream: RngStream,
-                                   n_steps: int = 200,
-                                   significance: float = 0.001) -> StatReport:
+                                   n_steps: int = 200) -> StatReport:
     """Build (A, B) = (e^{-tau}, X_tau) pairs from the stopped integral, run
     the forward iteration to stationarity, and compare against direct
     discounted-integral draws. Also confirms A in [0, 1] a.s. and
@@ -226,4 +225,4 @@ def selfdecomposable_as_perpetuity(model: LevyModel, policy: TruncationPolicy,
         "discount_nondegenerate": bool(np.std(a) > 0.0),
     }
     return compare_samples("perpetuity_fixed_point", stationary, direct,
-                           significance=significance, extra_checks=extra)
+                           extra_checks=extra)

@@ -58,28 +58,28 @@ class RngStream:
             children.append(RngStream(self.seed, cid))
         return children
 
-    def uniform(self, size=None):
+    def uniform(self, size):
         """Uniform draws strictly inside the open interval (0, 1)."""
         u = (self._gen.integers(0, 1 << 53, size=size) + 0.5) * 2.0**-53
-        self.counter += int(np.size(u))
-        return float(u) if size is None else u
+        self.counter += u.size
+        return u
 
-    def normal(self, size=None):
+    def normal(self, size):
         z = self._gen.standard_normal(size=size)
-        self.counter += int(np.size(z))
-        return float(z) if size is None else z
+        self.counter += z.size
+        return z
 
-    def exponential(self, rate: float, size=None):
+    def exponential(self, rate: float, size):
         if rate <= 0:
             raise ValueError("rate must be positive")
         e = self._gen.exponential(scale=1.0 / rate, size=size)
-        self.counter += int(np.size(e))
-        return float(e) if size is None else e
+        self.counter += e.size
+        return e
 
-    def poisson(self, lam: float, size=None):
+    def poisson(self, lam: float, size):
         k = self._gen.poisson(lam=lam, size=size)
-        self.counter += int(np.size(k))
-        return int(k) if size is None else k
+        self.counter += k.size
+        return k
 
     def __repr__(self):
         return f"RngStream(seed={self.seed}, stream_id={self.stream_id}, counter={self.counter})"
@@ -126,20 +126,19 @@ def _marsaglia_tsang(shape: float, stream: RngStream, n: int) -> np.ndarray:
     return out
 
 
-def sample_gamma(params: GammaParams, stream: RngStream, size=None):
-    """Draw from the gamma law given by ``params``.
+def sample_gamma(params: GammaParams, stream: RngStream, size: int) -> np.ndarray:
+    """``size`` draws from the gamma law given by ``params``.
 
     Shapes below 1 use the power boost gamma(a) =d gamma(a+1) * U^(1/a)
     with U uniform on (0,1), so the rejection core always runs at shape >= 1.
     """
-    n = 1 if size is None else int(size)
+    n = int(size)
     boost = params.shape < 1.0
     core = params.shape + 1.0 if boost else params.shape
     out = _marsaglia_tsang(core, stream, n)
     if boost:
         out = out * stream.uniform(size=n) ** (1.0 / params.shape)
-    out = out / params.rate
-    return float(out[0]) if size is None else out
+    return out / params.rate
 
 
 def sample_poisson_arrivals(rate: float, horizon: float, stream: RngStream) -> np.ndarray:

@@ -126,7 +126,7 @@ def moment_summary(samples) -> dict:
 @dataclass
 class StatReport:
     """Result of a distributional comparison; verdict passes iff the KS
-    statistic clears its threshold and every enabled auxiliary check holds."""
+    statistic clears its threshold and every auxiliary check holds."""
 
     name: str
     n: int
@@ -167,28 +167,23 @@ class StatReport:
 
 
 def compare_samples(name: str, a, b, significance: float = 0.001,
-                    check_moments: bool = True, extra_checks: dict | None = None,
-                    seed: int | None = None,
-                    config_fingerprint: str | None = None) -> StatReport:
-    """KS plus moment-band comparison of two samples, folded into a verdict."""
+                    extra_checks: dict | None = None) -> StatReport:
+    """KS plus moment-band comparison of two samples, folded into a verdict;
+    the caller sets ``seed`` and ``config_fingerprint`` on the report."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     d, threshold, ks_pass = ks_two_sample(a, b, significance)
     ma, mb = moment_summary(a), moment_summary(b)
-    diagnostics: dict = {"ks_pass": ks_pass}
-    verdict = ks_pass
-    if check_moments:
-        mean_ok = abs(ma["mean"] - mb["mean"]) <= 3.0 * math.hypot(ma["se_mean"], mb["se_mean"])
-        var_ok = abs(ma["var"] - mb["var"]) <= 3.0 * math.hypot(ma["se_var"], mb["se_var"])
-        diagnostics["mean_within_3se"] = mean_ok
-        diagnostics["var_within_3se"] = var_ok
-        verdict = verdict and mean_ok and var_ok
+    mean_ok = abs(ma["mean"] - mb["mean"]) <= 3.0 * math.hypot(ma["se_mean"], mb["se_mean"])
+    var_ok = abs(ma["var"] - mb["var"]) <= 3.0 * math.hypot(ma["se_var"], mb["se_var"])
+    diagnostics: dict = {"ks_pass": ks_pass, "mean_within_3se": mean_ok,
+                         "var_within_3se": var_ok}
+    verdict = ks_pass and mean_ok and var_ok
     if extra_checks:
         diagnostics.update(extra_checks)
         verdict = verdict and all(bool(v) for v in extra_checks.values())
     return StatReport(
         name=name, n=a.size, m=b.size, ks_stat=d, ks_threshold=threshold,
         significance=significance, moments={"a": ma, "b": mb},
-        diagnostics=diagnostics, verdict=verdict, seed=seed,
-        config_fingerprint=config_fingerprint,
+        diagnostics=diagnostics, verdict=verdict,
     )

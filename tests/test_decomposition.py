@@ -183,8 +183,9 @@ class TestBatchEngine:
         # rebuild each record of the pure-jump model from the engine's
         # arrays as a sorted path object: the reference route re-finds tau
         # bit for bit and the by-parts evaluator matches X_tau, the total
-        # and the identities' lhs (the restricted one after thinning); the
-        # records and the identities draw from the same chunk stream
+        # and the identities' X_tau and total (the restricted ones after
+        # thinning); the records and the identities draw from the same
+        # chunk stream
         m, T, seed = 50, POLICY.horizon, 77
         model = _gamma_model()
         child = RngStream(seed).split(1)[0]
@@ -207,9 +208,10 @@ class TestBatchEngine:
                 assert abs(got - ref) <= 1e-12 * abs(ref)
             if identity is not None:
                 kept = path if isinstance(rule, FirstJump) else thin_path(path, rule.jump_set)[0]
-                ref = eval_by_parts(kept, tau[i] + T)
                 assert identity.tau[i] == tau[i]
-                assert abs(identity.lhs[i] - ref) <= 1e-12 * abs(ref)
+                for got, t in ((identity.x_tau[i], tau[i]), (identity.x_total[i], tau[i] + T)):
+                    ref = eval_by_parts(kept, t)
+                    assert abs(got - ref) <= 1e-12 * abs(ref)
 
     @pytest.mark.parametrize("rule", RULES[1:4], ids=RULE_IDS[1:4])
     def test_jumps_end_at_tau_plus_T(self, rule, make_stream):
@@ -322,9 +324,18 @@ class TestPathwiseFactorization:
 class TestFirstValueIdentity:
     def test_pathwise_equality(self, make_stream):
         d = first_value_identity(_gamma_model(), POLICY, 300, make_stream())
-        assert d.lhs.shape == (300,)
-        assert np.array_equal(d.residual, np.abs(d.lhs - d.rhs))
-        assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.lhs)))
+        assert d.x_total.shape == (300,)
+        assert np.array_equal(d.residual,
+                              np.abs(d.x_total - (d.x_tau + d.discount * d.x_prime)))
+        assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.x_total)))
+
+    def test_is_the_first_jump_record(self):
+        # the first-value identity is the factorization at the first jump,
+        # draw for draw
+        a = first_value_identity(_gamma_model(), POLICY, 600, RngStream(31))
+        b = decompose_many(_gamma_model(), FirstJump(), POLICY, 600, RngStream(31))
+        for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
+            assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_requires_pure_jump_model(self, make_stream):
         with pytest.raises(ValueError):
@@ -335,20 +346,36 @@ class TestFirstValueIdentity:
             first_value_identity(LevyModel(drift=1.0), POLICY, 10, make_stream())
 
     def test_lhs_is_gamma(self, make_stream):
-        lhs = first_value_identity(_gamma_model(), POLICY, 20_000, make_stream()).lhs
+        lhs = first_value_identity(_gamma_model(), POLICY, 20_000, make_stream()).x_total
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
         assert ks_two_sample(lhs, ref)[2]
 
     def test_discount_independent_of_shifted_integral(self, make_stream):
         d = first_value_identity(_gamma_model(), POLICY, 10_000, make_stream())
-        assert (independence_diagnostic(d.discount, d.shifted_integral)
+        assert (independence_diagnostic(d.discount, d.x_prime)
                 <= independence_pass_band(10_000))
 
     def test_restricted_identity(self, make_stream):
+        # rebuilt as path objects from the same chunk streams, each thinned
+        # path has its first jump at tau, and that jump lies in the set
         jump_set = JumpSet("ge", 1.0)
-        d = restricted_jump_identity(_gamma_model(), jump_set, POLICY, 300, make_stream())
-        assert np.all(jump_set.contains(d.first_size))
-        assert np.all(np.abs(d.lhs - d.rhs) <= 1e-10 * (1.0 + np.abs(d.lhs)))
+        model, T, stream = _gamma_model(), POLICY.horizon, make_stream()
+        d = restricted_jump_identity(model, jump_set, POLICY, 300, stream)
+        assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.x_total)))
+        # the 300 records are two chunks, of 256 and 44 records
+        children = RngStream(stream.seed, stream.stream_id).split(2)
+        for child, start, m in zip(children, (0, 256), (256, 44)):
+            owner, times, sizes, _ = _stopped_jumps(
+                lambda window, k: _poisson_jumps(model, window, k, child),
+                FirstJumpIn(jump_set), T, m, child)
+            for i in range(m):
+                tau = d.tau[start + i]
+                order = np.argsort(times[owner == i])
+                path = JumpPath(tau + T, times[owner == i][order], sizes[owner == i][order])
+                kept = thin_path(path, jump_set)[0]
+                assert evaluate_stopping(FirstJump(), kept) == tau
+                at_tau = path.jump_sizes[path.jump_times == tau]
+                assert at_tau.size == 1 and jump_set.contains(at_tau).all()
 
     def test_full_support_set_reduces_to_first_value(self, make_stream):
         # a set containing every positive jump makes the restricted identity
@@ -357,7 +384,7 @@ class TestFirstValueIdentity:
         a = first_value_identity(_gamma_model(), POLICY, 300, make_stream(seed=42))
         b = restricted_jump_identity(_gamma_model(), full, POLICY, 300,
                                      RngStream(42, stream_id=1))
-        for field in ("tau", "first_size", "discount", "shifted_integral", "lhs", "rhs"):
+        for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_series_form_matches_evaluators(self, make_stream):

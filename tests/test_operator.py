@@ -1,6 +1,8 @@
 """The matrix-discounted integral, its spectral gate, and the stopped
 operator factorization."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump, decompose_many)
-from sdlevy.discount import (TruncationPolicy, _integral_batch, _poisson_jumps,
+from sdlevy.discount import (TruncationPolicy, _poisson_jumps,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
@@ -222,15 +224,18 @@ class TestRaggedSum:
         assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
 
     def test_diag_is_the_scalar_batch(self):
+        # column j is the per-jump sum of e^{-q_j t} u_j * size, row by row
         model = _model_2d()
         disc = model._discounter
         for j, (coord, u) in enumerate(model.driver.sources()):
             driftless = LevyModel(jump_rate=coord.jump_rate, jump_law=coord.jump_law)
-            jumps = _poisson_jumps(driftless, POLICY.horizon, 500, RngStream(5, j))
-            got = disc.ragged_sum(*jumps, u, 500)
-            ref = _integral_batch(driftless, POLICY.horizon, 500, RngStream(5, j),
-                                  rate=disc.diag[j])
-            assert np.array_equal(got[:, j], ref)
+            owner, times, sizes = _poisson_jumps(driftless, POLICY.horizon, 500,
+                                                 RngStream(5, j))
+            got = disc.ragged_sum(owner, times, sizes, u, 500)
+            ref = np.zeros(500)
+            for i, t, size in zip(owner, times, sizes):
+                ref[i] += math.exp(-disc.diag[j] * t) * u[j] * size
+            assert np.all(np.abs(got[:, j] - ref) <= 1e-14 * np.abs(ref))
             assert not np.any(got[:, 1 - j])
 
 

@@ -146,7 +146,7 @@ class TestReports:
     def test_compare_samples_verdict(self, make_stream):
         a = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
         b = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
-        r = compare_samples("same_law", a, b, seed=7)
+        r = compare_samples("same_law", a, b)
         assert r.verdict
         assert r.diagnostics["ks_pass"]
         assert r.diagnostics["mean_within_3se"]
@@ -159,7 +159,8 @@ class TestReports:
 
     def test_report_serialization(self, make_stream):
         a = make_stream().normal(size=1000)
-        r = compare_samples("roundtrip", a, a, seed=3, config_fingerprint="ff")
+        r = compare_samples("roundtrip", a, a)
+        r.seed, r.config_fingerprint = 3, "ff"
         doc = json.loads(r.to_json())
         assert doc["name"] == "roundtrip" and doc["seed"] == 3
         assert doc["config_fingerprint"] == "ff"
@@ -171,7 +172,9 @@ class TestReports:
             s = RngStream(seed)
             a = sample_gamma(GammaParams(2.0, 1.0), s, size=5000)
             b = sample_gamma(GammaParams(2.0, 1.0), s, size=5000)
-            return compare_samples("det", a, b, seed=seed).to_json()
+            r = compare_samples("det", a, b)
+            r.seed = seed
+            return r.to_json()
 
         assert build(11) == build(11)
         assert build(11) != build(12)
