@@ -12,8 +12,8 @@ from .discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
 from .errors import (ConfigError, ContractionError, InsufficientHorizonError,
                      SpectralGateError)
 from .levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath, JumpSet,
-                   LevyModel, TableJumps, UniformJumps, path_from_json, path_to_json,
-                   shift_path, simulate_path, thin_path)
+                   LevyModel, TableJumps, UniformJumps, shift_path, simulate_path,
+                   thin_path)
 from .operator import (IndependentCoordinates, OperatorDecompositionRecord,
                        OperatorModel, SharedJumpDirection, matrix_exp,
                        operator_decompose_many, sample_operator_integral_many)

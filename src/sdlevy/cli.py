@@ -4,6 +4,9 @@ Usage: ``sdlevy run --config exp.json [--seed N] [--out-dir D]``
 
 The config is a single JSON document (experiments are data); it is
 schema-validated before any computation and unknown fields are rejected.
+Each experiment is declared once in ``_EXPERIMENTS`` (its params schema and
+its runner), and each stopping rule once in ``_RULES`` (its fields and its
+constructor); the schemas are built from these tables.
 Each run writes four artifacts to the output directory:
 
   samples.csv  raw sample columns at full double precision
@@ -42,144 +45,38 @@ from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, empirical_cf, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample)
 
-EXPERIMENTS = (
-    "verify-gamma-bdlp",
-    "verify-theorem1",
-    "verify-corollary2-pathwise",
-    "verify-corollary3",
-    "verify-prop1",
-    "perpetuity-iterate",
-    "operator-decompose",
-    "null-calibration",
-)
-
-_RULE_SCHEMA = {
-    "oneOf": [
-        {"type": "object", "additionalProperties": False,
-         "properties": {"kind": {"const": "fixed_time"},
-                        "t": {"type": "number", "minimum": 0}},
-         "required": ["kind", "t"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"kind": {"const": "first_jump"}}, "required": ["kind"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"kind": {"const": "first_jump_in"},
-                        "threshold": {"type": "number", "exclusiveMinimum": 0}},
-         "required": ["kind", "threshold"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"kind": {"const": "kth_jump"},
-                        "k": {"type": "integer", "minimum": 1}},
-         "required": ["kind", "k"]},
-        {"type": "object", "additionalProperties": False,
-         "properties": {"kind": {"const": "independent_exponential"},
-                        "rate": {"type": "number", "exclusiveMinimum": 0}},
-         "required": ["kind", "rate"]},
-    ]
-}
-
-# operator_decompose_many has no FirstJumpIn; rejecting it in the schema makes such
-# a config invalid (exit 2) instead of a failed run.
-_OPERATOR_RULE_SCHEMA = {"oneOf": [r for r in _RULE_SCHEMA["oneOf"]
-                                   if r["properties"]["kind"]["const"] != "first_jump_in"]}
-
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_GAMMA = {"alpha": _POSITIVE, "lam": _POSITIVE}
 
-_PARAMS_SCHEMAS = {
-    "verify-gamma-bdlp": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alpha": _POSITIVE, "lam": _POSITIVE},
-        "required": ["alpha", "lam"],
-    },
-    "verify-theorem1": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alpha": _POSITIVE, "lam": _POSITIVE},
-        "required": ["alpha", "lam"],
-    },
-    "verify-corollary2-pathwise": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alpha": _POSITIVE, "lam": _POSITIVE, "rule": _RULE_SCHEMA},
-        "required": ["alpha", "lam", "rule"],
-    },
-    "verify-corollary3": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alpha": _POSITIVE, "lam": _POSITIVE,
-                       "set_threshold": _POSITIVE},
-        "required": ["alpha", "lam", "set_threshold"],
-    },
-    "verify-prop1": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alphas": {"type": "array", "items": _POSITIVE, "minItems": 1},
-                       "lam": _POSITIVE},
-        "required": ["alphas", "lam"],
-    },
-    "perpetuity-iterate": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"driver": {"enum": ["gamma", "gaussian"]},
-                       "alpha": _POSITIVE, "lam": _POSITIVE, "sigma2": _POSITIVE,
-                       "n_steps": {"type": "integer", "minimum": 1}},
-        "required": ["driver"],
-    },
-    "operator-decompose": {
-        "type": "object", "additionalProperties": False,
-        "properties": {
-            "q": {"type": "array",
-                  "items": {"type": "array", "items": {"type": "number"}}},
-            "coords": {"type": "array", "minItems": 1, "items": {
-                "type": "object", "additionalProperties": False,
-                "properties": {"jump_rate": _POSITIVE, "exp_jump_rate": _POSITIVE,
-                               "drift": {"type": "number"}},
-                "required": ["jump_rate", "exp_jump_rate"],
-            }},
-            "rule": _OPERATOR_RULE_SCHEMA,
-            "n_records": {"type": "integer", "minimum": 100},
-        },
-        "required": ["q", "coords"],
-    },
-    "null-calibration": {
-        "type": "object", "additionalProperties": False,
-        "properties": {"alpha": _POSITIVE, "lam": _POSITIVE,
-                       "n_pairs": {"type": "integer", "minimum": 1}},
-        "required": ["alpha", "lam"],
-    },
+
+def _object(required: dict, optional: dict | None = None) -> dict:
+    """The schema of a JSON object with these fields; any other field is
+    rejected."""
+    schema = {"type": "object", "additionalProperties": False,
+              "properties": {**required, **(optional or {})}}
+    if required:
+        schema["required"] = list(required)
+    return schema
+
+
+# kind -> (fields, constructor called with the fields by name)
+_RULES = {
+    "fixed_time": ({"t": {"type": "number", "minimum": 0}}, dec.FixedTime),
+    "first_jump": ({}, dec.FirstJump),
+    "first_jump_in": ({"threshold": _POSITIVE},
+                      lambda threshold: dec.FirstJumpIn(JumpSet("ge", threshold))),
+    "kth_jump": ({"k": {"type": "integer", "minimum": 1}}, dec.KthJump),
+    "independent_exponential": (
+        {"rate": _POSITIVE}, lambda rate: dec.IndependentRandomTime(ExponentialJumps(rate))),
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "properties": {
-        "experiment": {"enum": list(EXPERIMENTS)},
-        "seed": {"type": "integer", "minimum": 0},
-        "n_samples": {"type": "integer", "minimum": 200},
-        "policy": {
-            "type": "object", "additionalProperties": False,
-            "properties": {"horizon": _POSITIVE},
-        },
-        "params": {"type": "object"},
-        "out_dir": {"type": "string"},
-    },
-    "required": ["experiment", "seed", "n_samples", "params"],
-}
-
-
-def validate_config(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-        jsonschema.validate(doc["params"], _PARAMS_SCHEMAS[doc["experiment"]])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
-    return doc
+_RULE_SCHEMA = {"oneOf": [_object({"kind": {"const": kind}, **fields})
+                          for kind, (fields, _) in _RULES.items()]}
 
 
 def _parse_rule(doc: dict) -> dec.StoppingRule:
-    kind = doc["kind"]
-    if kind == "fixed_time":
-        return dec.FixedTime(doc["t"])
-    if kind == "first_jump":
-        return dec.FirstJump()
-    if kind == "first_jump_in":
-        return dec.FirstJumpIn(JumpSet("ge", doc["threshold"]))
-    if kind == "kth_jump":
-        return dec.KthJump(doc["k"])
-    return dec.IndependentRandomTime(ExponentialJumps(doc["rate"]))
+    fields, build = _RULES[doc["kind"]]
+    return build(**{name: doc[name] for name in fields})
 
 
 # ---------------------------------------------------------------------------
@@ -315,33 +212,21 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
 
 
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
-    n_steps = params.get("n_steps", 200)
-    if params["driver"] == "gamma":
-        alpha = params.get("alpha", 2.0)
-        lam = params.get("lam", 1.0)
-        model = _gamma_model(alpha, lam)
-    else:
-        model = LevyModel(gauss_var=params.get("sigma2", 1.0))
+    gamma = params["driver"] == "gamma"
+    alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
+    model = (_gamma_model(alpha, lam) if gamma
+             else LevyModel(gauss_var=params.get("sigma2", 1.0)))
     s_perp, s_series, s_gamma = stream.split(3)
-    report = selfdecomposable_as_perpetuity(model, policy, n, s_perp,
-                                            n_steps=n_steps)
-    reports = [report]
-    samples: dict = {}
-    if params["driver"] == "gamma":
-        series = sample_backward_series_many(BetaGammaAffine(alpha, lam),
-                                             1e-12, n, s_series)
-        direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
-        reports.append(compare_samples("backward_series_vs_direct", series, direct))
-        samples["backward_series"] = series
-        samples["direct_gamma"] = direct
-        primary = (series, direct)
-        ref = gamma_cf(alpha, lam)
-    else:
-        primary = None
-        ref = None
-    verdict = all(r.verdict for r in reports)
-    return ExperimentResult(verdict=verdict, reports=reports, samples=samples,
-                            primary=primary, ref_cf=ref)
+    reports = [selfdecomposable_as_perpetuity(model, policy, n, s_perp,
+                                              n_steps=params.get("n_steps", 200))]
+    if not gamma:
+        return ExperimentResult(verdict=reports[0].verdict, reports=reports)
+    series = sample_backward_series_many(BetaGammaAffine(alpha, lam), 1e-12, n, s_series)
+    direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
+    reports.append(compare_samples("backward_series_vs_direct", series, direct))
+    return ExperimentResult(verdict=all(r.verdict for r in reports), reports=reports,
+                            samples={"backward_series": series, "direct_gamma": direct},
+                            primary=(series, direct), ref_cf=gamma_cf(alpha, lam))
 
 
 def _run_operator(params, n, policy, stream) -> ExperimentResult:
@@ -401,14 +286,14 @@ def _run_null_calibration(params, n, policy, stream) -> ExperimentResult:
         s1, s2 = s.split(2)
         a = sample_gamma(GammaParams(alpha, lam), s1, size=n)
         b = sample_gamma(GammaParams(alpha, lam), s2, size=n)
-        _, _, ok = ks_two_sample(a, b, significance=0.001)
+        _, _, ok = ks_two_sample(a, b)
         failures += 0 if ok else 1
         last = (a, b)
     # Negative controls must fail as designed.
     s1, s2 = stream.split(2)
     a = sample_gamma(GammaParams(alpha, lam), s1, size=n)
     shifted = sample_gamma(GammaParams(alpha + 0.2, lam), s2, size=n)
-    _, _, shifted_passes = ks_two_sample(a, shifted, significance=0.001)
+    _, _, shifted_passes = ks_two_sample(a, shifted)
     dep = independence_diagnostic(a, a)
     controls_ok = (not shifted_passes) and dep > independence_pass_band(n)
     extras = {
@@ -424,25 +309,54 @@ def _run_null_calibration(params, n, policy, stream) -> ExperimentResult:
                             primary=last, ref_cf=gamma_cf(alpha, lam))
 
 
-_RUNNERS = {
-    "verify-gamma-bdlp": _run_gamma_bdlp,
-    "verify-theorem1": _run_theorem1,
-    "verify-corollary2-pathwise": _run_corollary2,
-    "verify-corollary3": _run_corollary3,
-    "verify-prop1": _run_prop1,
-    "perpetuity-iterate": _run_perpetuity,
-    "operator-decompose": _run_operator,
-    "null-calibration": _run_null_calibration,
+_EXPERIMENTS = {
+    "verify-gamma-bdlp": (_object(_GAMMA), _run_gamma_bdlp),
+    "verify-theorem1": (_object(_GAMMA), _run_theorem1),
+    "verify-corollary2-pathwise": (_object({**_GAMMA, "rule": _RULE_SCHEMA}),
+                                   _run_corollary2),
+    "verify-corollary3": (_object({**_GAMMA, "set_threshold": _POSITIVE}),
+                          _run_corollary3),
+    "verify-prop1": (_object({"alphas": {"type": "array", "items": _POSITIVE,
+                                         "minItems": 1},
+                              "lam": _POSITIVE}), _run_prop1),
+    "perpetuity-iterate": (_object(
+        {"driver": {"enum": ["gamma", "gaussian"]}},
+        {**_GAMMA, "sigma2": _POSITIVE, "n_steps": {"type": "integer", "minimum": 1}}),
+        _run_perpetuity),
+    "operator-decompose": (_object(
+        {"q": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
+         "coords": {"type": "array", "minItems": 1, "items": _object(
+             {"jump_rate": _POSITIVE, "exp_jump_rate": _POSITIVE},
+             {"drift": {"type": "number"}})}},
+        {"rule": _RULE_SCHEMA, "n_records": {"type": "integer", "minimum": 100}}),
+        _run_operator),
+    "null-calibration": (_object(_GAMMA, {"n_pairs": {"type": "integer", "minimum": 1}}),
+                         _run_null_calibration),
 }
+
+EXPERIMENTS = tuple(_EXPERIMENTS)
+
+CONFIG_SCHEMA = _object(
+    {"experiment": {"enum": list(EXPERIMENTS)},
+     "seed": {"type": "integer", "minimum": 0},
+     "n_samples": {"type": "integer", "minimum": 200},
+     "params": {"type": "object"}},
+    {"policy": _object({}, {"horizon": _POSITIVE}),
+     "out_dir": {"type": "string"}})
+
+
+def validate_config(doc: dict) -> dict:
+    try:
+        jsonschema.validate(doc, CONFIG_SCHEMA)
+        jsonschema.validate(doc["params"], _EXPERIMENTS[doc["experiment"]][0])
+    except jsonschema.ValidationError as exc:
+        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    return doc
 
 
 # ---------------------------------------------------------------------------
 # Artifact writers (full double precision, deterministic layout)
 # ---------------------------------------------------------------------------
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
-
 
 def _write_rows(fh, row_fmt: str, cols: list):
     """Write the rows of equal-length float columns through row_fmt, one '%'
@@ -489,9 +403,9 @@ def _write_ecf_csv(path: Path, pair, ref_cf):
         emp = empirical_cf(pair[0], grid)
         ref = (np.asarray(ref_cf(grid), complex) if ref_cf is not None
                else empirical_cf(pair[1], grid))
-        for u, e, r in zip(grid, emp, ref):
-            fh.write(",".join(_fmt(v) for v in
-                              (u, e.real, e.imag, r.real, r.imag, abs(e - r))) + "\n")
+        _write_rows(fh, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
+                    [grid, emp.real, emp.imag, ref.real, ref.imag,
+                     [abs(d) for d in emp - ref]])
 
 
 def run(config: dict, out_dir: str | Path | None = None) -> int:
@@ -508,7 +422,8 @@ def run(config: dict, out_dir: str | Path | None = None) -> int:
     pol = config.get("policy", {})
     policy = TruncationPolicy(horizon=pol.get("horizon", 40.0))
     stream = RngStream(seed)
-    result = _RUNNERS[config["experiment"]](config["params"], n, policy, stream)
+    _, runner = _EXPERIMENTS[config["experiment"]]
+    result = runner(config["params"], n, policy, stream)
 
     for r in result.reports:
         r.seed = seed

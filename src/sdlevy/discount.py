@@ -32,15 +32,10 @@ class TruncationPolicy:
             raise ValueError("horizon must be positive")
 
 
-def _check_time(path: JumpPath, t: float):
-    if not (0.0 <= t <= path.horizon):
-        raise ValueError(f"time {t} outside [0, {path.horizon}]")
-
-
 def eval_jump_sum(path: JumpPath, t: float) -> float:
     """Sum_{tau_k <= t} e^{-tau_k} dY_k + drift*(1 - e^{-t}), on a jump +
     drift path (path objects have no Gaussian part)."""
-    _check_time(path, t)
+    path._check_time(t)
     idx = int(np.searchsorted(path.jump_times, t, side="right"))
     val = float(np.sum(np.exp(-path.jump_times[:idx]) * path.jump_sizes[:idx]))
     return val + path.drift * -np.expm1(-t)
@@ -49,7 +44,7 @@ def eval_jump_sum(path: JumpPath, t: float) -> float:
 def eval_by_parts(path: JumpPath, t: float) -> float:
     """e^{-t} Y(t) + int_(0,t] Y(s-) e^{-s} ds with exact segment integrals
     of the piecewise-constant-plus-linear path."""
-    _check_time(path, t)
+    path._check_time(t)
     idx = int(np.searchsorted(path.jump_times, t, side="right"))
     times = path.jump_times[:idx]
     sizes = path.jump_sizes[:idx]

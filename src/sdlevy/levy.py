@@ -14,7 +14,6 @@ introduce simulation bias the exact pathwise checks cannot absorb.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -277,27 +276,3 @@ def thin_path(path: JumpPath, jump_set: JumpSet) -> tuple[JumpPath, JumpPath]:
         path.horizon, path.jump_times[~mask], path.jump_sizes[~mask], drift=path.drift
     )
     return in_a, rest
-
-
-# ---------------------------------------------------------------------------
-# Serialization (documented JSON shape for replay)
-# ---------------------------------------------------------------------------
-
-def path_to_json(path: JumpPath) -> str:
-    doc = {
-        "horizon": path.horizon,
-        "jumps": [[float(t), float(s)] for t, s in zip(path.jump_times, path.jump_sizes)],
-        "drift": path.drift,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def path_from_json(text: str) -> JumpPath:
-    """The path of a ``path_to_json`` document. A nonzero ``gauss_var`` is
-    refused: a path object cannot hold the Gaussian part it describes."""
-    doc = json.loads(text)
-    if float(doc.get("gauss_var", 0.0)) != 0.0:
-        raise ValueError("path documents with a Gaussian part are not supported")
-    jumps = np.asarray(doc["jumps"], float).reshape(-1, 2)
-    return JumpPath(float(doc["horizon"]), jumps[:, 0], jumps[:, 1],
-                    drift=float(doc["drift"]))

@@ -11,7 +11,9 @@ A driver is a list of independent scalar jump sources, each pushed along a
 fixed direction: one per coordinate, or one shared. Integrals and records
 run on the ragged batch engine of ``decomposition``: each source's jumps are
 one ragged batch from ``discount._poisson_jumps``, and ``_QDiscounter``
-sums e^{-tQ} u*size over them per row. The scalar case is d = 1.
+sums e^{-tQ} u*size over them per row. The scalar case is d = 1. Records
+take every stopping rule of ``decomposition``; FirstJumpIn stops at the
+first jump whose scalar size lies in the set.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import Union
 import numpy as np
 import scipy.linalg
 
-from .decomposition import FirstJumpIn, StoppingRule, _by_chunks, _stopped_jumps
+from .decomposition import StoppingRule, _by_chunks, _stopped_jumps
 from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
 from .errors import SpectralGateError
 # simulate_path stays bound here: perfbench/tests/test_bench_tracer.py::
@@ -297,8 +299,11 @@ def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
                             stream: RngStream) -> OperatorDecompositionRecord:
     """n independent operator records as one record of arrays, in the
     chunk layout of ``decompose_many``: chunk i draws only from child i of
-    ``stream.split(ceil(n / 256))``."""
-    if isinstance(rule, FirstJumpIn):
-        raise ValueError("FirstJumpIn is not supported on operator paths")
+    ``stream.split(ceil(n / 256))``.
+
+    Every stopping rule applies. FirstJumpIn(A) stops at the first jump of
+    the driver whose scalar size lies in A; that jump is the row size * u of
+    its source, so for IndependentCoordinates it is the jump's only nonzero
+    coordinate."""
     return OperatorDecompositionRecord(*_by_chunks(
         lambda m, s: _operator_chunk(model, rule, policy.horizon, m, s), n, stream))

@@ -2,29 +2,29 @@
 characteristic function distance, transform-correlation independence
 diagnostics, and the StatReport container that turns them into verdicts.
 
-Acceptance suites run dozens of KS tests, so the working significance is
-0.001 (not 0.05); per-test power is recovered by sample size.
+Acceptance suites run dozens of KS tests, so every KS test runs at the
+fixed significance 0.001 (not 0.05); per-test power is recovered by sample
+size.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+SIGNIFICANCE = 0.001
 # c(sig) from the asymptotic Kolmogorov distribution: c = sqrt(-ln(sig/2)/2).
-KS_COEFF = {
-    0.01: math.sqrt(-0.5 * math.log(0.005)),
-    0.001: math.sqrt(-0.5 * math.log(0.0005)),
-}
+KS_COEFF = math.sqrt(-0.5 * math.log(SIGNIFICANCE / 2))
 
 
-def ks_two_sample(a, b, significance: float = 0.001) -> tuple[float, float, bool]:
-    """Two-sample Kolmogorov-Smirnov statistic, threshold, and verdict.
+def ks_two_sample(a, b) -> tuple[float, float, bool]:
+    """Two-sample Kolmogorov-Smirnov statistic, threshold, and verdict at
+    SIGNIFICANCE.
 
-    D = sup |F_a - F_b|; threshold = c(sig) * sqrt((n+m)/(n*m)). Asymptotic
+    D = sup |F_a - F_b|; threshold = KS_COEFF * sqrt((n+m)/(n*m)). Asymptotic
     thresholds only, hence the n, m >= 100 precondition.
     """
     a = np.asarray(a, float)
@@ -32,15 +32,13 @@ def ks_two_sample(a, b, significance: float = 0.001) -> tuple[float, float, bool
     n, m = a.size, b.size
     if min(n, m) < 100:
         raise ValueError(f"need at least 100 samples per side, got {n}, {m}")
-    if significance not in KS_COEFF:
-        raise ValueError(f"significance must be one of {sorted(KS_COEFF)}")
     sa = np.sort(a)
     sb = np.sort(b)
     grid = np.concatenate([sa, sb])
     cdf_a = np.searchsorted(sa, grid, side="right") / n
     cdf_b = np.searchsorted(sb, grid, side="right") / m
     d = float(np.max(np.abs(cdf_a - cdf_b)))
-    threshold = KS_COEFF[significance] * math.sqrt((n + m) / (n * m))
+    threshold = KS_COEFF * math.sqrt((n + m) / (n * m))
     return d, threshold, d < threshold
 
 
@@ -133,7 +131,7 @@ class StatReport:
     m: int
     ks_stat: float
     ks_threshold: float
-    significance: float
+    significance: float = field(default=SIGNIFICANCE, init=False)
     moments: dict = field(default_factory=dict)
     diagnostics: dict = field(default_factory=dict)
     verdict: bool = False
@@ -141,38 +139,18 @@ class StatReport:
     config_fingerprint: str | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "n": self.n,
-            "m": self.m,
-            "ks_stat": self.ks_stat,
-            "ks_threshold": self.ks_threshold,
-            "significance": self.significance,
-            "moments": self.moments,
-            "diagnostics": self.diagnostics,
-            "verdict": self.verdict,
-            "seed": self.seed,
-            "config_fingerprint": self.config_fingerprint,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
-    def to_csv_line(self) -> str:
-        return ",".join([
-            self.name, str(self.n), str(self.m),
-            format(self.ks_stat, ".17g"), format(self.ks_threshold, ".17g"),
-            format(self.significance, ".17g"), "pass" if self.verdict else "fail",
-        ])
 
-
-def compare_samples(name: str, a, b, significance: float = 0.001,
-                    extra_checks: dict | None = None) -> StatReport:
+def compare_samples(name: str, a, b, extra_checks: dict | None = None) -> StatReport:
     """KS plus moment-band comparison of two samples, folded into a verdict;
     the caller sets ``seed`` and ``config_fingerprint`` on the report."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
-    d, threshold, ks_pass = ks_two_sample(a, b, significance)
+    d, threshold, ks_pass = ks_two_sample(a, b)
     ma, mb = moment_summary(a), moment_summary(b)
     mean_ok = abs(ma["mean"] - mb["mean"]) <= 3.0 * math.hypot(ma["se_mean"], mb["se_mean"])
     var_ok = abs(ma["var"] - mb["var"]) <= 3.0 * math.hypot(ma["se_var"], mb["se_var"])
@@ -184,6 +162,5 @@ def compare_samples(name: str, a, b, significance: float = 0.001,
         verdict = verdict and all(bool(v) for v in extra_checks.values())
     return StatReport(
         name=name, n=a.size, m=b.size, ks_stat=d, ks_threshold=threshold,
-        significance=significance, moments={"a": ma, "b": mb},
-        diagnostics=diagnostics, verdict=verdict,
+        moments={"a": ma, "b": mb}, diagnostics=diagnostics, verdict=verdict,
     )

@@ -47,7 +47,7 @@ def test_01_gamma_driver_marginal():
         draws = sample_discounted_integral_many(_gamma_model(alpha, lam),
                                                 POLICY, N, s_int)
         ref = sample_gamma(GammaParams(alpha, lam), s_ref, size=N)
-        d, thr, this_ok = ks_two_sample(draws, ref, significance=0.001)
+        d, thr, this_ok = ks_two_sample(draws, ref)
         ok = ok and this_ok
         worst += f" ({alpha:g},{lam:g}):D={d:.4f}/{thr:.4f}"
     _verdict(1, "gamma marginal of the discounted driver", ok, worst.strip())
@@ -76,8 +76,8 @@ def test_03_stopped_factorization_in_law():
     s_rec, s_ref = stream.split(2)
     r = decompose_many(_gamma_model(2.0, 1.0), FirstJump(), POLICY, N, s_rec)
     ref = sample_gamma(GammaParams(2.0, 1.0), s_ref, size=N)
-    d1, t1, ok1 = ks_two_sample(r.x_total, ref, significance=0.001)
-    d2, t2, ok2 = ks_two_sample(r.x_prime, ref, significance=0.001)
+    d1, t1, ok1 = ks_two_sample(r.x_total, ref)
+    d2, t2, ok2 = ks_two_sample(r.x_prime, ref)
     band = independence_pass_band(N)
     dep = independence_diagnostic(r.discount, r.x_prime)
     ok = ok1 and ok2 and dep <= band
@@ -94,10 +94,10 @@ def test_04_beta_gamma_factorizations():
     for a in (0.5, 1.0, 2.0):
         s_bg, s_fac, s_ref = stream.split(3)
         lhs, rhs = beta_gamma_identity_samples(a, 1.0, N, s_bg)
-        _, _, ok_bg = ks_two_sample(lhs, rhs, significance=0.001)
+        _, _, ok_bg = ks_two_sample(lhs, rhs)
         factor = gamma_factor_samples(a, 1.0, N, s_fac, discount="first_jump")
         ref = sample_gamma(GammaParams(a, 1.0), s_ref, size=N)
-        _, _, ok_fac = ks_two_sample(factor, ref, significance=0.001)
+        _, _, ok_fac = ks_two_sample(factor, ref)
         # gamma(a, 1) has mean a and second moment a(a+1)
         m1, m2 = a, a * (a + 1.0)
         ok_m1 = abs(rhs.mean() - m1) <= 3.0 * rhs.std() / np.sqrt(N)
@@ -120,7 +120,7 @@ def test_05_backward_series():
             series = sample_backward_series_many(BetaGammaAffine(a, lam), 1e-12,
                                                  N, s_ser)
             ref = sample_gamma(GammaParams(a, lam), s_ref, size=N)
-            d, thr, this_ok = ks_two_sample(series, ref, significance=0.001)
+            d, thr, this_ok = ks_two_sample(series, ref)
             ok = ok and this_ok
             detail += f" ({a:g},{lam:g}):{d:.4f}"
     _verdict(5, "backward series reproduces the gamma law", ok, detail.strip())
@@ -205,17 +205,17 @@ def test_09_calibration_and_negative_controls():
         s1, s2 = s.split(2)
         a = sample_gamma(GammaParams(2.0, 1.0), s1, size=10_000)
         b = sample_gamma(GammaParams(2.0, 1.0), s2, size=10_000)
-        failures += 0 if ks_two_sample(a, b, significance=0.001)[2] else 1
+        failures += 0 if ks_two_sample(a, b)[2] else 1
 
     s1, s2 = stream.split(2)
     a = sample_gamma(GammaParams(2.0, 1.0), s1, size=N)
     wrong = sample_gamma(GammaParams(2.2, 1.0), s2, size=N)
-    wrong_detected = not ks_two_sample(a, wrong, significance=0.001)[2]
+    wrong_detected = not ks_two_sample(a, wrong)[2]
     dep_detected = independence_diagnostic(a, a) > independence_pass_band(N)
     # the alternative discount reading must be rejected away from shape 1
     alt = gamma_factor_samples(2.0, 1.0, N, stream.split(1)[0],
                                discount="gamma_exponent")
-    alt_detected = not ks_two_sample(alt, a, significance=0.001)[2]
+    alt_detected = not ks_two_sample(alt, a)[2]
 
     ok = failures <= 1 and wrong_detected and dep_detected and alt_detected
     _verdict(9, "null calibration and negative controls", ok,

@@ -9,8 +9,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sdlevy.cli import EXPERIMENTS, main, run, validate_config
+from sdlevy.cli import _RULES, EXPERIMENTS, _parse_rule, main, run, validate_config
+from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
+                                  IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
+from sdlevy.levy import ExponentialJumps, JumpSet
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -85,6 +88,25 @@ class TestValidation:
     def test_bad_rule(self):
         doc = json.loads(json.dumps(SMALL_CONFIGS["verify-corollary2-pathwise"]))
         doc["params"]["rule"] = {"kind": "kth_jump"}  # k missing
+        with pytest.raises(ConfigError):
+            validate_config(doc)
+
+    def test_rule_table(self):
+        # each rule kind parses to its class with its fields; a kind outside
+        # the table is a schema violation, never a fallback rule
+        docs = {"fixed_time": ({"t": 0.5}, FixedTime(0.5)),
+                "first_jump": ({}, FirstJump()),
+                "first_jump_in": ({"threshold": 2.0}, FirstJumpIn(JumpSet("ge", 2.0))),
+                "kth_jump": ({"k": 3}, KthJump(3)),
+                "independent_exponential": (
+                    {"rate": 1.5}, IndependentRandomTime(ExponentialJumps(1.5)))}
+        assert set(docs) == set(_RULES)
+        for kind, (fields, rule) in docs.items():
+            doc = json.loads(json.dumps(SMALL_CONFIGS["verify-corollary2-pathwise"]))
+            doc["params"]["rule"] = {"kind": kind, **fields}
+            validate_config(doc)
+            assert _parse_rule(doc["params"]["rule"]) == rule
+        doc["params"]["rule"] = {"kind": "last_jump"}
         with pytest.raises(ConfigError):
             validate_config(doc)
 
@@ -187,15 +209,20 @@ class TestMain:
         assert "tail_tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    def test_operator_first_jump_in_rejected(self, tmp_path, capsys):
-        # operator paths have no FirstJumpIn: the config is invalid (exit 2)
-        # and no output directory is made, not a failed run (exit 1)
+    def test_operator_first_jump_in(self, tmp_path, capsys):
+        # operator records take every rule: first_jump_in stops at the first
+        # jump whose size lies in the set, and the run passes reproducibly
         doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
         doc["params"]["rule"] = {"kind": "first_jump_in", "threshold": 1.0}
-        assert main(["run", "--config", self._write(tmp_path, doc),
-                     "--out-dir", str(tmp_path / "out")]) == 2
-        assert "first_jump_in" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+        path = self._write(tmp_path, doc)
+        for out in ("a", "b"):
+            assert main(["run", "--config", path, "--out-dir", str(tmp_path / out)]) == 0
+        report = json.loads((tmp_path / "a" / "report.json").read_text())
+        assert report["verdict"] is True
+        assert report["extras"]["max_relative_residual"] <= 1e-9
+        for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
+            assert ((tmp_path / "a" / artifact).read_bytes()
+                    == (tmp_path / "b" / artifact).read_bytes())
 
     def test_seed_override(self, tmp_path):
         cfg = dict(SMALL_CONFIGS["verify-gamma-bdlp"])

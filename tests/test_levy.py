@@ -1,17 +1,11 @@
-"""Trajectory construction, shift/thin operations, and serialization."""
-
-import json
+"""Trajectory construction and shift/thin operations."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from sdlevy.levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath,
-                         JumpSet, LevyModel, TableJumps, UniformJumps,
-                         path_from_json, path_to_json, shift_path, simulate_path,
-                         thin_path)
-from sdlevy.rng import RngStream
+                         JumpSet, LevyModel, TableJumps, UniformJumps, shift_path,
+                         simulate_path, thin_path)
 from sdlevy.stats import ks_two_sample
 
 
@@ -219,35 +213,3 @@ class TestIncrements:
             second.append(p.value(2.0) - p.value(1.0))
         assert ks_two_sample(np.array(first), np.array(second))[2]
 
-
-class TestSerialization:
-    def test_roundtrip(self, make_stream):
-        p = simulate_path(LevyModel(jump_rate=3.0, jump_law=ExponentialJumps(2.0),
-                                    drift=-0.25), 7.0, make_stream())
-        q = path_from_json(path_to_json(p))
-        assert q.horizon == p.horizon
-        np.testing.assert_array_equal(q.jump_times, p.jump_times)
-        np.testing.assert_array_equal(q.jump_sizes, p.jump_sizes)
-        assert q.drift == p.drift
-        assert "gauss_var" not in json.loads(path_to_json(p))
-
-    def test_gaussian_document_refused(self):
-        # a document that describes a Gaussian part cannot be replayed as a
-        # path object; it is refused, not read without it
-        doc = {"horizon": 1.0, "jumps": [[0.5, 1.0]], "drift": 0.0, "gauss_var": 0.5}
-        with pytest.raises(ValueError):
-            path_from_json(json.dumps(doc))
-        q = path_from_json(json.dumps({**doc, "gauss_var": 0.0}))
-        assert q.n_jumps == 1 and q.value(1.0) == 1.0
-
-    def test_roundtrip_empty(self):
-        p = JumpPath(1.0, np.empty(0), np.empty(0), drift=1.0)
-        q = path_from_json(path_to_json(p))
-        assert q.n_jumps == 0 and q.drift == 1.0
-
-    @given(seed=st.integers(0, 2**32 - 1), horizon=st.floats(0.5, 20.0))
-    @settings(max_examples=30, deadline=None)
-    def test_roundtrip_values_agree(self, seed, horizon):
-        p = simulate_path(_exp_model(), horizon, RngStream(seed))
-        q = path_from_json(path_to_json(p))
-        assert q.value(horizon) == p.value(horizon)

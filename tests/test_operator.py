@@ -191,10 +191,20 @@ class TestOperatorDecomposition:
         assert ks_two_sample(x_total[:, 0], draws[:, 0])[2]
         assert ks_two_sample(x_total[:, 1], draws[:, 1])[2]
 
-    def test_unsupported_rule(self, make_stream):
+    def test_first_jump_in_records(self, make_stream):
+        # FirstJumpIn(A) stops at the first jump of any source whose scalar
+        # size lies in A, so tau ~ Exp(sum_j rate_j * P(size_j in A)); here
+        # A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
         rule = FirstJumpIn(JumpSet("ge", 1.0))
-        with pytest.raises(ValueError):
-            operator_decompose_many(_model_2d(), rule, POLICY, 1, make_stream())
+        coords_rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
+        shared = SharedJumpDirection(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
+        cases = [(_model_2d(), coords_rate), (_model_2d(_ROTATING_Q), coords_rate),
+                 (OperatorModel(np.diag([1.0, 2.0]), shared), 2.0 * math.exp(-1.0))]
+        for model, rate in cases:
+            records = operator_decompose_many(model, rule, POLICY, 5_000, make_stream())
+            assert records.passes(1e-9).all()
+            ref = ExponentialJumps(rate).sample(make_stream(), 5_000)
+            assert ks_two_sample(records.tau, ref)[2]
 
 
 # The complex-eigenvalue Q of the benchmark's eigen-mode config.

@@ -9,7 +9,7 @@ import pytest
 import scipy.stats
 
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
-from sdlevy.stats import (KS_COEFF, compare_samples, ecf_distance, empirical_cf,
+from sdlevy.stats import (KS_COEFF, SIGNIFICANCE, compare_samples, ecf_distance, empirical_cf,
                           gamma_cf, independence_diagnostic, independence_pass_band,
                           ks_two_sample, moment_summary, normal_cf, point_mass_cf)
 
@@ -41,19 +41,18 @@ class TestKS:
         thr4 = ks_two_sample(a, b)[1]
         assert thr1 / thr4 == pytest.approx(2.0, rel=1e-12)
 
-    def test_stricter_significance_raises_threshold(self, make_stream):
-        a = make_stream().normal(size=1000)
-        b = make_stream().normal(size=1000)
-        assert ks_two_sample(a, b, 0.001)[1] > ks_two_sample(a, b, 0.01)[1]
-        assert set(KS_COEFF) == {0.01, 0.001}
+    def test_stricter_significance_raises_threshold(self):
+        # every KS test runs at the one fixed significance 0.001, whose
+        # coefficient lies above the one at 0.01
+        assert SIGNIFICANCE == 0.001
+        assert KS_COEFF == math.sqrt(-0.5 * math.log(0.0005))
+        assert KS_COEFF > math.sqrt(-0.5 * math.log(0.005))
 
     def test_preconditions(self, make_stream):
         small = make_stream().normal(size=50)
         big = make_stream().normal(size=200)
         with pytest.raises(ValueError):
             ks_two_sample(small, big)
-        with pytest.raises(ValueError):
-            ks_two_sample(big, big, significance=0.05)
 
     def test_null_calibration(self, make_stream):
         # at significance 0.001, 100 independent null pairs should fail at
@@ -164,8 +163,7 @@ class TestReports:
         doc = json.loads(r.to_json())
         assert doc["name"] == "roundtrip" and doc["seed"] == 3
         assert doc["config_fingerprint"] == "ff"
-        line = r.to_csv_line()
-        assert line.startswith("roundtrip,1000,1000,") and line.endswith(",pass")
+        assert doc["significance"] == 0.001
 
     def test_deterministic_given_seed(self):
         def build(seed):
