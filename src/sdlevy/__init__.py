@@ -14,13 +14,12 @@ from .errors import (ConfigError, ContractionError, InsufficientHorizonError,
 from .levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath, JumpSet,
                    LevyModel, TableJumps, UniformJumps, shift_path, simulate_path,
                    thin_path)
-from .operator import (IndependentCoordinates, OperatorDecompositionRecord,
-                       OperatorModel, SharedJumpDirection, matrix_exp,
-                       operator_decompose_many, sample_operator_integral_many)
-from .perpetuity import (BetaGammaAffine, ConstantAffine, CustomAffine,
-                         StoppedIntegralAffine, beta_gamma_identity_samples,
-                         gamma_factor_samples, iterate_many, sample_backward_series_many,
-                         selfdecomposable_as_perpetuity)
+from .operator import (OperatorDecompositionRecord, OperatorDriver, OperatorModel,
+                       independent_coordinates, operator_decompose_many,
+                       sample_operator_integral_many)
+from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
+                         beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
+                         sample_backward_series_many, selfdecomposable_as_perpetuity)
 from .rng import GammaParams, RngStream, sample_gamma, sample_poisson_arrivals
 from .stats import (StatReport, compare_samples, ecf_distance, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample,

@@ -36,7 +36,7 @@ from . import decomposition as dec
 from .discount import TruncationPolicy, sample_discounted_integral_many
 from .errors import ConfigError, SpectralGateError
 from .levy import ExponentialJumps, JumpSet, LevyModel
-from .operator import (IndependentCoordinates, OperatorModel, operator_decompose_many,
+from .operator import (OperatorModel, independent_coordinates, operator_decompose_many,
                        sample_operator_integral_many)
 from .perpetuity import (BetaGammaAffine, beta_gamma_identity_samples,
                          gamma_factor_samples, sample_backward_series_many,
@@ -116,7 +116,6 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(alpha, lam)
     s_rec, s_gamma = stream.split(2)
     rec = dec.decompose_many(model, dec.FirstJump(), policy, n, s_rec)
-    rel = rec.residual / (1.0 + np.abs(rec.x_total))
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     r_total = compare_samples("x_total_vs_direct", rec.x_total, direct)
     r_prime = compare_samples("x_prime_vs_direct", rec.x_prime, direct)
@@ -128,7 +127,7 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
         "independence_discount_x_prime": d2,
         "independence_band": band,
         "independence_pass": bool(d1 <= band and d2 <= band),
-        "max_relative_residual": float(rel.max()),
+        "max_relative_residual": float(rec.relative_residual.max()),
     }
     verdict = r_total.verdict and r_prime.verdict and extras["independence_pass"]
     return ExperimentResult(
@@ -143,7 +142,7 @@ def _run_corollary2(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(params["alpha"], params["lam"])
     rule = _parse_rule(params["rule"])
     rec = dec.decompose_many(model, rule, policy, n, stream)
-    rel = rec.residual / (1.0 + np.abs(rec.x_total))
+    rel = rec.relative_residual
     verdict = bool(np.all(rel <= 1e-10))
     return ExperimentResult(
         verdict=verdict,
@@ -167,8 +166,8 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     report = compare_samples("first_value_lhs_vs_direct", first.x_total, direct)
     band = independence_pass_band(n)
     diag = independence_diagnostic(first.discount, first.x_prime)
-    rel1 = float(np.max(first.residual / (1.0 + np.abs(first.x_total))))
-    rel2 = float(np.max(restricted.residual / (1.0 + np.abs(restricted.x_total))))
+    rel1 = float(np.max(first.relative_residual))
+    rel2 = float(np.max(restricted.relative_residual))
     extras = {
         "max_relative_residual_first_value": rel1,
         "max_relative_residual_restricted": rel2,
@@ -237,12 +236,12 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
                   drift=c.get("drift", 0.0))
         for c in params["coords"]
     )
-    model = OperatorModel(q, IndependentCoordinates(models))
+    model = OperatorModel(q, independent_coordinates(models))
     rule = _parse_rule(params.get("rule", {"kind": "first_jump"}))
     n_records = params.get("n_records", 2000)
     s_rec, s_mean = stream.split(2)
     rec = operator_decompose_many(model, rule, policy, n_records, s_rec)
-    rel = rec.residual / (1.0 + np.linalg.norm(rec.x_total, axis=1))
+    rel = rec.relative_residual
     draws = sample_operator_integral_many(model, policy, n, s_mean)
     target = model.mean_integral()
     se = draws.std(axis=0) / np.sqrt(n)
@@ -250,7 +249,7 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
     mean_ok = bool(np.all(mean_gap <= 3.0 * se))
     # Spectral gate negative control: a singular Q must be rejected.
     try:
-        OperatorModel(np.zeros_like(q), IndependentCoordinates(models))
+        OperatorModel(np.zeros_like(q), independent_coordinates(models))
         gate_ok = False
     except SpectralGateError:
         gate_ok = True

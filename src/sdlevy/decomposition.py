@@ -126,7 +126,8 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
 class DecompositionRecord:
     """One realization of (tau, X_tau, e^{-tau}, X') plus the recombined
     total; ``decompose_many`` returns n realizations as length-n arrays,
-    and ``residual`` and ``passes`` then work elementwise."""
+    and ``residual``, ``relative_residual`` and ``passes`` then work
+    elementwise."""
 
     tau: float | np.ndarray
     x_tau: float | np.ndarray
@@ -138,8 +139,12 @@ class DecompositionRecord:
     def residual(self):
         return abs(self.x_total - (self.x_tau + self.discount * self.x_prime))
 
+    @property
+    def relative_residual(self):
+        return self.residual / (1.0 + abs(self.x_total))
+
     def passes(self, rel_tol: float = 1e-10):
-        return self.residual <= rel_tol * (1.0 + abs(self.x_total))
+        return self.relative_residual <= rel_tol
 
 
 def _preset_time(rule, stream: RngStream, size: int) -> np.ndarray:

@@ -7,19 +7,20 @@ component would need the Lyapunov-equation covariance machinery the scalar
 case avoids, and none of the exercised identities require it. Dimensions
 are small and matrices dense.
 
-A driver is a list of independent scalar jump sources, each pushed along a
-fixed direction: one per coordinate, or one shared. Integrals and records
-run on the ragged batch engine of ``decomposition``: each source's jumps are
-one ragged batch from ``discount._poisson_jumps``, and ``_QDiscounter``
-sums e^{-tQ} u*size over them per row. The scalar case is d = 1. Records
-take every stopping rule of ``decomposition``; FirstJumpIn stops at the
-first jump whose scalar size lies in the set.
+An ``OperatorDriver`` is a tuple of independent scalar jump sources, each
+pushed along a fixed direction: one per coordinate
+(``independent_coordinates``), or one shared. Integrals and records run on
+the ragged batch engine of ``decomposition``: each source's jumps are one
+ragged batch from ``discount._poisson_jumps``, and ``_QDiscounter`` sums
+e^{-tQ} u*size over them per row, in the eigenbasis of Q when Q is
+diagonalizable (a diagonal Q has V = I) and by expm otherwise. The scalar
+case is d = 1. Records take every stopping rule of ``decomposition``;
+FirstJumpIn stops at the first jump whose scalar size lies in the set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 import scipy.linalg
@@ -29,112 +30,71 @@ from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
 from .errors import SpectralGateError
 # simulate_path stays bound here: perfbench/tests/test_bench_tracer.py::
 # test_instrument_sdlevy_rebinds_from_imports_and_restores_all reads it.
-from .levy import LevyModel, simulate_path  # noqa: F401
+from .levy import simulate_path  # noqa: F401
 from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
 
 
-def matrix_exp(m) -> np.ndarray:
-    """Matrix exponential by scaling-and-squaring with a Pade core
-    (scipy.linalg.expm); rejects non-finite or non-square input."""
-    m = np.asarray(m, float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("matrix_exp needs a square 2-d array")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix_exp needs finite entries")
-    return scipy.linalg.expm(m)
-
-
 # ---------------------------------------------------------------------------
-# Drivers
+# Driver
 # ---------------------------------------------------------------------------
 
-def _check_driver_model(model: LevyModel):
-    if model.gauss_var > 0:
-        raise ValueError("operator drivers must not have a Gaussian component")
+@dataclass(frozen=True, eq=False)
+class OperatorDriver:
+    """Independent scalar jump sources, each a (model, direction) pair: a
+    jump of size s of the model moves the driver by s * direction.
+
+    ``independent_coordinates(models)`` gives coordinate i its own model
+    along e_i; ``OperatorDriver(((model, u),))`` pushes one model along u.
+    """
+
+    sources: tuple
+
+    def __post_init__(self):
+        sources = tuple((m, np.asarray(u, float)) for m, u in self.sources)
+        if not sources:
+            raise ValueError("need at least one jump source")
+        if any(m.gauss_var > 0 for m, _ in sources):
+            raise ValueError("operator drivers must not have a Gaussian component")
+        shape = sources[0][1].shape
+        if len(shape) != 1 or not shape[0] or any(
+                u.shape != shape or not np.all(np.isfinite(u)) for _, u in sources):
+            raise ValueError("directions must be finite 1-d vectors of one length")
+        object.__setattr__(self, "sources", sources)
+
+    @property
+    def dimension(self) -> int:
+        return self.sources[0][1].size
+
+    def mean_unit_increment(self) -> np.ndarray:
+        return sum(u * m.mean_unit_increment() for m, u in self.sources)
+
+    def drift_vector(self) -> np.ndarray:
+        return sum(u * m.drift for m, u in self.sources)
 
 
-@dataclass(frozen=True)
-class IndependentCoordinates:
+def independent_coordinates(models) -> OperatorDriver:
     """One scalar Levy model per coordinate, independent across coordinates."""
-
-    models: tuple
-
-    def __post_init__(self):
-        if not self.models:
-            raise ValueError("need at least one coordinate model")
-        for m in self.models:
-            _check_driver_model(m)
-
-    @property
-    def dimension(self) -> int:
-        return len(self.models)
-
-    def sources(self) -> list[tuple[LevyModel, np.ndarray]]:
-        """(model, direction) of each independent jump source: e_i for
-        coordinate i."""
-        return list(zip(self.models, np.eye(self.dimension)))
-
-    def mean_unit_increment(self) -> np.ndarray:
-        return np.array([m.mean_unit_increment() for m in self.models])
-
-    def drift_vector(self) -> np.ndarray:
-        return np.array([m.drift for m in self.models])
-
-
-@dataclass(frozen=True)
-class SharedJumpDirection:
-    """A scalar compound Poisson model pushed along a fixed direction."""
-
-    model: LevyModel
-    direction: tuple
-
-    def __post_init__(self):
-        _check_driver_model(self.model)
-        v = np.asarray(self.direction, float)
-        if v.ndim != 1 or v.size == 0 or not np.all(np.isfinite(v)):
-            raise ValueError("direction must be a finite 1-d vector")
-
-    @property
-    def dimension(self) -> int:
-        return len(self.direction)
-
-    def sources(self) -> list[tuple[LevyModel, np.ndarray]]:
-        return [(self.model, np.asarray(self.direction, float))]
-
-    def mean_unit_increment(self) -> np.ndarray:
-        return np.asarray(self.direction, float) * self.model.mean_unit_increment()
-
-    def drift_vector(self) -> np.ndarray:
-        return np.asarray(self.direction, float) * self.model.drift
-
-
-OperatorDriver = Union[IndependentCoordinates, SharedJumpDirection]
+    return OperatorDriver(tuple(zip(models, np.eye(len(models)))))
 
 
 # ---------------------------------------------------------------------------
-# Discounter strategies for e^{-tQ}
+# Discounter for e^{-tQ}
 # ---------------------------------------------------------------------------
 
 class _QDiscounter:
-    """Applies e^{-tQ} to ragged jump batches: coordinatewise for diagonal
-    Q, through the eigenbasis when Q is diagonalizable with a
-    well-conditioned eigenvector matrix, and by per-jump expm otherwise."""
+    """Applies e^{-tQ} to ragged jump batches: through the eigenbasis when Q
+    is diagonalizable with a well-conditioned eigenvector matrix ("eigen";
+    a diagonal Q has V = I and runs coordinatewise), and by expm otherwise
+    ("dense")."""
 
     def __init__(self, q: np.ndarray):
         self.q = q
-        self.d = q.shape[0]
-        if not np.any(q - np.diag(np.diagonal(q))):
-            self.mode = "diag"
-            self.diag = np.diagonal(q).copy()
-            return
         w, v = np.linalg.eig(q)
         if np.linalg.cond(v) < 1e8:
             self.mode = "eigen"
-            self.w = w
-            self.v = v
-            self.vinv = np.linalg.inv(v)
+            self.w, self.v, self.vinv = w, v, np.linalg.inv(v)
         else:
             self.mode = "dense"
 
@@ -143,44 +103,40 @@ class _QDiscounter:
         """Row i of the (n, d) result: the sum over the jumps k with
         owner[k] == i of e^{-t_k Q} u * sizes_k.
 
-        For diagonal Q column j sums e^{-Q_jj t} u_j * size; in the
-        eigenbasis mode k sums e^{-w_k t} (V^{-1} u)_k * size, real and
-        imaginary parts apart, and V maps the modes back.
+        In the eigenbasis mode k sums e^{-w_k t} (V^{-1} u)_k * size, real
+        and imaginary parts apart, for each k with (V^{-1} u)_k != 0, and V
+        maps the modes back.
         """
-        if self.mode == "diag":
-            out = np.zeros((n, self.d))
-            for j in np.flatnonzero(u):
-                out[:, j] = _sum_by_path(
-                    owner, np.exp(-self.diag[j] * times) * (u[j] * sizes), n)
-            return out
         if self.mode == "eigen":
-            modes = np.empty((n, self.d), complex)
-            for k, (w, c) in enumerate(zip(self.w, self.vinv @ u)):
-                z = np.exp(-w * times) * (c * sizes)
+            modes = np.zeros((n, len(self.q)), self.w.dtype)
+            c = self.vinv @ u
+            for k in np.flatnonzero(c):
+                z = np.exp(-self.w[k] * times) * (c[k] * sizes)
                 modes[:, k] = _sum_by_path(owner, np.real(z), n)
-                modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
+                if np.iscomplexobj(z):
+                    modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
             return (modes @ self.v.T).real
-        out = np.zeros((n, self.d))
+        out = np.zeros((n, len(self.q)))
         for i, t, s in zip(owner, times, sizes):
-            out[i] += matrix_exp(-t * self.q) @ u * s
+            out[i] += scipy.linalg.expm(-t * self.q) @ u * s
         return out
 
     def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
         """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
-        time in t."""
+        time in t; in the eigenbasis mode -expm1(-t w_k) / w_k per mode, so
+        small t does not cancel."""
         t = np.atleast_1d(np.asarray(t, float))
-        if self.mode == "diag":
-            return drift * -np.expm1(-t[:, None] * self.diag) / self.diag
+        if self.mode == "eigen":
+            c = self.vinv @ drift
+            return ((c * -np.expm1(-t[:, None] * self.w) / self.w) @ self.v.T).real
         return np.linalg.solve(self.q, (drift - self.matrix(t) @ drift).T).T
 
     def matrix(self, t) -> np.ndarray:
         """e^{-tQ} for each time in t, as an (n, d, d) array."""
         t = np.atleast_1d(np.asarray(t, float))
-        if self.mode == "diag":
-            return np.exp(-t[:, None] * self.diag)[:, :, None] * np.eye(self.d)
         if self.mode == "eigen":
             return ((self.v * np.exp(-t[:, None, None] * self.w)) @ self.vinv).real
-        return np.array([matrix_exp(-s * self.q) for s in t])
+        return scipy.linalg.expm(-t[:, None, None] * self.q)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +189,7 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     disc = model._discounter
     T = policy.horizon
     out = np.zeros((n, model.dimension))
-    for source, u in model.driver.sources():
+    for source, u in model.driver.sources:
         out += disc.ragged_sum(*_poisson_jumps(source, T, n, stream), u, n)
     return out + disc.drift_integral(T, model.driver.drift_vector())
 
@@ -246,7 +202,8 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
 class OperatorDecompositionRecord:
     """n realizations of (tau, X_tau, e^{-tau Q}, X') with the recombined
     total: ``tau`` has shape (n,), ``discount`` (n, d, d) and the others
-    (n, d). ``residual`` and ``passes`` work per row, with a row norm."""
+    (n, d). ``residual``, ``relative_residual`` and ``passes`` work per
+    row, with a row norm."""
 
     tau: np.ndarray
     x_tau: np.ndarray
@@ -259,8 +216,12 @@ class OperatorDecompositionRecord:
         recombined = self.x_tau + np.einsum("nij,nj->ni", self.discount, self.x_prime)
         return np.linalg.norm(self.x_total - recombined, axis=-1)
 
+    @property
+    def relative_residual(self) -> np.ndarray:
+        return self.residual / (1.0 + np.linalg.norm(self.x_total, axis=-1))
+
     def passes(self, rel_tol: float = 1e-9) -> np.ndarray:
-        return self.residual <= rel_tol * (1.0 + np.linalg.norm(self.x_total, axis=-1))
+        return self.relative_residual <= rel_tol
 
 
 def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,
@@ -270,7 +231,7 @@ def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,
     stops on the merged jump times, and X_tau, X' and the total are ragged
     sums over the same jumps (X' over the shifted times t - tau)."""
     disc = model._discounter
-    sources = model.driver.sources()
+    sources = model.driver.sources
 
     def draw(window, k):
         parts = [_poisson_jumps(source, window, k, stream) for source, _ in sources]
@@ -303,7 +264,7 @@ def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
 
     Every stopping rule applies. FirstJumpIn(A) stops at the first jump of
     the driver whose scalar size lies in A; that jump is the row size * u of
-    its source, so for IndependentCoordinates it is the jump's only nonzero
-    coordinate."""
+    its source, so for ``independent_coordinates`` it is the jump's only
+    nonzero coordinate."""
     return OperatorDecompositionRecord(*_by_chunks(
         lambda m, s: _operator_chunk(model, rule, policy.horizon, m, s), n, stream))

@@ -19,7 +19,6 @@ at a = 1 (checked by the CDF identity P(e^{-Exp(a)} <= x) = x^a).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -38,18 +37,9 @@ _MAX_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
-# Affine pair laws
+# Affine pair laws: any object whose sample_pairs(stream, size) returns the
+# (A, B) arrays is one
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConstantAffine:
-    a: float
-    b: float
-
-    def sample_pairs(self, stream: RngStream, size: int):
-        n = int(size)
-        return np.full(n, self.a), np.full(n, self.b)
-
 
 @dataclass(frozen=True)
 class BetaGammaAffine:
@@ -66,17 +56,6 @@ class BetaGammaAffine:
         n = int(size)
         a = stream.uniform(size=n) ** (1.0 / self.shape)
         return a, a * stream.exponential(self.rate, size=n)
-
-
-@dataclass(frozen=True)
-class CustomAffine:
-    """Arbitrary joint sampler; ``sampler(stream, n)`` returns (A, B) arrays."""
-
-    sampler: Callable
-
-    def sample_pairs(self, stream: RngStream, size: int):
-        a, b = self.sampler(stream, int(size))
-        return np.asarray(a, float), np.asarray(b, float)
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,7 @@ from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, simulate_path
-from sdlevy.operator import (IndependentCoordinates, OperatorModel,
+from sdlevy.operator import (OperatorModel, independent_coordinates,
                              operator_decompose_many,
                              sample_operator_integral_many)
 from sdlevy.perpetuity import (BetaGammaAffine, beta_gamma_identity_samples,
@@ -172,7 +172,7 @@ def test_08_operator_factorization():
         LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0)),
         LevyModel(jump_rate=1.0, jump_law=ExponentialJumps(2.0), drift=0.3),
     )
-    model = OperatorModel(q, IndependentCoordinates(coords))
+    model = OperatorModel(q, independent_coordinates(coords))
     stream = RngStream(SEED, stream_id=8)
     s_rec, s_mean = stream.split(2)
 
@@ -187,7 +187,7 @@ def test_08_operator_factorization():
 
     gate_ok = False
     try:
-        OperatorModel(np.diag([1.0, -0.5]), IndependentCoordinates(coords))
+        OperatorModel(np.diag([1.0, -0.5]), independent_coordinates(coords))
     except SpectralGateError:
         gate_ok = True
 

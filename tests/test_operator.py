@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,8 +15,8 @@ from sdlevy.discount import (TruncationPolicy, _poisson_jumps,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
-from sdlevy.operator import (IndependentCoordinates, OperatorModel,
-                             SharedJumpDirection, matrix_exp, operator_decompose_many,
+from sdlevy.operator import (OperatorDriver, OperatorModel, _QDiscounter,
+                             independent_coordinates, operator_decompose_many,
                              sample_operator_integral_many)
 from sdlevy.rng import RngStream
 from sdlevy.stats import ks_two_sample
@@ -29,37 +30,95 @@ def _coord(alpha=2.0, lam=1.0, drift=0.0):
 
 def _model_2d(q=None):
     q = np.diag([1.0, 2.0]) if q is None else np.asarray(q, float)
-    return OperatorModel(q, IndependentCoordinates((_coord(2.0, 1.0),
-                                                    _coord(1.0, 2.0, drift=0.3))))
+    return OperatorModel(q, independent_coordinates((_coord(2.0, 1.0),
+                                                     _coord(1.0, 2.0, drift=0.3))))
+
+
+def _shared(model, u):
+    return OperatorDriver(((model, u),))
+
+
+# The complex-eigenvalue Q of the benchmark's eigen-mode config.
+_ROTATING_Q = [[1.0, -0.5], [0.5, 1.5]]
+
+# One Q per discounter path (diagonal, real eigenvalues, complex eigenvalues,
+# a Jordan block), with the mode it must choose.
+_MODE_QS = [([[1.0, 0.0], [0.0, 2.0]], "eigen"), ([[2.0, 1.0], [0.0, 1.0]], "eigen"),
+            (_ROTATING_Q, "eigen"), ([[1.0, 1.0], [0.0, 1.0]], "dense")]
+
+
+def _discounters():
+    """(Q, discounter) for each entry of _MODE_QS, its mode checked."""
+    out = []
+    for q, mode in _MODE_QS:
+        q = np.asarray(q)
+        disc = _QDiscounter(q)
+        assert disc.mode == mode
+        out.append((q, disc))
+    return out
 
 
 class TestMatrixExp:
+    """The discounter's e^{-tQ} in every mode, against scipy.linalg.expm."""
+
     def test_zero(self):
-        np.testing.assert_array_equal(matrix_exp(np.zeros((3, 3))), np.eye(3))
+        for _, disc in _discounters():
+            np.testing.assert_allclose(disc.matrix(0.0)[0], np.eye(2), rtol=0,
+                                       atol=1e-15)
 
     def test_diagonal(self):
-        m = matrix_exp(np.diag([1.0, -2.0]))
-        np.testing.assert_allclose(np.diagonal(m), [np.e, np.exp(-2.0)], rtol=1e-14)
+        m = _QDiscounter(np.diag([1.0, 2.0])).matrix([0.5, 3.0])
+        for k, t in enumerate([0.5, 3.0]):
+            np.testing.assert_array_equal(m[k], np.diag(np.exp([-t, -2.0 * t])))
 
     def test_inverse_pair(self):
-        rng = np.random.default_rng(7)
-        m = rng.normal(size=(4, 4))
-        np.testing.assert_allclose(matrix_exp(m) @ matrix_exp(-m), np.eye(4),
-                                   atol=1e-8)
+        for _, disc in _discounters():
+            m = disc.matrix([0.7, -0.7])
+            np.testing.assert_allclose(m[0] @ m[1], np.eye(2), rtol=0, atol=1e-12)
+
+    def test_matches_expm(self):
+        times = np.array([0.0, 1e-10, 1e-4, 0.3, 5.0, 40.0])
+        for q, disc in _discounters():
+            got = disc.matrix(times)
+            for k, t in enumerate(times):
+                np.testing.assert_allclose(got[k], scipy.linalg.expm(-t * q), rtol=0,
+                                           atol=1e-12)
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            matrix_exp(np.ones((2, 3)))
-        with pytest.raises(ValueError):
-            matrix_exp(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # OperatorModel refuses a Q whose exponential is undefined
+        driver = independent_coordinates((_coord(), _coord()))
+        with pytest.raises(ValueError, match="square"):
+            OperatorModel(np.ones((2, 3)), driver)
+        with pytest.raises(ValueError, match="finite"):
+            OperatorModel(np.array([[np.nan, 0.0], [0.0, 1.0]]), driver)
 
-    @given(seed=st.integers(0, 2**31), s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0))
+    @given(s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0))
     @settings(max_examples=50, deadline=None)
-    def test_semigroup(self, seed, s, t):
-        m = np.random.default_rng(seed).normal(size=(3, 3))
-        lhs = matrix_exp((s + t) * m)
-        rhs = matrix_exp(s * m) @ matrix_exp(t * m)
-        np.testing.assert_allclose(lhs, rhs, rtol=1e-8, atol=1e-10)
+    def test_semigroup(self, s, t):
+        for _, disc in _discounters():
+            m = disc.matrix([s + t, s, t])
+            np.testing.assert_allclose(m[0], m[1] @ m[2], rtol=0, atol=1e-12)
+
+
+class TestDriftIntegral:
+    @pytest.mark.parametrize("q", [[[1.0, 0.0], [0.0, 2.0]], [[2.0, 1.0], [0.0, 1.0]],
+                                   _ROTATING_Q, [[2.0, 1.0], [0.5, 3.0]]],
+                             ids=["diagonal", "real_eigen", "complex_eigen", "coupled"])
+    def test_matches_block_exponential(self, q):
+        # int_0^t e^{-sQ} b ds is the top-right block of expm([[-Q, b], [0, 0]] t)
+        # (Van Loan 1978); the eigenbasis form must not cancel at small t
+        q = np.asarray(q)
+        b = np.array([0.7, -0.3])
+        disc = _QDiscounter(q)
+        assert disc.mode == "eigen"
+        block = np.zeros((3, 3))
+        block[:2, :2] = -q
+        block[:2, 2] = b
+        times = [1e-10, 1e-8, 1e-4, 0.3, 5.0, 40.0]
+        got = disc.drift_integral(times, b)
+        for k, t in enumerate(times):
+            ref = scipy.linalg.expm(block * t)[:2, 2]
+            assert np.max(np.abs(got[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), t
 
 
 class TestSpectralGate:
@@ -85,17 +144,47 @@ class TestSpectralGate:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            OperatorModel(np.eye(3), IndependentCoordinates((_coord(), _coord())))
+            OperatorModel(np.eye(3), independent_coordinates((_coord(), _coord())))
 
     def test_gaussian_driver_rejected(self):
-        with pytest.raises(ValueError):
-            IndependentCoordinates((LevyModel(gauss_var=1.0),))
+        with pytest.raises(ValueError, match="Gaussian"):
+            independent_coordinates((LevyModel(gauss_var=1.0),))
+        with pytest.raises(ValueError, match="Gaussian"):
+            _shared(LevyModel(gauss_var=1.0), (1.0, 0.0))
+
+    def test_driver_sources_validated(self):
+        with pytest.raises(ValueError, match="at least one"):
+            OperatorDriver(())
+        with pytest.raises(ValueError, match="at least one"):
+            independent_coordinates(())
+        bad = [
+            ((_coord(), (1.0, 0.0)), (_coord(), (1.0, 0.0, 0.0))),  # unequal lengths
+            ((_coord(), (1.0, np.nan)),),
+            ((_coord(), (np.inf, 0.0)),),
+            ((_coord(), ()),),
+            ((_coord(), ((1.0, 0.0),)),),  # not 1-d
+        ]
+        for sources in bad:
+            with pytest.raises(ValueError, match="directions"):
+                OperatorDriver(sources)
+
+    def test_driver_sums_its_sources(self):
+        coords = independent_coordinates((_coord(2.0, 1.0, drift=0.1),
+                                          _coord(1.0, 2.0, drift=0.3)))
+        assert coords.dimension == 2
+        np.testing.assert_array_equal(coords.drift_vector(), [0.1, 0.3])
+        np.testing.assert_array_equal(coords.mean_unit_increment(), [2.1, 0.8])
+        shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
+        assert shared.dimension == 2
+        np.testing.assert_array_equal(shared.drift_vector(), [0.2, -0.1])
+        np.testing.assert_allclose(shared.mean_unit_increment(), [2.2, -1.1],
+                                   rtol=1e-15)
 
 
 class TestScalarConsistency:
     def test_d1_bit_identical_to_scalar(self):
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.5)
-        op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
+        op = OperatorModel(np.array([[1.0]]), independent_coordinates((model,)))
         x_op = sample_operator_integral_many(op, POLICY, 2000, RngStream(99))
         x_sc = sample_discounted_integral_many(model, POLICY, 2000, RngStream(99))
         assert x_op.shape == (2000, 1)
@@ -111,7 +200,7 @@ class TestScalarConsistency:
         # block of length T holds about 80 jumps, so KthJump(170) always
         # takes more than two blocks.
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
-        op = OperatorModel(np.array([[1.0]]), IndependentCoordinates((model,)))
+        op = OperatorModel(np.array([[1.0]]), independent_coordinates((model,)))
         o = operator_decompose_many(op, rule, POLICY, 300, RngStream(2024))
         s = decompose_many(model, rule, POLICY, 300, RngStream(2024))
         assert np.array_equal(o.tau, s.tau)
@@ -125,8 +214,8 @@ class TestScalarConsistency:
         # law of a scalar discounted integral at jump rate alpha / c
         c, alpha, lam = 2.0, 3.0, 1.0
         op = OperatorModel(c * np.eye(2),
-                           IndependentCoordinates((_coord(alpha, lam),
-                                                   _coord(alpha, lam))))
+                           independent_coordinates((_coord(alpha, lam),
+                                                    _coord(alpha, lam))))
         draws = sample_operator_integral_many(op, POLICY, 30_000, make_stream())
         scalar = sample_discounted_integral_many(
             LevyModel(jump_rate=alpha / c, jump_law=ExponentialJumps(lam)),
@@ -153,7 +242,7 @@ class TestMeanIdentity:
         assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 3.0 * se)
 
     def test_shared_direction_driver(self, make_stream):
-        driver = SharedJumpDirection(_coord(2.0, 1.0), (1.0, -0.5))
+        driver = _shared(_coord(2.0, 1.0), (1.0, -0.5))
         model = OperatorModel(np.diag([1.0, 2.0]), driver)
         draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
@@ -197,7 +286,7 @@ class TestOperatorDecomposition:
         # A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
         rule = FirstJumpIn(JumpSet("ge", 1.0))
         coords_rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
-        shared = SharedJumpDirection(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
+        shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
         cases = [(_model_2d(), coords_rate), (_model_2d(_ROTATING_Q), coords_rate),
                  (OperatorModel(np.diag([1.0, 2.0]), shared), 2.0 * math.exp(-1.0))]
         for model, rate in cases:
@@ -205,10 +294,6 @@ class TestOperatorDecomposition:
             assert records.passes(1e-9).all()
             ref = ExponentialJumps(rate).sample(make_stream(), 5_000)
             assert ks_two_sample(records.tau, ref)[2]
-
-
-# The complex-eigenvalue Q of the benchmark's eigen-mode config.
-_ROTATING_Q = [[1.0, -0.5], [0.5, 1.5]]
 
 
 class TestRaggedSum:
@@ -229,7 +314,7 @@ class TestRaggedSum:
         got = disc.ragged_sum(owner, times, sizes, u, 40)
         ref = np.zeros((40, 2))
         for i, t, s in zip(owner, times, sizes):
-            ref[i] += matrix_exp(-t * np.asarray(q)) @ u * s
+            ref[i] += scipy.linalg.expm(-t * np.asarray(q)) @ u * s
         scale = np.linalg.norm(ref, axis=1)
         assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
 
@@ -237,21 +322,22 @@ class TestRaggedSum:
         # column j is the per-jump sum of e^{-q_j t} u_j * size, row by row
         model = _model_2d()
         disc = model._discounter
-        for j, (coord, u) in enumerate(model.driver.sources()):
+        assert disc.mode == "eigen"
+        for j, (coord, u) in enumerate(model.driver.sources):
             driftless = LevyModel(jump_rate=coord.jump_rate, jump_law=coord.jump_law)
             owner, times, sizes = _poisson_jumps(driftless, POLICY.horizon, 500,
                                                  RngStream(5, j))
             got = disc.ragged_sum(owner, times, sizes, u, 500)
             ref = np.zeros(500)
             for i, t, size in zip(owner, times, sizes):
-                ref[i] += math.exp(-disc.diag[j] * t) * u[j] * size
+                ref[i] += math.exp(-model.q[j, j] * t) * u[j] * size
             assert np.all(np.abs(got[:, j] - ref) <= 1e-14 * np.abs(ref))
             assert not np.any(got[:, 1 - j])
 
 
 class TestOperatorRecordsEngine:
     def test_shared_direction_records(self, make_stream):
-        driver = SharedJumpDirection(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
+        driver = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
         model = OperatorModel(np.array([[2.0, 1.0], [0.5, 3.0]]), driver)
         records = operator_decompose_many(model, FirstJump(), POLICY, 3_000,
                                           make_stream())
