@@ -20,7 +20,7 @@ from .operator import (OperatorDecompositionRecord, OperatorDriver, OperatorMode
 from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                          beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
                          sample_backward_series_many, selfdecomposable_as_perpetuity)
-from .rng import GammaParams, RngStream, sample_gamma, sample_poisson_arrivals
+from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, ecf_distance, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample,
                     normal_cf)

@@ -318,9 +318,10 @@ _EXPERIMENTS = {
     "verify-prop1": (_object({"alphas": {"type": "array", "items": _POSITIVE,
                                          "minItems": 1},
                               "lam": _POSITIVE}), _run_prop1),
-    "perpetuity-iterate": (_object(
-        {"driver": {"enum": ["gamma", "gaussian"]}},
-        {**_GAMMA, "sigma2": _POSITIVE, "n_steps": {"type": "integer", "minimum": 1}}),
+    "perpetuity-iterate": ({"oneOf": [
+        _object({"driver": {"const": driver}},
+                {**fields, "n_steps": {"type": "integer", "minimum": 1}})
+        for driver, fields in (("gamma", _GAMMA), ("gaussian", {"sigma2": _POSITIVE}))]},
         _run_perpetuity),
     "operator-decompose": (_object(
         {"q": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},

@@ -23,10 +23,10 @@ from typing import Union
 
 import numpy as np
 
-from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
+from .discount import TruncationPolicy, _sum_by_path
 from .errors import InsufficientHorizonError
 # simulate_path stays bound here: perfbench/tests/test_bench_tracer.py reads it.
-from .levy import JumpPath, JumpSet, LevyModel, simulate_path  # noqa: F401
+from .levy import JumpPath, JumpSet, LevyModel, _poisson_jumps, simulate_path  # noqa: F401
 from .rng import RngStream
 
 # Path-dependent rules are looked for on (0, _REACH * T], in blocks of length T.

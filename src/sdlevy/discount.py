@@ -1,11 +1,13 @@
 """The discounted random integral int_(0,t] e^{-s} dY(s) and its
 infinite-horizon limit.
 
-Two independent evaluators are provided on purpose: the direct jump-sum
-form and the integration-by-parts form. Their agreement on every path is
-itself a test. Truncating the horizon at T leaves a tail distributed as
-e^{-T} times an independent copy of the full integral, so the truncation
-error is a known multiplicative contraction.
+Two independent evaluators of a path object are provided on purpose: the
+direct jump-sum form and the integration-by-parts form. Their agreement on
+every path is itself a test. The batch sampler draws its jumps from
+``levy._poisson_jumps``, the generator that also builds path objects, and
+sums them without a path object. Truncating the horizon at T leaves a tail
+distributed as e^{-T} times an independent copy of the full integral, so
+the truncation error is a known multiplicative contraction.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import JumpPath, LevyModel
+from .levy import JumpPath, LevyModel, _poisson_jumps
 from .rng import RngStream
 
 
@@ -59,26 +61,6 @@ def eval_by_parts(path: JumpPath, t: float) -> float:
     return math.exp(-t) * y_t + integral
 
 
-def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
-    """The jumps of n independent compound Poisson paths on (0, w_i], with
-    w a scalar or one window per path, as ragged arrays: the path each jump
-    belongs to (grouped in path order), its time and its size.
-
-    Given the Poisson count, a path's jump times are laid down as uniform
-    order statistics and left unsorted: every sum over a path's jumps is
-    exchangeable in them. Variates are drawn in the order Poisson counts,
-    uniform times, jump sizes; a jump-free model draws nothing.
-    """
-    if model.jump_rate <= 0:
-        return np.empty(0, np.intp), np.empty(0), np.empty(0)
-    counts = stream.poisson(model.jump_rate * window, size=n)
-    owner = np.repeat(np.arange(n), counts)
-    times = stream.uniform(size=owner.size) * (
-        window[owner] if np.ndim(window) else window)
-    sizes = model.jump_law.sample(stream, size=owner.size)
-    return owner, times, sizes
-
-
 def _sum_by_path(owner, weights, n: int) -> np.ndarray:
     """Per-path sums of ragged weights, as floats even when there are none
     (``bincount`` of an empty array returns integers)."""
@@ -89,8 +71,8 @@ def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.n
     """For each of n independent paths, int_(0,w] e^{-s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
-    The jumps come from ``_poisson_jumps``; the normals of the Gaussian part
-    are drawn after them.
+    The jumps come from ``levy._poisson_jumps``; the normals of the
+    Gaussian part are drawn after them.
     """
     owner, times, sizes = _poisson_jumps(model, window, n, stream)
     out = _sum_by_path(owner, np.exp(-times) * sizes, n)

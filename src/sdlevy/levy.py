@@ -1,11 +1,15 @@
 """Levy models (compound Poisson jumps, drift and an optional Gaussian
-component) and finite-horizon jump + drift trajectories, with the shift and
-thin operations the discounted-integral constructions need.
+component), the one compound Poisson generator ``_poisson_jumps``, and
+finite-horizon jump + drift trajectories, with the shift and thin operations
+the discounted-integral constructions need.
 
-Path objects have no Gaussian part: ``simulate_path`` refuses a model with
-one, and the batch samplers in ``discount`` and ``decomposition`` draw it
-exactly, as normals. Path objects are the independent reference route for
-the evaluators and the stopping rules.
+``_poisson_jumps`` draws the jumps of n paths as ragged arrays for every
+sampler in ``discount``, ``decomposition`` and ``operator``;
+``simulate_path`` is its n = 1 draw, sorted in time. Path objects have no
+Gaussian part: ``simulate_path`` refuses a model with one, and the batch
+samplers draw it exactly, as normals. Path objects are the reference route
+for the evaluators and the stopping rules: they share the generator with
+the batch engine, but not its stopping or evaluation code.
 
 Only finite-activity jumps are supported: every identity exercised here
 lives in the compound Poisson world, and infinite-activity measures would
@@ -20,7 +24,7 @@ from typing import Union
 
 import numpy as np
 
-from .rng import GammaParams, RngStream, sample_gamma, sample_poisson_arrivals
+from .rng import GammaParams, RngStream, sample_gamma
 
 
 # ---------------------------------------------------------------------------
@@ -237,20 +241,37 @@ class JumpPath:
         return self.drift * t + float(np.sum(self.jump_sizes[:idx]))
 
 
+def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
+    """The jumps of n independent compound Poisson paths on (0, w_i], with
+    w a scalar or one window per path, as ragged arrays: the path each jump
+    belongs to (grouped in path order), its time and its size.
+
+    Given the Poisson count, a path's jump times are laid down as uniform
+    order statistics and left unsorted: every sum over a path's jumps is
+    exchangeable in them. Variates are drawn in the order Poisson counts,
+    uniform times, jump sizes; a jump-free model draws nothing.
+    """
+    if model.jump_rate <= 0:
+        return np.empty(0, np.intp), np.empty(0), np.empty(0)
+    counts = stream.poisson(model.jump_rate * window, size=n)
+    owner = np.repeat(np.arange(n), counts)
+    times = stream.uniform(size=owner.size) * (
+        window[owner] if np.ndim(window) else window)
+    sizes = model.jump_law.sample(stream, size=owner.size)
+    return owner, times, sizes
+
+
 def simulate_path(model: LevyModel, horizon: float, stream: RngStream) -> JumpPath:
-    """Simulate one trajectory of ``model`` on (0, horizon]; a model with a
-    Gaussian part is refused, since path objects carry none."""
+    """One trajectory of ``model`` on (0, horizon]: the n = 1 draw of
+    ``_poisson_jumps``, sorted in time. A model with a Gaussian part is
+    refused, since path objects carry none."""
     if not (horizon > 0):
         raise ValueError(f"horizon must be positive, got {horizon}")
     if model.gauss_var > 0:
         raise ValueError("path objects have no Gaussian part; use the batch samplers")
-    if model.jump_rate > 0:
-        times = sample_poisson_arrivals(model.jump_rate, horizon, stream)
-        sizes = model.jump_law.sample(stream, size=times.size)
-    else:
-        times = np.empty(0)
-        sizes = np.empty(0)
-    return JumpPath(horizon, times, sizes, drift=model.drift)
+    _, times, sizes = _poisson_jumps(model, horizon, 1, stream)
+    order = np.argsort(times)
+    return JumpPath(horizon, times[order], sizes[order], drift=model.drift)
 
 
 def shift_path(path: JumpPath, tau: float) -> JumpPath:

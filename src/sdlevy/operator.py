@@ -11,7 +11,7 @@ An ``OperatorDriver`` is a tuple of independent scalar jump sources, each
 pushed along a fixed direction: one per coordinate
 (``independent_coordinates``), or one shared. Integrals and records run on
 the ragged batch engine of ``decomposition``: each source's jumps are one
-ragged batch from ``discount._poisson_jumps``, and ``_QDiscounter`` sums
+ragged batch from ``levy._poisson_jumps``, and ``_QDiscounter`` sums
 e^{-tQ} u*size over them per row, in the eigenbasis of Q when Q is
 diagonalizable (a diagonal Q has V = I) and by expm otherwise. The scalar
 case is d = 1. Records take every stopping rule of ``decomposition``;
@@ -26,11 +26,11 @@ import numpy as np
 import scipy.linalg
 
 from .decomposition import StoppingRule, _by_chunks, _stopped_jumps
-from .discount import TruncationPolicy, _poisson_jumps, _sum_by_path
+from .discount import TruncationPolicy, _sum_by_path
 from .errors import SpectralGateError
 # simulate_path stays bound here: perfbench/tests/test_bench_tracer.py::
 # test_instrument_sdlevy_rebinds_from_imports_and_restores_all reads it.
-from .levy import simulate_path  # noqa: F401
+from .levy import _poisson_jumps, simulate_path  # noqa: F401
 from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
@@ -123,13 +123,18 @@ class _QDiscounter:
 
     def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
         """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
-        time in t; in the eigenbasis mode -expm1(-t w_k) / w_k per mode, so
-        small t does not cancel."""
+        time in t, in a form that does not cancel at small t: in the
+        eigenbasis mode -expm1(-t w_k) / w_k per mode, and in the dense mode
+        the top-right block of expm([[-Q, drift], [0, 0]] t) (Van Loan 1978)."""
         t = np.atleast_1d(np.asarray(t, float))
         if self.mode == "eigen":
             c = self.vinv @ drift
             return ((c * -np.expm1(-t[:, None] * self.w) / self.w) @ self.v.T).real
-        return np.linalg.solve(self.q, (drift - self.matrix(t) @ drift).T).T
+        d = len(self.q)
+        block = np.zeros((d + 1, d + 1))
+        block[:d, :d] = -self.q
+        block[:d, d] = drift
+        return scipy.linalg.expm(t[:, None, None] * block)[:, :d, d]
 
     def matrix(self, t) -> np.ndarray:
         """e^{-tQ} for each time in t, as an (n, d, d) array."""
@@ -186,6 +191,8 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     for diagonal Q coordinate i is the scalar batch at rate Q_ii, draw for
     draw.
     """
+    if n < 1:
+        raise ValueError("n must be at least 1")
     disc = model._discounter
     T = policy.horizon
     out = np.zeros((n, model.dimension))

@@ -1,4 +1,4 @@
-"""Deterministic, splittable random streams and elementary samplers.
+"""Deterministic, splittable random streams and the gamma sampler.
 
 Streams are counter-based (Philox), so the raw draws are a pure function of
 ``(seed, stream_id)``, the same on every machine and however work is
@@ -99,14 +99,6 @@ class GammaParams:
         if not (self.rate > 0 and np.isfinite(self.rate)):
             raise ValueError(f"rate must be a positive real, got {self.rate}")
 
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-    @property
-    def variance(self) -> float:
-        return self.shape / self.rate**2
-
 
 def _marsaglia_tsang(shape: float, stream: RngStream, n: int) -> np.ndarray:
     # Rejection sampler for shape >= 1 (Marsaglia & Tsang squeeze).
@@ -139,26 +131,3 @@ def sample_gamma(params: GammaParams, stream: RngStream, size: int) -> np.ndarra
     if boost:
         out = out * stream.uniform(size=n) ** (1.0 / params.shape)
     return out / params.rate
-
-
-def sample_poisson_arrivals(rate: float, horizon: float, stream: RngStream) -> np.ndarray:
-    """Arrival times of a Poisson process of intensity ``rate`` on (0, horizon].
-
-    Gaps are i.i.d. Exp(rate); the returned times are strictly increasing.
-    """
-    if not (rate > 0):
-        raise ValueError(f"rate must be positive, got {rate}")
-    if not (horizon > 0):
-        raise ValueError(f"horizon must be positive, got {horizon}")
-    expected = rate * horizon
-    chunk = max(16, int(expected + 6.0 * np.sqrt(expected)) + 1)
-    times = np.empty(0)
-    last = 0.0
-    while True:
-        gaps = stream.exponential(rate, size=chunk)
-        seg = last + np.cumsum(gaps)
-        times = np.concatenate([times, seg])
-        last = float(times[-1])
-        if last > horizon:
-            break
-    return times[times <= horizon]

@@ -110,6 +110,18 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(doc)
 
+    def test_perpetuity_fields_of_the_other_driver_rejected(self, tmp_path):
+        # each driver takes only its own fields: an alpha on the gaussian
+        # driver or a sigma2 on the gamma driver is never silently dropped
+        for params in ({"driver": "gaussian", "alpha": 3.0},
+                       {"driver": "gamma", "sigma2": 4.0}):
+            doc = _config("perpetuity-iterate", params)
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+            assert main(["run", "--config", str(path),
+                         "--out-dir", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_n_samples_floor(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
         doc["n_samples"] = 50

@@ -8,11 +8,12 @@ from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
                                   _stopped_jumps, decompose, decompose_many,
                                   evaluate_stopping, first_value_identity,
                                   restricted_jump_identity)
-from sdlevy.discount import (TruncationPolicy, _poisson_jumps, eval_by_parts, eval_jump_sum,
+from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import InsufficientHorizonError
 from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, JumpSet,
-                         LevyModel, simulate_path, thin_path)
+                         LevyModel, _poisson_jumps, shift_path, simulate_path,
+                         thin_path)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import independence_diagnostic, independence_pass_band, ks_two_sample
 
@@ -182,10 +183,10 @@ class TestBatchEngine:
     def test_records_match_path_objects(self, rule):
         # rebuild each record of the pure-jump model from the engine's
         # arrays as a sorted path object: the reference route re-finds tau
-        # bit for bit and the by-parts evaluator matches X_tau, the total
-        # and the identities' X_tau and total (the restricted ones after
-        # thinning); the records and the identities draw from the same
-        # chunk stream
+        # bit for bit and the by-parts evaluator matches X_tau, X' (on the
+        # path shifted by tau), the total and the identities' X_tau and
+        # total (the restricted ones after thinning); the records and the
+        # identities draw from the same chunk stream
         m, T, seed = 50, POLICY.horizon, 77
         model = _gamma_model()
         child = RngStream(seed).split(1)[0]
@@ -206,6 +207,8 @@ class TestBatchEngine:
             for got, t in ((rec.x_tau[i], tau[i]), (rec.x_total[i], tau[i] + T)):
                 ref = eval_by_parts(path, t)
                 assert abs(got - ref) <= 1e-12 * abs(ref)
+            ref = eval_by_parts(shift_path(path, tau[i]), T)
+            assert abs(rec.x_prime[i] - ref) <= 1e-12 * abs(ref)
             if identity is not None:
                 kept = path if isinstance(rule, FirstJump) else thin_path(path, rule.jump_set)[0]
                 assert identity.tau[i] == tau[i]

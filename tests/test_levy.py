@@ -55,13 +55,16 @@ class TestPathValues:
         assert p.value_left(1.0) == pytest.approx(0.5)    # and excluded on the left
         assert p.value(10.0) == pytest.approx(5.0 + 1.0)
 
-    def test_path_validation(self):
+    def test_path_validation(self, make_stream):
         with pytest.raises(ValueError):
             JumpPath(1.0, np.array([0.5, 0.5]), np.array([1.0, 1.0]))
         with pytest.raises(ValueError):
             JumpPath(1.0, np.array([2.0]), np.array([1.0]))  # beyond horizon
         with pytest.raises(ValueError):
             JumpPath(1.0, np.array([0.0]), np.array([1.0]))  # jump at t = 0
+        for horizon in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                simulate_path(_exp_model(), horizon, make_stream())
 
     def test_value_decomposes_exactly(self, make_stream):
         model = LevyModel(jump_rate=3.0, jump_law=ExponentialJumps(1.0), drift=-0.7)

@@ -11,10 +11,9 @@ from hypothesis import strategies as st
 
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump, decompose_many)
-from sdlevy.discount import (TruncationPolicy, _poisson_jumps,
-                             sample_discounted_integral_many)
+from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import SpectralGateError
-from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
+from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, _poisson_jumps
 from sdlevy.operator import (OperatorDriver, OperatorModel, _QDiscounter,
                              independent_coordinates, operator_decompose_many,
                              sample_operator_integral_many)
@@ -118,6 +117,22 @@ class TestDriftIntegral:
         got = disc.drift_integral(times, b)
         for k, t in enumerate(times):
             ref = scipy.linalg.expm(block * t)[:2, 2]
+            assert np.max(np.abs(got[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), t
+
+    def test_dense_matches_taylor_series(self):
+        # the Jordan block runs in the dense mode; at small t the integral is
+        # sum_k (-Q)^k b t^{k+1} / (k+1)!, and six terms are exact in double
+        # precision for t <= 1e-4, where the form Q^{-1}(b - e^{-tQ} b) cancels
+        q = np.array([[1.0, 1.0], [0.0, 1.0]])
+        b = np.array([0.7, -0.3])
+        disc = _QDiscounter(q)
+        assert disc.mode == "dense"
+        times = [1e-10, 1e-8, 1e-4]
+        got = disc.drift_integral(times, b)
+        for k, t in enumerate(times):
+            terms = [np.linalg.matrix_power(-q, j) @ b * t ** (j + 1) / math.factorial(j + 1)
+                     for j in range(6)]
+            ref = np.sum(terms, axis=0)
             assert np.max(np.abs(got[k] - ref)) <= 1e-12 * np.max(np.abs(ref)), t
 
 
@@ -247,6 +262,11 @@ class TestMeanIdentity:
         draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 4.0 * se)
+
+    def test_n_validated(self, make_stream):
+        for n in (0, -1):
+            with pytest.raises(ValueError, match="n must be at least 1"):
+                sample_operator_integral_many(_model_2d(), POLICY, n, make_stream())
 
 
 class TestOperatorDecomposition:

@@ -1,14 +1,12 @@
-"""Stream determinism and the elementary samplers, checked against
+"""Stream determinism, uniform draws and the gamma sampler, checked against
 independent oracles (quadrature moments, scipy CDF inversion)."""
 
 import numpy as np
 import pytest
 import scipy.integrate
 import scipy.stats
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from sdlevy.rng import GammaParams, RngStream, sample_gamma, sample_poisson_arrivals
+from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import ks_two_sample
 
 
@@ -103,36 +101,3 @@ class TestGamma:
         a = sample_gamma(GammaParams(2.0, 3.0), s1, size=100_000)
         b = sample_gamma(GammaParams(2.0, 1.0), s2, size=100_000) / 3.0
         assert ks_two_sample(a, b)[2]
-
-
-class TestPoissonArrivals:
-    def test_preconditions(self, make_stream):
-        with pytest.raises(ValueError):
-            sample_poisson_arrivals(0.0, 1.0, make_stream())
-        with pytest.raises(ValueError):
-            sample_poisson_arrivals(1.0, 0.0, make_stream())
-        with pytest.raises(ValueError):
-            sample_poisson_arrivals(-1.0, 1.0, make_stream())
-
-    def test_mean_count(self, make_stream):
-        stream = make_stream()
-        counts = [sample_poisson_arrivals(1.0, 10.0, s).size
-                  for s in stream.split(100_000)]
-        # count per path is Poisson(10); SE of the mean is 0.01
-        assert abs(np.mean(counts) - 10.0) < 0.03
-
-    def test_third_arrival_is_gamma(self, make_stream):
-        stream = make_stream()
-        taus = np.array([sample_poisson_arrivals(2.0, 15.0, s)[2]
-                         for s in stream.split(100_000)])
-        ref = sample_gamma(GammaParams(3.0, 2.0), make_stream(), size=100_000)
-        assert ks_two_sample(taus, ref)[2]
-
-    @given(rate=st.floats(0.1, 20.0), horizon=st.floats(0.1, 30.0),
-           seed=st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None)
-    def test_times_strictly_increasing_within_horizon(self, rate, horizon, seed):
-        t = sample_poisson_arrivals(rate, horizon, RngStream(seed))
-        assert np.all(t > 0.0) and np.all(t <= horizon)
-        if t.size > 1:
-            assert np.all(np.diff(t) > 0.0)
