@@ -7,10 +7,14 @@ schema-validated before any computation and unknown fields are rejected.
 Each experiment is declared once in ``_EXPERIMENTS`` (its params schema and
 its runner), and each stopping rule once in ``_RULES`` (its fields and its
 constructor); the schemas are built from these tables.
+
+A runner returns StatReports and named boolean gates, and decides no
+verdict: ``ExperimentResult.verdict`` passes iff every report passes and
+every gate holds. A pathwise gate reads its record class's ``TOLERANCE``.
 Each run writes four artifacts to the output directory:
 
   samples.csv  raw sample columns at full double precision
-  report.json  StatReports, extras, verdict, seed and config fingerprint
+  report.json  StatReports, extras and gates, verdict, seed, config fingerprint
   cdf.csv      empirical CDF pairs of the primary sample pair, plot-ready
   ecf.csv      characteristic-function grid (empirical vs reference)
 
@@ -70,8 +74,19 @@ _RULES = {
         {"rate": _POSITIVE}, lambda rate: dec.IndependentRandomTime(ExponentialJumps(rate))),
 }
 
-_RULE_SCHEMA = {"oneOf": [_object({"kind": {"const": kind}, **fields})
-                          for kind, (fields, _) in _RULES.items()]}
+
+def _tagged(tag: str, branches: dict) -> dict:
+    """The schema of an object whose ``tag`` field, checked by an enum, picks
+    one of ``branches`` (tag value -> (required, optional) fields) by if/then,
+    so that a violation is reported against the picked branch's fields."""
+    return {"type": "object", "required": [tag],
+            "properties": {tag: {"enum": list(branches)}},
+            "allOf": [{"if": {"properties": {tag: {"const": name}}},
+                       "then": _object({tag: {}, **required}, optional)}
+                      for name, (required, optional) in branches.items()]}
+
+
+_RULE_SCHEMA = _tagged("kind", {kind: (fields, None) for kind, (fields, _) in _RULES.items()})
 
 
 def _parse_rule(doc: dict) -> dec.StoppingRule:
@@ -85,12 +100,21 @@ def _parse_rule(doc: dict) -> dec.StoppingRule:
 
 @dataclass
 class ExperimentResult:
-    verdict: bool
     reports: list[StatReport] = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    gates: dict[str, bool] = field(default_factory=dict)
+    extras: dict = field(default_factory=dict)       # reported, not gated
     samples: dict = field(default_factory=dict)      # name -> 1-d array
     primary: tuple | None = None                     # (a, b) for cdf.csv
     ref_cf: Callable | None = None
+
+    @property
+    def verdict(self) -> bool:
+        return all(r.verdict for r in self.reports) and all(self.gates.values())
+
+
+def _pathwise(rec) -> tuple[float, bool]:
+    """(largest relative residual, every record within its class's TOLERANCE)."""
+    return float(rec.relative_residual.max()), bool(rec.passes().all())
 
 
 def _gamma_model(alpha: float, lam: float) -> LevyModel:
@@ -105,7 +129,7 @@ def _run_gamma_bdlp(params, n, policy, stream) -> ExperimentResult:
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     report = compare_samples("gamma_bdlp_vs_direct", integ, direct)
     return ExperimentResult(
-        verdict=report.verdict, reports=[report],
+        reports=[report],
         samples={"discounted_integral": integ, "direct_gamma": direct},
         primary=(integ, direct), ref_cf=gamma_cf(alpha, lam),
     )
@@ -122,19 +146,16 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
     band = independence_pass_band(n)
     d1 = independence_diagnostic(rec.x_tau, rec.x_prime)
     d2 = independence_diagnostic(rec.discount, rec.x_prime)
-    extras = {
-        "independence_x_tau_x_prime": d1,
-        "independence_discount_x_prime": d2,
-        "independence_band": band,
-        "independence_pass": bool(d1 <= band and d2 <= band),
-        "max_relative_residual": float(rec.relative_residual.max()),
-    }
-    verdict = r_total.verdict and r_prime.verdict and extras["independence_pass"]
+    max_rel, pathwise_ok = _pathwise(rec)
     return ExperimentResult(
-        verdict=verdict, reports=[r_total, r_prime], extras=extras,
-        samples={"tau": rec.tau, "x_tau": rec.x_tau, "discount": rec.discount,
-                 "x_prime": rec.x_prime, "x_total": rec.x_total},
-        primary=(rec.x_total, direct), ref_cf=gamma_cf(alpha, lam),
+        reports=[r_total, r_prime],
+        gates={"independence_pass": bool(d1 <= band and d2 <= band),
+               "pathwise_pass": pathwise_ok},
+        extras={"independence_x_tau_x_prime": d1,
+                "independence_discount_x_prime": d2,
+                "independence_band": band,
+                "max_relative_residual": max_rel},
+        samples=vars(rec), primary=(rec.x_total, direct), ref_cf=gamma_cf(alpha, lam),
     )
 
 
@@ -142,15 +163,12 @@ def _run_corollary2(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(params["alpha"], params["lam"])
     rule = _parse_rule(params["rule"])
     rec = dec.decompose_many(model, rule, policy, n, stream)
-    rel = rec.relative_residual
-    verdict = bool(np.all(rel <= 1e-10))
+    max_rel, pathwise_ok = _pathwise(rec)
     return ExperimentResult(
-        verdict=verdict,
-        extras={"max_relative_residual": float(rel.max()),
-                "residual_tolerance": 1e-10, "n_records": int(rec.tau.size)},
-        samples={"tau": rec.tau, "x_tau": rec.x_tau, "discount": rec.discount,
-                 "x_prime": rec.x_prime, "x_total": rec.x_total,
-                 "residual": rec.residual},
+        gates={"pathwise_pass": pathwise_ok},
+        extras={"max_relative_residual": max_rel, "residual_tolerance": rec.TOLERANCE,
+                "n_records": int(rec.tau.size)},
+        samples={**vars(rec), "residual": rec.residual},
         primary=(rec.x_total, rec.x_prime),
     )
 
@@ -166,19 +184,15 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     report = compare_samples("first_value_lhs_vs_direct", first.x_total, direct)
     band = independence_pass_band(n)
     diag = independence_diagnostic(first.discount, first.x_prime)
-    rel1 = float(np.max(first.relative_residual))
-    rel2 = float(np.max(restricted.relative_residual))
-    extras = {
-        "max_relative_residual_first_value": rel1,
-        "max_relative_residual_restricted": rel2,
-        "independence_discount_shifted": diag,
-        "independence_band": band,
-        "pathwise_pass": bool(rel1 <= 1e-10 and rel2 <= 1e-10),
-        "independence_pass": bool(diag <= band),
-    }
-    verdict = report.verdict and extras["pathwise_pass"] and extras["independence_pass"]
+    rel1, ok1 = _pathwise(first)
+    rel2, ok2 = _pathwise(restricted)
     return ExperimentResult(
-        verdict=verdict, reports=[report], extras=extras,
+        reports=[report],
+        gates={"pathwise_pass": ok1 and ok2, "independence_pass": bool(diag <= band)},
+        extras={"max_relative_residual_first_value": rel1,
+                "max_relative_residual_restricted": rel2,
+                "independence_discount_shifted": diag,
+                "independence_band": band},
         samples={"lhs": first.x_total,
                  "rhs": first.x_tau + first.discount * first.x_prime,
                  "restricted_lhs": restricted.x_total,
@@ -189,9 +203,7 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
 
 def _run_prop1(params, n, policy, stream) -> ExperimentResult:
     lam = params["lam"]
-    reports = []
-    samples = {}
-    primary = None
+    reports, samples, primary = [], {}, None
     for alpha in params["alphas"]:
         s_bg, s_fac, s_ref = stream.split(3)
         lhs, rhs = beta_gamma_identity_samples(alpha, lam, n, s_bg)
@@ -205,9 +217,7 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
         samples[f"factor_form_{alpha:g}"] = factor
         if primary is None:
             primary = (lhs, rhs)
-    verdict = all(r.verdict for r in reports)
-    return ExperimentResult(verdict=verdict, reports=reports,
-                            samples=samples, primary=primary)
+    return ExperimentResult(reports=reports, samples=samples, primary=primary)
 
 
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
@@ -219,11 +229,11 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     reports = [selfdecomposable_as_perpetuity(model, policy, n, s_perp,
                                               n_steps=params.get("n_steps", 200))]
     if not gamma:
-        return ExperimentResult(verdict=reports[0].verdict, reports=reports)
+        return ExperimentResult(reports=reports)
     series = sample_backward_series_many(BetaGammaAffine(alpha, lam), 1e-12, n, s_series)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     reports.append(compare_samples("backward_series_vs_direct", series, direct))
-    return ExperimentResult(verdict=all(r.verdict for r in reports), reports=reports,
+    return ExperimentResult(reports=reports,
                             samples={"backward_series": series, "direct_gamma": direct},
                             primary=(series, direct), ref_cf=gamma_cf(alpha, lam))
 
@@ -241,12 +251,10 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
     n_records = params.get("n_records", 2000)
     s_rec, s_mean = stream.split(2)
     rec = operator_decompose_many(model, rule, policy, n_records, s_rec)
-    rel = rec.relative_residual
+    max_rel, pathwise_ok = _pathwise(rec)
     draws = sample_operator_integral_many(model, policy, n, s_mean)
-    target = model.mean_integral()
     se = draws.std(axis=0) / np.sqrt(n)
-    mean_gap = np.abs(draws.mean(axis=0) - target)
-    mean_ok = bool(np.all(mean_gap <= 3.0 * se))
+    mean_gap = np.abs(draws.mean(axis=0) - model.mean_integral())
     # Spectral gate negative control: a singular Q must be rejected.
     try:
         OperatorModel(np.zeros_like(q), independent_coordinates(models))
@@ -258,22 +266,16 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
         compare_samples(f"x_total_coord{i}_vs_integral", x_total[:, i], draws[:n_records, i])
         for i in range(model.dimension)
     ]
-    extras = {
-        "max_relative_residual": float(rel.max()),
-        "residual_tolerance": 1e-9,
-        "pathwise_pass": bool(np.all(rel <= 1e-9)),
-        "mean_identity_pass": mean_ok,
-        "mean_gap": mean_gap.tolist(),
-        "mean_band_3se": (3.0 * se).tolist(),
-        "spectral_gate_rejects_singular": gate_ok,
-    }
-    verdict = (extras["pathwise_pass"] and mean_ok and gate_ok
-               and all(r.verdict for r in reports))
     samples = {f"x_total_{i}": x_total[:, i] for i in range(model.dimension)}
     samples.update({f"integral_{i}": draws[:, i] for i in range(model.dimension)})
-    return ExperimentResult(verdict=verdict, reports=reports, extras=extras,
-                            samples=samples,
-                            primary=(x_total[:, 0], draws[:n_records, 0]))
+    return ExperimentResult(
+        reports=reports,
+        gates={"pathwise_pass": pathwise_ok,
+               "mean_identity_pass": bool(np.all(mean_gap <= 3.0 * se)),
+               "spectral_gate_rejects_singular": gate_ok},
+        extras={"max_relative_residual": max_rel, "residual_tolerance": rec.TOLERANCE,
+                "mean_gap": mean_gap.tolist(), "mean_band_3se": (3.0 * se).tolist()},
+        samples=samples, primary=(x_total[:, 0], draws[:n_records, 0]))
 
 
 def _run_null_calibration(params, n, policy, stream) -> ExperimentResult:
@@ -294,18 +296,15 @@ def _run_null_calibration(params, n, policy, stream) -> ExperimentResult:
     shifted = sample_gamma(GammaParams(alpha + 0.2, lam), s2, size=n)
     _, _, shifted_passes = ks_two_sample(a, shifted)
     dep = independence_diagnostic(a, a)
-    controls_ok = (not shifted_passes) and dep > independence_pass_band(n)
-    extras = {
-        "n_pairs": n_pairs,
-        "null_failures": failures,
-        "max_null_failures": 1,
-        "shifted_law_detected": bool(not shifted_passes),
-        "dependence_detected": bool(dep > independence_pass_band(n)),
-    }
-    verdict = failures <= 1 and controls_ok
-    return ExperimentResult(verdict=verdict, extras=extras,
-                            samples={"sample_a": last[0], "sample_b": last[1]},
-                            primary=last, ref_cf=gamma_cf(alpha, lam))
+    max_failures = 1
+    return ExperimentResult(
+        gates={"null_failures_within_max": failures <= max_failures,
+               "shifted_law_detected": bool(not shifted_passes),
+               "dependence_detected": bool(dep > independence_pass_band(n))},
+        extras={"n_pairs": n_pairs, "null_failures": failures,
+                "max_null_failures": max_failures},
+        samples={"sample_a": last[0], "sample_b": last[1]},
+        primary=last, ref_cf=gamma_cf(alpha, lam))
 
 
 _EXPERIMENTS = {
@@ -318,10 +317,9 @@ _EXPERIMENTS = {
     "verify-prop1": (_object({"alphas": {"type": "array", "items": _POSITIVE,
                                          "minItems": 1},
                               "lam": _POSITIVE}), _run_prop1),
-    "perpetuity-iterate": ({"oneOf": [
-        _object({"driver": {"const": driver}},
-                {**fields, "n_steps": {"type": "integer", "minimum": 1}})
-        for driver, fields in (("gamma", _GAMMA), ("gaussian", {"sigma2": _POSITIVE}))]},
+    "perpetuity-iterate": (_tagged("driver", {
+        driver: ({}, {**fields, "n_steps": {"type": "integer", "minimum": 1}})
+        for driver, fields in (("gamma", _GAMMA), ("gaussian", {"sigma2": _POSITIVE}))}),
         _run_perpetuity),
     "operator-decompose": (_object(
         {"q": {"type": "array", "items": {"type": "array", "items": {"type": "number"}}},
@@ -418,12 +416,9 @@ def run(config: dict, out_dir: str | Path | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
 
     seed = config["seed"]
-    n = config["n_samples"]
-    pol = config.get("policy", {})
-    policy = TruncationPolicy(horizon=pol.get("horizon", 40.0))
-    stream = RngStream(seed)
+    policy = TruncationPolicy(**config.get("policy", {}))
     _, runner = _EXPERIMENTS[config["experiment"]]
-    result = runner(config["params"], n, policy, stream)
+    result = runner(config["params"], config["n_samples"], policy, RngStream(seed))
 
     for r in result.reports:
         r.seed = seed
@@ -434,7 +429,7 @@ def run(config: dict, out_dir: str | Path | None = None) -> int:
         "config_fingerprint": fingerprint,
         "seed": seed,
         "reports": [r.to_json_dict() for r in result.reports],
-        "extras": result.extras,
+        "extras": {**result.extras, **result.gates},
         "verdict": result.verdict,
     }
     (out / "report.json").write_text(

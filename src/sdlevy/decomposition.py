@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -129,6 +129,8 @@ class DecompositionRecord:
     and ``residual``, ``relative_residual`` and ``passes`` then work
     elementwise."""
 
+    TOLERANCE: ClassVar[float] = 1e-10  # the largest relative residual that passes
+
     tau: float | np.ndarray
     x_tau: float | np.ndarray
     discount: float | np.ndarray
@@ -143,8 +145,8 @@ class DecompositionRecord:
     def relative_residual(self):
         return self.residual / (1.0 + abs(self.x_total))
 
-    def passes(self, rel_tol: float = 1e-10):
-        return self.relative_residual <= rel_tol
+    def passes(self):
+        return self.relative_residual <= self.TOLERANCE
 
 
 def _preset_time(rule, stream: RngStream, size: int) -> np.ndarray:

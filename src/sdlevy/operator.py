@@ -21,6 +21,7 @@ FirstJumpIn stops at the first jump whose scalar size lies in the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 import scipy.linalg
@@ -91,10 +92,10 @@ class _QDiscounter:
 
     def __init__(self, q: np.ndarray):
         self.q = q
-        w, v = np.linalg.eig(q)
+        self.w, v = np.linalg.eig(q)  # the eigenvalues also feed the spectral gate
         if np.linalg.cond(v) < 1e8:
             self.mode = "eigen"
-            self.w, self.v, self.vinv = w, v, np.linalg.inv(v)
+            self.v, self.vinv = v, np.linalg.inv(v)
         else:
             self.mode = "dense"
 
@@ -165,13 +166,14 @@ class OperatorModel:
             raise ValueError("Q must have finite entries")
         if q.shape[0] != self.driver.dimension:
             raise ValueError("Q dimension does not match the driver")
-        min_real = float(np.linalg.eigvals(q).real.min())
+        disc = _QDiscounter(q)
+        min_real = float(disc.w.real.min())
         if min_real <= _SPECTRAL_TOL:
             raise SpectralGateError(
                 f"min real part of Q's spectrum is {min_real:.3g}; "
                 "all eigenvalues must have positive real part")
         object.__setattr__(self, "q", q)
-        object.__setattr__(self, "_discounter", _QDiscounter(q))
+        object.__setattr__(self, "_discounter", disc)
 
     @property
     def dimension(self) -> int:
@@ -212,6 +214,8 @@ class OperatorDecompositionRecord:
     (n, d). ``residual``, ``relative_residual`` and ``passes`` work per
     row, with a row norm."""
 
+    TOLERANCE: ClassVar[float] = 1e-9  # the largest relative residual that passes
+
     tau: np.ndarray
     x_tau: np.ndarray
     discount: np.ndarray
@@ -227,8 +231,8 @@ class OperatorDecompositionRecord:
     def relative_residual(self) -> np.ndarray:
         return self.residual / (1.0 + np.linalg.norm(self.x_total, axis=-1))
 
-    def passes(self, rel_tol: float = 1e-9) -> np.ndarray:
-        return self.relative_residual <= rel_tol
+    def passes(self) -> np.ndarray:
+        return self.relative_residual <= self.TOLERANCE
 
 
 def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,

@@ -183,7 +183,7 @@ def gamma_factor_samples(shape: float, rate: float, n: int, stream: RngStream,
 
 def selfdecomposable_as_perpetuity(model: LevyModel, policy: TruncationPolicy,
                                    n: int, stream: RngStream,
-                                   n_steps: int = 200) -> StatReport:
+                                   n_steps: int) -> StatReport:
     """Build (A, B) = (e^{-tau}, X_tau) pairs from the stopped integral, run
     the forward iteration to stationarity, and compare against direct
     discounted-integral draws. Also confirms A in [0, 1] a.s. and

@@ -9,7 +9,6 @@ size.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import asdict, dataclass, field
 
@@ -18,6 +17,7 @@ import numpy as np
 SIGNIFICANCE = 0.001
 # c(sig) from the asymptotic Kolmogorov distribution: c = sqrt(-ln(sig/2)/2).
 KS_COEFF = math.sqrt(-0.5 * math.log(SIGNIFICANCE / 2))
+_ECF_CHUNK = 100_000  # samples per block of empirical_cf
 
 
 def ks_two_sample(a, b) -> tuple[float, float, bool]:
@@ -42,13 +42,13 @@ def ks_two_sample(a, b) -> tuple[float, float, bool]:
     return d, threshold, d < threshold
 
 
-def empirical_cf(samples, grid, chunk: int = 100_000) -> np.ndarray:
+def empirical_cf(samples, grid) -> np.ndarray:
     """Mean of exp(i*u*x) over the sample, evaluated on the grid."""
     samples = np.asarray(samples, float)
     grid = np.asarray(grid, float)
     acc = np.zeros(grid.size, complex)
-    for start in range(0, samples.size, chunk):
-        block = samples[start:start + chunk]
+    for start in range(0, samples.size, _ECF_CHUNK):
+        block = samples[start:start + _ECF_CHUNK]
         acc += np.exp(1j * grid[:, None] * block[None, :]).sum(axis=1)
     return acc / samples.size
 
@@ -140,9 +140,6 @@ class StatReport:
 
     def to_json_dict(self) -> dict:
         return asdict(self)
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
 def compare_samples(name: str, a, b, extra_checks: dict | None = None) -> StatReport:

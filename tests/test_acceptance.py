@@ -132,8 +132,10 @@ def test_06_selfdecomposable_laws_are_perpetuities():
     discount in [0, 1] and non-degenerate."""
     stream = RngStream(SEED, stream_id=6)
     s_gamma, s_gauss = stream.split(2)
-    r1 = selfdecomposable_as_perpetuity(_gamma_model(2.0, 1.0), POLICY, N, s_gamma)
-    r2 = selfdecomposable_as_perpetuity(LevyModel(gauss_var=1.0), POLICY, N, s_gauss)
+    r1 = selfdecomposable_as_perpetuity(_gamma_model(2.0, 1.0), POLICY, N, s_gamma,
+                                        n_steps=200)
+    r2 = selfdecomposable_as_perpetuity(LevyModel(gauss_var=1.0), POLICY, N, s_gauss,
+                                        n_steps=200)
     ok = (r1.verdict and r2.verdict
           and r1.diagnostics["discount_in_unit_interval"]
           and r1.diagnostics["discount_nondegenerate"]

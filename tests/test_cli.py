@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,10 +11,11 @@ import numpy as np
 import pytest
 
 from sdlevy.cli import _RULES, EXPERIMENTS, _parse_rule, main, run, validate_config
-from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
+from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
 from sdlevy.levy import ExponentialJumps, JumpSet
+from sdlevy.operator import OperatorDecompositionRecord
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -122,6 +124,20 @@ class TestValidation:
                          "--out-dir", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    def test_violation_names_the_field_of_the_chosen_branch(self):
+        # a tagged schema reports the offending field of the branch its tag
+        # names, never the tag of another branch
+        cases = [("perpetuity-iterate", {"driver": "gaussian", "alpha": 3.0},
+                  "'alpha' was unexpected"),
+                 ("perpetuity-iterate", {"driver": "gamma", "n_steps": 0},
+                  "0 is less than the minimum of 1"),
+                 ("verify-corollary2-pathwise",
+                  {"alpha": 2.0, "lam": 1.0, "rule": {"kind": "kth_jump", "k": 0}},
+                  "0 is less than the minimum of 1")]
+        for experiment, params, message in cases:
+            with pytest.raises(ConfigError, match=re.escape(message)):
+                validate_config(_config(experiment, params))
+
     def test_n_samples_floor(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
         doc["n_samples"] = 50
@@ -141,6 +157,23 @@ class TestRunners:
         assert doc["verdict"] is True
         assert doc["experiment"] == name
         assert len(doc["config_fingerprint"]) == 64
+        # the verdict is every report's verdict and every gate in extras
+        assert doc["verdict"] == (all(r["verdict"] for r in doc["reports"])
+                                  and all(v for v in doc["extras"].values()
+                                          if isinstance(v, bool)))
+
+    def test_pathwise_residual_fails_every_record_experiment(self, monkeypatch, tmp_path):
+        # a relative residual above its record class's TOLERANCE must fail
+        # the run; verify-theorem1 gates its residual like the others
+        for cls in (DecompositionRecord, OperatorDecompositionRecord):
+            monkeypatch.setattr(cls, "relative_residual", property(
+                lambda rec: np.full(rec.tau.shape, 2.0 * rec.TOLERANCE)))
+        for name in ("verify-theorem1", "verify-corollary2-pathwise",
+                     "verify-corollary3", "operator-decompose"):
+            assert run(dict(SMALL_CONFIGS[name]), out_dir=tmp_path / name) == 1, name
+            doc = json.loads((tmp_path / name / "report.json").read_text())
+            assert doc["verdict"] is False
+            assert doc["extras"]["pathwise_pass"] is False
 
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
     def test_artifacts_byte_identical(self, name, tmp_path):

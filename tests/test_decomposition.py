@@ -116,9 +116,9 @@ class TestStoppedPath:
         # short of T by an ulp still decomposes and factors exactly
         T = POLICY.horizon
         assert (30.1 + T) - 30.1 < T
-        assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes(1e-10)
+        assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes()
         r = decompose_many(_gamma_model(), FixedTime(30.1), POLICY, 300, make_stream())
-        assert r.passes(1e-10).all()
+        assert r.passes().all()
 
     def test_reach(self):
         # Path-dependent rules are looked for on (0, 15T]. At rate 1e4 and
@@ -127,10 +127,10 @@ class TestStoppedPath:
         model = LevyModel(jump_rate=1e4, jump_law=ConstantJumps(1.0))
         policy = TruncationPolicy(horizon=1.0)
         rec = decompose(model, KthJump(145_000), policy, RngStream(3))
-        assert 14.0 < rec.tau <= 15.0 and rec.passes(1e-10)
+        assert 14.0 < rec.tau <= 15.0 and rec.passes()
         batch = decompose_many(model, KthJump(145_000), policy, 3, RngStream(4))
         assert np.all((batch.tau > 14.0) & (batch.tau <= 15.0))
-        assert batch.passes(1e-10).all()
+        assert batch.passes().all()
         with pytest.raises(InsufficientHorizonError):
             decompose(model, KthJump(155_000), policy, RngStream(3))
         with pytest.raises(InsufficientHorizonError):
@@ -234,7 +234,7 @@ class TestBatchEngine:
         for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
             assert getattr(r, field).shape == (n,)
             assert np.all(np.isfinite(getattr(r, field)))
-        assert np.all(r.tau > 0) and r.passes(1e-10).all()
+        assert np.all(r.tau > 0) and r.passes().all()
         assert np.array_equal(r.discount, np.exp(-r.tau))
 
     @pytest.mark.parametrize("rule", RULES, ids=RULE_IDS)
@@ -267,7 +267,7 @@ class TestPathwiseFactorization:
     def test_residual_tiny(self, rule, make_stream):
         r = decompose_many(_gamma_model(), rule, POLICY, 200, make_stream())
         assert r.tau.shape == (200,)
-        assert r.passes(1e-10).all()
+        assert r.passes().all()
         assert np.array_equal(r.residual,
                               np.abs(r.x_total - (r.x_tau + r.discount * r.x_prime)))
 
@@ -275,8 +275,8 @@ class TestPathwiseFactorization:
         # the total must take the shifted window's normal discounted by
         # e^{-tau}, in the batch and in its n = 1 rows
         records = decompose_many(DRIFT_GAUSS, FirstJump(), POLICY, 200, make_stream())
-        assert records.passes(1e-10).all()
-        assert all(decompose(DRIFT_GAUSS, FirstJump(), POLICY, s).passes(1e-10)
+        assert records.passes().all()
+        assert all(decompose(DRIFT_GAUSS, FirstJump(), POLICY, s).passes()
                    for s in make_stream().split(200))
 
     def test_late_fixed_time_keeps_gaussian_variance(self, make_stream):
@@ -299,7 +299,7 @@ class TestPathwiseFactorization:
     def test_negative_control_detected(self):
         bad = DecompositionRecord(tau=1.0, x_tau=1.0, discount=np.exp(-1.0),
                                   x_prime=2.0, x_total=5.0)
-        assert not bad.passes(1e-10)
+        assert not bad.passes()
         assert bad.residual > 1.0
 
     def test_fixed_time_distributional_identity(self, make_stream):

@@ -277,13 +277,13 @@ class TestOperatorDecomposition:
     def test_residuals(self, rule, make_stream):
         records = operator_decompose_many(_model_2d(), rule, POLICY, 200,
                                           make_stream())
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
 
     def test_non_diagonal_residuals(self, make_stream):
         model = _model_2d(np.array([[2.0, 1.0], [0.5, 3.0]]))
         records = operator_decompose_many(model, FirstJump(), POLICY, 200,
                                           make_stream())
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
 
     def test_fixed_time_zero(self, make_stream):
         r = operator_decompose_many(_model_2d(), FixedTime(0.0), POLICY, 1, make_stream())
@@ -311,7 +311,7 @@ class TestOperatorDecomposition:
                  (OperatorModel(np.diag([1.0, 2.0]), shared), 2.0 * math.exp(-1.0))]
         for model, rate in cases:
             records = operator_decompose_many(model, rule, POLICY, 5_000, make_stream())
-            assert records.passes(1e-9).all()
+            assert records.passes().all()
             ref = ExponentialJumps(rate).sample(make_stream(), 5_000)
             assert ks_two_sample(records.tau, ref)[2]
 
@@ -361,7 +361,7 @@ class TestOperatorRecordsEngine:
         model = OperatorModel(np.array([[2.0, 1.0], [0.5, 3.0]]), driver)
         records = operator_decompose_many(model, FirstJump(), POLICY, 3_000,
                                           make_stream())
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
         draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
         for i in range(2):
             assert ks_two_sample(records.x_total[:, i], draws[:, i])[2]
@@ -371,7 +371,7 @@ class TestOperatorRecordsEngine:
         assert np.iscomplexobj(model._discounter.w)
         records = operator_decompose_many(model, KthJump(2), POLICY, 3_000,
                                           make_stream())
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
         draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
         for i in range(2):
             assert ks_two_sample(records.x_total[:, i], draws[:, i])[2]
@@ -381,7 +381,7 @@ class TestOperatorRecordsEngine:
         assert model._discounter.mode == "dense"
         records = operator_decompose_many(model, FirstJump(), POLICY, 5,
                                           make_stream())
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
 
     @pytest.mark.parametrize("n", [1, 256, 257])
     def test_chunk_edges(self, n):
@@ -390,7 +390,7 @@ class TestOperatorRecordsEngine:
         assert records.tau.shape == (n,)
         assert records.x_total.shape == records.x_prime.shape == (n, 2)
         assert records.discount.shape == (n, 2, 2)
-        assert records.passes(1e-9).all()
+        assert records.passes().all()
 
     def test_full_chunks_do_not_depend_on_n(self):
         a = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(), POLICY,

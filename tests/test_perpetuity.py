@@ -208,15 +208,15 @@ class TestStoppedIntegralAffine:
 class TestSelfdecomposableAsPerpetuity:
     def test_gamma_driver(self, make_stream):
         report = selfdecomposable_as_perpetuity(_gamma_model(), POLICY, 30_000,
-                                                make_stream())
-        assert report.verdict, report.to_json()
+                                                make_stream(), n_steps=200)
+        assert report.verdict, report.to_json_dict()
         assert report.diagnostics["discount_in_unit_interval"]
         assert report.diagnostics["discount_nondegenerate"]
 
     def test_gaussian_driver(self, make_stream):
         report = selfdecomposable_as_perpetuity(LevyModel(gauss_var=1.0), POLICY,
-                                                30_000, make_stream())
-        assert report.verdict, report.to_json()
+                                                30_000, make_stream(), n_steps=200)
+        assert report.verdict, report.to_json_dict()
 
     def test_drift_only_fixed_point(self, make_stream):
         # pure drift c has X = c(1 - e^{-tau}) + e^{-tau} X, fixed point c

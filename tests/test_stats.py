@@ -9,8 +9,8 @@ import pytest
 import scipy.stats
 
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
-from sdlevy.stats import (KS_COEFF, SIGNIFICANCE, compare_samples, ecf_distance, empirical_cf,
-                          gamma_cf, independence_diagnostic, independence_pass_band,
+from sdlevy.stats import (_ECF_CHUNK, KS_COEFF, SIGNIFICANCE, compare_samples, ecf_distance,
+                          empirical_cf, gamma_cf, independence_diagnostic, independence_pass_band,
                           ks_two_sample, moment_summary, normal_cf, point_mass_cf)
 
 
@@ -96,10 +96,11 @@ class TestECF:
         assert ecf_distance(x, gamma_cf(3.0, 1.0), self.GRID) > 5.0 / math.sqrt(n)
 
     def test_empirical_cf_chunking_consistent(self, make_stream):
-        x = make_stream().normal(size=1000)
-        full = empirical_cf(x, self.GRID, chunk=10_000)
-        chunked = empirical_cf(x, self.GRID, chunk=64)
-        np.testing.assert_allclose(full, chunked, atol=1e-12)
+        # two full blocks and a partial one agree with the one-shot formula
+        x = make_stream().normal(size=2 * _ECF_CHUNK + 17)
+        grid = np.array([-3.0, -0.5, 0.0, 1.0, 4.0])
+        direct = np.exp(1j * grid[:, None] * x[None, :]).mean(axis=1)
+        np.testing.assert_allclose(empirical_cf(x, grid), direct, atol=1e-12)
 
     def test_bad_grid(self, make_stream):
         with pytest.raises(ValueError):
@@ -160,7 +161,7 @@ class TestReports:
         a = make_stream().normal(size=1000)
         r = compare_samples("roundtrip", a, a)
         r.seed, r.config_fingerprint = 3, "ff"
-        doc = json.loads(r.to_json())
+        doc = json.loads(json.dumps(r.to_json_dict()))
         assert doc["name"] == "roundtrip" and doc["seed"] == 3
         assert doc["config_fingerprint"] == "ff"
         assert doc["significance"] == 0.001
@@ -172,7 +173,7 @@ class TestReports:
             b = sample_gamma(GammaParams(2.0, 1.0), s, size=5000)
             r = compare_samples("det", a, b)
             r.seed = seed
-            return r.to_json()
+            return json.dumps(r.to_json_dict(), sort_keys=True)
 
         assert build(11) == build(11)
         assert build(11) != build(12)
