@@ -274,7 +274,9 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
                "mean_identity_pass": bool(np.all(mean_gap <= 3.0 * se)),
                "spectral_gate_rejects_singular": gate_ok},
         extras={"max_relative_residual": max_rel, "residual_tolerance": rec.TOLERANCE,
-                "mean_gap": mean_gap.tolist(), "mean_band_3se": (3.0 * se).tolist()},
+                "mean_gap": mean_gap.tolist(), "mean_band_3se": (3.0 * se).tolist(),
+                "discounter_mode": model._discounter.mode,
+                "eigenvector_cond": model._discounter.cond},
         samples=samples, primary=(x_total[:, 0], draws[:n_records, 0]))
 
 

@@ -13,9 +13,11 @@ pushed along a fixed direction: one per coordinate
 the ragged batch engine of ``decomposition``: each source's jumps are one
 ragged batch from ``levy._poisson_jumps``, and ``_QDiscounter`` sums
 e^{-tQ} u*size over them per row, in the eigenbasis of Q when Q is
-diagonalizable (a diagonal Q has V = I) and by expm otherwise. The scalar
-case is d = 1. Records take every stopping rule of ``decomposition``;
-FirstJumpIn stops at the first jump whose scalar size lies in the set.
+diagonalizable (a diagonal Q has V = I) and otherwise by ``_expm``, a
+stacked scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps.
+The engine imports no scipy. The scalar case is d = 1. Records take every
+stopping rule of ``decomposition``; FirstJumpIn stops at the first jump
+whose scalar size lies in the set.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
-import scipy.linalg
 
 from .decomposition import StoppingRule, _by_chunks, _stopped_jumps
 from .discount import TruncationPolicy, _sum_by_path
@@ -35,6 +36,7 @@ from .levy import _poisson_jumps, simulate_path  # noqa: F401
 from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
+_EXPM_BLOCK = 4096  # jumps per _expm call in dense mode, to bound memory
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +86,52 @@ def independent_coordinates(models) -> OperatorDriver:
 # Discounter for e^{-tQ}
 # ---------------------------------------------------------------------------
 
+# [13/13] Pade coefficients b_0..b_13 over b_0, so that a zero matrix gives
+# V - U = V + U = I and e^0 = I exactly, and the largest 1-norm at which the
+# approximant is accurate to double precision (Higham, SIAM J. Matrix Anal.
+# Appl. 26, 2005).
+_PADE13 = np.array([64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+                    1187353796428800.0, 129060195264000.0, 10559470521600.0,
+                    670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
+                    960960.0, 16380.0, 182.0, 1.0]) / 64764752532480000.0
+_THETA13 = 5.371920351148152
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """e^A for each matrix A of the (N, d, d) stack a: the [13/13] Pade
+    approximant of A / 2^s, squared s times, with s per matrix the least
+    that brings the 1-norm of A / 2^s below theta_13 (Higham 2005)."""
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
+    a = np.ldexp(a, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2)
+             + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye)
+    v = (a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2)
+         + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(s.max(initial=0)):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r
+
+
 class _QDiscounter:
     """Applies e^{-tQ} to ragged jump batches: through the eigenbasis when Q
     is diagonalizable with a well-conditioned eigenvector matrix ("eigen";
-    a diagonal Q has V = I and runs coordinatewise), and by expm otherwise
-    ("dense")."""
+    a diagonal Q has V = I and runs coordinatewise), and by the stacked
+    Pade kernel ``_expm`` otherwise ("dense"). ``cond`` is the condition
+    number of the eigenvector matrix V that picks the mode."""
 
     def __init__(self, q: np.ndarray):
         self.q = q
         self.w, v = np.linalg.eig(q)  # the eigenvalues also feed the spectral gate
-        if np.linalg.cond(v) < 1e8:
+        self.cond = float(np.linalg.cond(v))
+        if self.cond < 1e8:
             self.mode = "eigen"
             self.v, self.vinv = v, np.linalg.inv(v)
         else:
@@ -106,7 +144,9 @@ class _QDiscounter:
 
         In the eigenbasis mode k sums e^{-w_k t} (V^{-1} u)_k * size, real
         and imaginary parts apart, for each k with (V^{-1} u)_k != 0, and V
-        maps the modes back.
+        maps the modes back. In the dense mode each block of _EXPM_BLOCK
+        jumps gets its e^{-t_k Q} u from one ``_expm`` call, and each
+        coordinate is summed per row.
         """
         if self.mode == "eigen":
             modes = np.zeros((n, len(self.q)), self.w.dtype)
@@ -117,16 +157,18 @@ class _QDiscounter:
                 if np.iscomplexobj(z):
                     modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
             return (modes @ self.v.T).real
-        out = np.zeros((n, len(self.q)))
-        for i, t, s in zip(owner, times, sizes):
-            out[i] += scipy.linalg.expm(-t * self.q) @ u * s
-        return out
+        jumps = np.empty((times.size, len(self.q)))
+        for lo in range(0, times.size, _EXPM_BLOCK):
+            t = times[lo:lo + _EXPM_BLOCK]
+            jumps[lo:lo + t.size] = _expm(-t[:, None, None] * self.q) @ u
+        jumps *= sizes[:, None]
+        return np.stack([_sum_by_path(owner, col, n) for col in jumps.T], axis=-1)
 
     def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
         """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
         time in t, in a form that does not cancel at small t: in the
         eigenbasis mode -expm1(-t w_k) / w_k per mode, and in the dense mode
-        the top-right block of expm([[-Q, drift], [0, 0]] t) (Van Loan 1978)."""
+        the top-right block of e^{[[-Q, drift], [0, 0]] t} (Van Loan 1978)."""
         t = np.atleast_1d(np.asarray(t, float))
         if self.mode == "eigen":
             c = self.vinv @ drift
@@ -135,14 +177,14 @@ class _QDiscounter:
         block = np.zeros((d + 1, d + 1))
         block[:d, :d] = -self.q
         block[:d, d] = drift
-        return scipy.linalg.expm(t[:, None, None] * block)[:, :d, d]
+        return _expm(t[:, None, None] * block)[:, :d, d]
 
     def matrix(self, t) -> np.ndarray:
         """e^{-tQ} for each time in t, as an (n, d, d) array."""
         t = np.atleast_1d(np.asarray(t, float))
         if self.mode == "eigen":
             return ((self.v * np.exp(-t[:, None, None] * self.w)) @ self.vinv).real
-        return scipy.linalg.expm(-t[:, None, None] * self.q)
+        return _expm(-t[:, None, None] * self.q)
 
 
 # ---------------------------------------------------------------------------

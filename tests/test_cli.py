@@ -279,6 +279,28 @@ class TestMain:
         assert doc["seed"] == 123
 
 
+_IMPORT_GUARD = """
+import json, sys
+import sdlevy, sdlevy.cli
+status = sdlevy.cli.run(json.loads(sys.argv[1]), out_dir=sys.argv[2])
+print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules
+                                                    if m.split(".")[0] == "scipy")}))
+"""
+
+
+def test_run_path_does_not_import_scipy(tmp_path):
+    # the engine needs no scipy (its dense e^{-tQ} is a numpy kernel); a fresh
+    # interpreter that imports the package and runs an operator config must
+    # not have loaded it
+    src = str(ROOT / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(SMALL_CONFIGS["operator-decompose"]),
+         str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=300, check=True)
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"status": 0, "scipy": []}
+
+
 def _cpu_features() -> dict:
     try:
         from numpy._core._multiarray_umath import __cpu_features__
