@@ -19,7 +19,7 @@ from .operator import (OperatorDecompositionRecord, OperatorDriver, OperatorMode
                        sample_operator_integral_many)
 from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                          beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
-                         sample_backward_series_many, selfdecomposable_as_perpetuity)
+                         sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, ecf_distance, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample,

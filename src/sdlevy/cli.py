@@ -42,9 +42,9 @@ from .errors import ConfigError, SpectralGateError
 from .levy import ExponentialJumps, JumpSet, LevyModel
 from .operator import (OperatorModel, independent_coordinates, operator_decompose_many,
                        sample_operator_integral_many)
-from .perpetuity import (BetaGammaAffine, beta_gamma_identity_samples,
-                         gamma_factor_samples, sample_backward_series_many,
-                         selfdecomposable_as_perpetuity)
+from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
+                         beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
+                         sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, empirical_cf, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample)
@@ -223,17 +223,28 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     gamma = params["driver"] == "gamma"
     alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
-    model = (_gamma_model(alpha, lam) if gamma
-             else LevyModel(gauss_var=params.get("sigma2", 1.0)))
+    if gamma:
+        model, rule = _gamma_model(alpha, lam), dec.FirstJump()
+    else:
+        # A jump-free driver has no first jump; an independent Exp(1) time is
+        # a valid stopping rule and keeps the discount non-degenerate.
+        model = LevyModel(gauss_var=params.get("sigma2", 1.0))
+        rule = dec.IndependentRandomTime(ExponentialJumps(1.0))
+    law = StoppedIntegralAffine(model, rule)
     s_perp, s_series, s_gamma = stream.split(3)
-    reports = [selfdecomposable_as_perpetuity(model, policy, n, s_perp,
-                                              n_steps=params.get("n_steps", 200))]
+    s_iter, s_direct, s_diag = s_perp.split(3)
+    stationary = iterate_many(law, 0.0, params.get("n_steps", 200), n, s_iter)
+    direct = sample_discounted_integral_many(model, policy, n, s_direct)
+    a, _ = law.sample_pairs(s_diag, size=min(n, 10_000))
+    reports = [compare_samples("perpetuity_fixed_point", stationary, direct)]
+    gates = {"discount_in_unit_interval": bool(np.all((a >= 0.0) & (a <= 1.0))),
+             "discount_nondegenerate": bool(np.std(a) > 0.0)}
     if not gamma:
-        return ExperimentResult(reports=reports)
+        return ExperimentResult(reports=reports, gates=gates)
     series = sample_backward_series_many(BetaGammaAffine(alpha, lam), 1e-12, n, s_series)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     reports.append(compare_samples("backward_series_vs_direct", series, direct))
-    return ExperimentResult(reports=reports,
+    return ExperimentResult(reports=reports, gates=gates,
                             samples={"backward_series": series, "direct_gamma": direct},
                             primary=(series, direct), ref_cf=gamma_cf(alpha, lam))
 
@@ -345,12 +356,21 @@ CONFIG_SCHEMA = _object(
      "out_dir": {"type": "string"}})
 
 
+# Built once: jsonschema.validate re-checks the schema on every call.
+_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+_PARAMS_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
+                      for name, (schema, _) in _EXPERIMENTS.items()}
+
+
+def _check(validator, instance):
+    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}") from error
+
+
 def validate_config(doc: dict) -> dict:
-    try:
-        jsonschema.validate(doc, CONFIG_SCHEMA)
-        jsonschema.validate(doc["params"], _EXPERIMENTS[doc["experiment"]][0])
-    except jsonschema.ValidationError as exc:
-        raise ConfigError(f"config schema violation: {exc.message}") from exc
+    _check(_CONFIG_VALIDATOR, doc)
+    _check(_PARAMS_VALIDATORS[doc["experiment"]], doc["params"])
     return doc
 
 

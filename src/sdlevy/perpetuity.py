@@ -2,9 +2,10 @@
 (perpetuities), and the gamma-specific beta-gamma factorizations.
 
 Every selfdecomposable law is a perpetuity: the pair (e^{-tau}, X_tau)
-produced by stopping the discounted integral at tau gives an affine
-recursion whose fixed point is the law itself. The gamma law additionally
-admits the closed-form factorizations
+produced by stopping the discounted integral at tau (StoppedIntegralAffine)
+gives an affine recursion whose fixed point is the law itself; the
+``perpetuity-iterate`` runner in ``cli`` picks tau and judges that fixed
+point. The gamma law additionally admits the closed-form factorizations
 
     gamma(a, r) =d U^{1/a} * gamma(a+1, r)
     gamma(a, r) =d D * (gamma(1, r) + gamma(a, r)),   D = e^{-Exp(a)} =d U^{1/a}
@@ -26,11 +27,10 @@ from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, Stoppin
                             _preset_time)
 # decompose stays bound here: perfbench/tests/test_bench_tracer.py reads it.
 from .decomposition import decompose, decompose_many  # noqa: F401
-from .discount import TruncationPolicy, _integral_batch, sample_discounted_integral_many
+from .discount import TruncationPolicy, _integral_batch
 from .errors import ContractionError
-from .levy import ExponentialJumps, LevyModel
+from .levy import LevyModel
 from .rng import GammaParams, RngStream, sample_gamma
-from .stats import StatReport, compare_samples
 
 # A backward series that needs more terms than this raises ContractionError.
 _MAX_TERMS = 10_000
@@ -122,20 +122,20 @@ def sample_backward_series_many(law, tail_tol: float, n: int,
                                 stream: RngStream) -> np.ndarray:
     """n exactly-stationary draws of Z = sum_k B_k prod_{l<k} A_l, each
     truncated once its running product drops below tail_tol (the truncation
-    error is bounded by tail_tol times a stationary copy)."""
+    error is bounded by tail_tol times a stationary copy). The paths run in
+    lockstep: every term draws n pairs and a stopped path's product is 0, so
+    on the same stream a tighter tail_tol only appends terms to each path."""
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must be in (0, 1)")
     _require_contractive(law, stream)
     z = np.zeros(n)
     prod = np.ones(n)
-    active = np.arange(n)
     for _ in range(_MAX_TERMS):
-        a, b = law.sample_pairs(stream, size=active.size)
-        z[active] += prod[active] * b
-        prod[active] *= a
-        keep = np.abs(prod[active]) >= tail_tol
-        active = active[keep]
-        if active.size == 0:
+        a, b = law.sample_pairs(stream, size=n)
+        z += prod * b
+        prod *= a
+        prod[np.abs(prod) < tail_tol] = 0.0
+        if not prod.any():
             return z
     raise ContractionError(f"series did not contract within {_MAX_TERMS} terms")
 
@@ -175,33 +175,3 @@ def gamma_factor_samples(shape: float, rate: float, n: int, stream: RngStream,
         raise ValueError(f"unknown discount reading {discount!r}")
     return d * (stream.exponential(rate, size=n)
                 + sample_gamma(GammaParams(shape, rate), stream, size=n))
-
-
-# ---------------------------------------------------------------------------
-# Selfdecomposable laws as perpetuities
-# ---------------------------------------------------------------------------
-
-def selfdecomposable_as_perpetuity(model: LevyModel, policy: TruncationPolicy,
-                                   n: int, stream: RngStream,
-                                   n_steps: int) -> StatReport:
-    """Build (A, B) = (e^{-tau}, X_tau) pairs from the stopped integral, run
-    the forward iteration to stationarity, and compare against direct
-    discounted-integral draws. Also confirms A in [0, 1] a.s. and
-    non-degenerate."""
-    if model.jump_rate > 0:
-        rule: StoppingRule = FirstJump()
-    else:
-        # A jump-free driver has no first jump; an independent Exp(1) time is
-        # a valid stopping rule and keeps the discount non-degenerate.
-        rule = IndependentRandomTime(ExponentialJumps(1.0))
-    law = StoppedIntegralAffine(model, rule)
-    s_iter, s_direct, s_diag = stream.split(3)
-    stationary = iterate_many(law, 0.0, n_steps, n, s_iter)
-    direct = sample_discounted_integral_many(model, policy, n, s_direct)
-    a, _ = law.sample_pairs(s_diag, size=min(n, 10_000))
-    extra = {
-        "discount_in_unit_interval": bool(np.all((a >= 0.0) & (a <= 1.0))),
-        "discount_nondegenerate": bool(np.std(a) > 0.0),
-    }
-    return compare_samples("perpetuity_fixed_point", stationary, direct,
-                           extra_checks=extra)

@@ -86,6 +86,13 @@ def _corr(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.mean((x - x.mean()) * (y - y.mean())) / (sx * sy))
 
 
+def _median(v: np.ndarray) -> float:
+    """np.median of a 1-d array, bit for bit, without importing numpy.ma."""
+    k = v.size // 2
+    part = np.partition(v, [k - 1, k])
+    return part[k] if v.size % 2 else (part[k - 1] + part[k]) / 2
+
+
 def independence_diagnostic(x, y) -> float:
     """Max |corr| over {clipped identity, above-median indicator} transform
     pairs of the two coordinates. Pass band for independent pairs: 3/sqrt(n)."""
@@ -97,7 +104,7 @@ def independence_diagnostic(x, y) -> float:
         raise ValueError("need at least 1000 paired samples")
 
     def transforms(v):
-        return (np.clip(v, -10.0, 10.0), (v > np.median(v)).astype(float))
+        return (np.clip(v, -10.0, 10.0), (v > _median(v)).astype(float))
 
     return max(abs(_corr(tx, ty)) for tx in transforms(x) for ty in transforms(y))
 
@@ -124,7 +131,7 @@ def moment_summary(samples) -> dict:
 @dataclass
 class StatReport:
     """Result of a distributional comparison; verdict passes iff the KS
-    statistic clears its threshold and every auxiliary check holds."""
+    statistic clears its threshold and both moment bands hold."""
 
     name: str
     n: int
@@ -142,22 +149,20 @@ class StatReport:
         return asdict(self)
 
 
-def compare_samples(name: str, a, b, extra_checks: dict | None = None) -> StatReport:
-    """KS plus moment-band comparison of two samples, folded into a verdict;
-    the caller sets ``seed`` and ``config_fingerprint`` on the report."""
+def compare_samples(name: str, a, b) -> StatReport:
+    """KS plus the 3-SE mean and variance bands of two samples; the verdict is
+    exactly those three, and every other check is the caller's named gate.
+    The caller sets ``seed`` and ``config_fingerprint`` on the report."""
     a = np.asarray(a, float)
     b = np.asarray(b, float)
     d, threshold, ks_pass = ks_two_sample(a, b)
     ma, mb = moment_summary(a), moment_summary(b)
     mean_ok = abs(ma["mean"] - mb["mean"]) <= 3.0 * math.hypot(ma["se_mean"], mb["se_mean"])
     var_ok = abs(ma["var"] - mb["var"]) <= 3.0 * math.hypot(ma["se_var"], mb["se_var"])
-    diagnostics: dict = {"ks_pass": ks_pass, "mean_within_3se": mean_ok,
-                         "var_within_3se": var_ok}
-    verdict = ks_pass and mean_ok and var_ok
-    if extra_checks:
-        diagnostics.update(extra_checks)
-        verdict = verdict and all(bool(v) for v in extra_checks.values())
     return StatReport(
         name=name, n=a.size, m=b.size, ks_stat=d, ks_threshold=threshold,
-        moments={"a": ma, "b": mb}, diagnostics=diagnostics, verdict=verdict,
+        moments={"a": ma, "b": mb},
+        diagnostics={"ks_pass": ks_pass, "mean_within_3se": mean_ok,
+                     "var_within_3se": var_ok},
+        verdict=ks_pass and mean_ok and var_ok,
     )

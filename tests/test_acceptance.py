@@ -1,9 +1,12 @@
 """Acceptance gate: the headline guarantees of the library at full sample
 sizes and stated tolerances. Each criterion prints one pass/fail line."""
 
+import json
+
 import numpy as np
 import pytest
 
+from sdlevy.cli import run
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump, decompose_many)
 from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
@@ -14,8 +17,7 @@ from sdlevy.operator import (OperatorModel, independent_coordinates,
                              operator_decompose_many,
                              sample_operator_integral_many)
 from sdlevy.perpetuity import (BetaGammaAffine, beta_gamma_identity_samples,
-                               gamma_factor_samples, sample_backward_series_many,
-                               selfdecomposable_as_perpetuity)
+                               gamma_factor_samples, sample_backward_series_many)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import (independence_diagnostic, independence_pass_band,
                           ks_two_sample)
@@ -126,23 +128,25 @@ def test_05_backward_series():
     _verdict(5, "backward series reproduces the gamma law", ok, detail.strip())
 
 
-def test_06_selfdecomposable_laws_are_perpetuities():
+def test_06_selfdecomposable_laws_are_perpetuities(tmp_path):
     """The (e^{-tau}, X_tau) affine recursion has the law itself as its
     stationary law, for a jump driver and a Gaussian driver, with the
-    discount in [0, 1] and non-degenerate."""
-    stream = RngStream(SEED, stream_id=6)
-    s_gamma, s_gauss = stream.split(2)
-    r1 = selfdecomposable_as_perpetuity(_gamma_model(2.0, 1.0), POLICY, N, s_gamma,
-                                        n_steps=200)
-    r2 = selfdecomposable_as_perpetuity(LevyModel(gauss_var=1.0), POLICY, N, s_gauss,
-                                        n_steps=200)
-    ok = (r1.verdict and r2.verdict
-          and r1.diagnostics["discount_in_unit_interval"]
-          and r1.diagnostics["discount_nondegenerate"]
-          and r2.diagnostics["discount_in_unit_interval"]
-          and r2.diagnostics["discount_nondegenerate"])
+    discount in [0, 1] and non-degenerate; both run as `perpetuity-iterate`."""
+    ok, details = True, []
+    for driver, params in (("gamma", {"alpha": 2.0, "lam": 1.0}),
+                           ("gaussian", {"sigma2": 1.0})):
+        config = {"experiment": "perpetuity-iterate", "seed": SEED, "n_samples": N,
+                  "params": {"driver": driver, "n_steps": 200, **params}}
+        status = run(config, out_dir=tmp_path / driver)
+        doc = json.loads((tmp_path / driver / "report.json").read_text())
+        fixed = doc["reports"][0]
+        ok = (ok and status == 0 and doc["verdict"] is True
+              and fixed["name"] == "perpetuity_fixed_point" and fixed["verdict"]
+              and doc["extras"]["discount_in_unit_interval"] is True
+              and doc["extras"]["discount_nondegenerate"] is True)
+        details.append(f"D_{driver}={fixed['ks_stat']:.4f}")
     _verdict(6, "perpetuity fixed points (jump and Gaussian drivers)", ok,
-             f"D_gamma={r1.ks_stat:.4f}, D_gauss={r2.ks_stat:.4f}")
+             ", ".join(details))
 
 
 def test_07_evaluator_equivalence():

@@ -7,10 +7,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy.cli import _RULES, EXPERIMENTS, _parse_rule, main, run, validate_config
+from sdlevy.cli import (_EXPERIMENTS, _RULES, CONFIG_SCHEMA, EXPERIMENTS, _parse_rule, main,
+                        run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
@@ -138,6 +140,12 @@ class TestValidation:
             with pytest.raises(ConfigError, match=re.escape(message)):
                 validate_config(_config(experiment, params))
 
+    def test_schemas_are_valid(self):
+        # validate_config reuses validators built once, without a metaschema
+        # check; this is that check
+        for schema in (CONFIG_SCHEMA, *(schema for schema, _ in _EXPERIMENTS.values())):
+            jsonschema.Draft202012Validator.check_schema(schema)
+
     def test_n_samples_floor(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
         doc["n_samples"] = 50
@@ -161,6 +169,13 @@ class TestRunners:
         assert doc["verdict"] == (all(r["verdict"] for r in doc["reports"])
                                   and all(v for v in doc["extras"].values()
                                           if isinstance(v, bool)))
+        # a report's verdict reads KS and its two moment bands, nothing else;
+        # every other check is a named gate in extras
+        for r in doc["reports"]:
+            assert set(r["diagnostics"]) == {"ks_pass", "mean_within_3se", "var_within_3se"}
+        if name == "perpetuity-iterate":
+            assert doc["extras"]["discount_in_unit_interval"] is True
+            assert doc["extras"]["discount_nondegenerate"] is True
 
     def test_pathwise_residual_fails_every_record_experiment(self, monkeypatch, tmp_path):
         # a relative residual above its record class's TOLERANCE must fail
@@ -282,23 +297,28 @@ class TestMain:
 _IMPORT_GUARD = """
 import json, sys
 import sdlevy, sdlevy.cli
-status = sdlevy.cli.run(json.loads(sys.argv[1]), out_dir=sys.argv[2])
-print(json.dumps({"status": status, "scipy": sorted(m for m in sys.modules
-                                                    if m.split(".")[0] == "scipy")}))
+statuses = [sdlevy.cli.run(config, out_dir=f"{sys.argv[2]}/{i}")
+            for i, config in enumerate(json.loads(sys.argv[1]))]
+print(json.dumps({"statuses": statuses,
+                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
 def test_run_path_does_not_import_scipy(tmp_path):
-    # the engine needs no scipy (its dense e^{-tQ} is a numpy kernel); a fresh
-    # interpreter that imports the package and runs an operator config must
-    # not have loaded it
+    # the engine needs no scipy (its dense e^{-tQ} is a numpy kernel), and the
+    # independence diagnostic no numpy.ma (np.median's first call loads it);
+    # a fresh interpreter that imports the package and runs an operator and a
+    # theorem-1 config must have loaded neither
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    configs = [SMALL_CONFIGS["operator-decompose"], SMALL_CONFIGS["verify-theorem1"]]
     proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(SMALL_CONFIGS["operator-decompose"]),
-         str(tmp_path / "out")], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(configs), str(tmp_path / "out")],
+        env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {"status": 0, "scipy": []}
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+        "statuses": [0, 0], "scipy": [], "numpy.ma": False}
 
 
 def _cpu_features() -> dict:

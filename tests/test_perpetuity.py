@@ -12,10 +12,9 @@ from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
 from sdlevy.perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                                beta_gamma_identity_samples, estimate_log_contraction,
-                               gamma_factor_samples, iterate_many,
-                               sample_backward_series_many, selfdecomposable_as_perpetuity)
-from sdlevy.rng import GammaParams, sample_gamma
-from sdlevy.stats import ks_two_sample
+                               gamma_factor_samples, iterate_many, sample_backward_series_many)
+from sdlevy.rng import GammaParams, RngStream, sample_gamma
+from sdlevy.stats import compare_samples, ks_two_sample
 
 POLICY = TruncationPolicy()
 
@@ -101,18 +100,14 @@ class TestBackwardSeries:
         bwd = sample_backward_series_many(law, 1e-12, 30_000, make_stream())
         assert ks_two_sample(fwd, bwd)[2]
 
-    def test_truncation_honesty(self, make_stream):
-        # same per-path streams, tighter tail_tol: the run with the tighter
-        # tolerance only appends extra tail terms, so the two draws agree to
-        # roughly the looser tolerance and the mean moves far less than one
-        # Monte Carlo standard error
-        from sdlevy.rng import RngStream
-
+    def test_truncation_honesty(self):
+        # same stream, tighter tail_tol: the lockstep series draws the same
+        # pairs for every path, so the tighter run only appends tail terms;
+        # the two draws agree to roughly the looser tolerance and the mean
+        # moves far less than one Monte Carlo standard error
         law = BetaGammaAffine(2.0, 1.0)
-        streams1 = RngStream(314159).split(5000)
-        streams2 = RngStream(314159).split(5000)
-        z1 = np.array([sample_backward_series_many(law, 1e-8, 1, s)[0] for s in streams1])
-        z2 = np.array([sample_backward_series_many(law, 1e-12, 1, s)[0] for s in streams2])
+        z1 = sample_backward_series_many(law, 1e-8, 5000, RngStream(314159))
+        z2 = sample_backward_series_many(law, 1e-12, 5000, RngStream(314159))
         assert np.max(np.abs(z1 - z2)) < 1e-6
         se = z1.std() / np.sqrt(z1.size)
         assert abs(z1.mean() - z2.mean()) < se
@@ -205,18 +200,28 @@ class TestStoppedIntegralAffine:
             law.sample_pairs(make_stream(), size=10)
 
 
+def _check_perpetuity(model, rule, stream):
+    """The (e^{-tau}, X_tau) recursion, iterated 200 steps from 0, matches
+    direct integral draws (KS and both moment bands); its discount lies in
+    [0, 1] and is non-degenerate."""
+    law = StoppedIntegralAffine(model, rule)
+    s_iter, s_direct, s_diag = stream.split(3)
+    stationary = iterate_many(law, 0.0, 200, 30_000, s_iter)
+    direct = sample_discounted_integral_many(model, POLICY, 30_000, s_direct)
+    report = compare_samples("perpetuity_fixed_point", stationary, direct)
+    assert report.verdict, report.to_json_dict()
+    a, _ = law.sample_pairs(s_diag, size=10_000)
+    assert np.all((a >= 0.0) & (a <= 1.0))
+    assert np.std(a) > 0.0
+
+
 class TestSelfdecomposableAsPerpetuity:
     def test_gamma_driver(self, make_stream):
-        report = selfdecomposable_as_perpetuity(_gamma_model(), POLICY, 30_000,
-                                                make_stream(), n_steps=200)
-        assert report.verdict, report.to_json_dict()
-        assert report.diagnostics["discount_in_unit_interval"]
-        assert report.diagnostics["discount_nondegenerate"]
+        _check_perpetuity(_gamma_model(), FirstJump(), make_stream())
 
     def test_gaussian_driver(self, make_stream):
-        report = selfdecomposable_as_perpetuity(LevyModel(gauss_var=1.0), POLICY,
-                                                30_000, make_stream(), n_steps=200)
-        assert report.verdict, report.to_json_dict()
+        _check_perpetuity(LevyModel(gauss_var=1.0),
+                          IndependentRandomTime(ExponentialJumps(1.0)), make_stream())
 
     def test_drift_only_fixed_point(self, make_stream):
         # pure drift c has X = c(1 - e^{-tau}) + e^{-tau} X, fixed point c

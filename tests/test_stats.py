@@ -9,9 +9,10 @@ import pytest
 import scipy.stats
 
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
-from sdlevy.stats import (_ECF_CHUNK, KS_COEFF, SIGNIFICANCE, compare_samples, ecf_distance,
-                          empirical_cf, gamma_cf, independence_diagnostic, independence_pass_band,
-                          ks_two_sample, moment_summary, normal_cf, point_mass_cf)
+from sdlevy.stats import (_ECF_CHUNK, KS_COEFF, SIGNIFICANCE, _median, compare_samples,
+                          ecf_distance, empirical_cf, gamma_cf, independence_diagnostic,
+                          independence_pass_band, ks_two_sample, moment_summary, normal_cf,
+                          point_mass_cf)
 
 
 class TestKS:
@@ -136,6 +137,17 @@ class TestIndependence:
             independence_diagnostic(x, x[:100])
 
 
+class TestMedian:
+    # independence_diagnostic splits at this median, so it must equal
+    # np.median bit for bit, ties and both parities included
+    @pytest.mark.parametrize("n", [1, 2, 7, 1000, 1001])
+    def test_matches_numpy(self, n, make_stream):
+        x = make_stream().normal(size=n)
+        ties = np.round(x * 2.0)
+        for v in (x, ties, np.full(n, 3.5)):
+            assert _median(v) == np.median(v)
+
+
 class TestReports:
     def test_moment_summary(self):
         x = np.array([1.0, 2.0, 3.0, 4.0])
@@ -150,12 +162,6 @@ class TestReports:
         assert r.verdict
         assert r.diagnostics["ks_pass"]
         assert r.diagnostics["mean_within_3se"]
-
-    def test_extra_checks_fold_into_verdict(self, make_stream):
-        a = make_stream().normal(size=1000)
-        r = compare_samples("extras", a, a, extra_checks={"custom": False})
-        assert not r.verdict
-        assert r.diagnostics["custom"] is False
 
     def test_report_serialization(self, make_stream):
         a = make_stream().normal(size=1000)
