@@ -6,7 +6,9 @@ The config is a single JSON document (experiments are data); it is
 schema-validated before any computation and unknown fields are rejected.
 Each experiment is declared once in ``_EXPERIMENTS`` (its params schema and
 its runner), and each stopping rule once in ``_RULES`` (its fields and its
-constructor); the schemas are built from these tables.
+constructor); the schemas are JSON Schema (draft 2020-12) data built from
+these tables, and ``_errors`` checks a document against them with only the
+keywords they use; ``integer`` means a JSON integer, so ``2000.0`` is not one.
 
 A runner returns StatReports and named boolean gates, and decides no
 verdict: ``ExperimentResult.verdict`` passes iff every report passes and
@@ -33,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import jsonschema
 import numpy as np
 
 from . import decomposition as dec
@@ -356,21 +357,67 @@ CONFIG_SCHEMA = _object(
      "out_dir": {"type": "string"}})
 
 
-# Built once: jsonschema.validate re-checks the schema on every call.
-_CONFIG_VALIDATOR = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-_PARAMS_VALIDATORS = {name: jsonschema.Draft202012Validator(schema)
-                      for name, (schema, _) in _EXPERIMENTS.items()}
+# JSON types as Python types; a bool is none of them.
+_TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
+          "integer": int}
 
 
-def _check(validator, instance):
-    error = jsonschema.exceptions.best_match(validator.iter_errors(instance))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}") from error
+def _is(doc, name: str) -> bool:
+    return isinstance(doc, _TYPES[name]) and not isinstance(doc, bool)
+
+
+def _errors(schema: dict, doc):
+    """Yield each way ``doc`` violates ``schema``, in the order and words of
+    a draft 2020-12 validator. Only the keywords these schemas use are
+    implemented: ``enum`` and ``const`` values are strings,
+    ``additionalProperties`` is false, and ``if`` applies its sibling
+    ``then``."""
+    for key, value in schema.items():
+        if key == "type" and not _is(doc, value):
+            yield f"{doc!r} is not of type {value!r}"
+        elif key == "enum" and doc not in value:
+            yield f"{doc!r} is not one of {value!r}"
+        elif key == "const" and doc != value:
+            yield f"{value!r} was expected"
+        elif key == "minimum" and _is(doc, "number") and doc < value:
+            yield f"{doc!r} is less than the minimum of {value!r}"
+        elif key == "exclusiveMinimum" and _is(doc, "number") and doc <= value:
+            yield f"{doc!r} is less than or equal to the minimum of {value!r}"
+        elif key == "minItems" and _is(doc, "array") and len(doc) < value:
+            yield f"{doc!r} {'should be non-empty' if value == 1 else 'is too short'}"
+        elif key == "items" and _is(doc, "array"):
+            for item in doc:
+                yield from _errors(value, item)
+        elif key == "properties" and _is(doc, "object"):
+            for name, sub in value.items():
+                if name in doc:
+                    yield from _errors(sub, doc[name])
+        elif key == "required" and _is(doc, "object"):
+            for name in value:
+                if name not in doc:
+                    yield f"{name!r} is a required property"
+        elif key == "additionalProperties" and _is(doc, "object"):
+            extra = sorted((k for k in doc if k not in schema.get("properties", {})), key=str)
+            if extra:
+                verb = "was" if len(extra) == 1 else "were"
+                yield (f"Additional properties are not allowed "
+                       f"({', '.join(map(repr, extra))} {verb} unexpected)")
+        elif key == "allOf":
+            for sub in value:
+                yield from _errors(sub, doc)
+        elif key == "if" and next(_errors(value, doc), None) is None:
+            yield from _errors(schema["then"], doc)
+
+
+def _check(schema: dict, doc) -> None:
+    message = next(_errors(schema, doc), None)
+    if message is not None:
+        raise ConfigError(f"config schema violation: {message}")
 
 
 def validate_config(doc: dict) -> dict:
-    _check(_CONFIG_VALIDATOR, doc)
-    _check(_PARAMS_VALIDATORS[doc["experiment"]], doc["params"])
+    _check(CONFIG_SCHEMA, doc)
+    _check(_EXPERIMENTS[doc["experiment"]][0], doc["params"])
     return doc
 
 

@@ -1,7 +1,9 @@
 """Config validation, experiment runners, artifacts, and exit codes."""
 
+import copy
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,8 +13,8 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy.cli import (_EXPERIMENTS, _RULES, CONFIG_SCHEMA, EXPERIMENTS, _parse_rule, main,
-                        run, validate_config)
+from sdlevy.cli import (_EXPERIMENTS, _RULES, _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors,
+                        _parse_rule, main, run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
@@ -55,6 +57,71 @@ SMALL_CONFIGS = {
     "null-calibration": _config("null-calibration",
                                 {"alpha": 2.0, "lam": 1.0, "n_pairs": 20}, n=2000),
 }
+
+
+_SCHEMAS = (CONFIG_SCHEMA, *(schema for schema, _ in _EXPERIMENTS.values()))
+# The keywords cli._errors implements ("then" is applied by "if").
+_IMPLEMENTED = {"type", "enum", "const", "minimum", "exclusiveMinimum", "minItems", "items",
+                "properties", "required", "additionalProperties", "allOf", "if", "then"}
+
+
+def _subschemas(schema):
+    """``schema`` and every schema nested in it."""
+    yield schema
+    for key, value in schema.items():
+        if key in ("items", "if", "then"):
+            yield from _subschemas(value)
+        elif key in ("properties", "allOf"):
+            for sub in (value.values() if key == "properties" else value):
+                yield from _subschemas(sub)
+
+
+_FIELD_NAMES = sorted({name for schema in _SCHEMAS for sub in _subschemas(schema)
+                       for name in sub.get("properties", ())} | {"bogus"})
+_VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 2000, 0.0, 0.5, 1.0, -2.5, 3.0,
+           100.0, 2000.0, 1e-300, "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
+           [], [1.0], [0.0, 2.0], [[1.0, 0.0], [0.0, 2.0]], [[1.0, "x"]], [{}], {},
+           {"kind": "first_jump"}, {"kind": "kth_jump", "k": 0}, {"kind": "fixed_time", "t": -1},
+           {"kind": "first_jump_in"}, {"kind": "bogus"}, {"horizon": 0},
+           {"jump_rate": 1.0, "exp_jump_rate": 2.0}, {"jump_rate": 1.0, "drift": 1}]
+
+
+def _nodes(doc, path=()):
+    """(path, value) of ``doc`` and of every value nested in it."""
+    yield path, doc
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _nodes(value, (*path, key))
+
+
+def _mutated_configs(rng: random.Random, n: int):
+    """The shipped and small configs, then ``n`` copies of them with one to
+    three random edits each: a field dropped, a field added, a list item
+    appended, or a value (a field, a tag, a nested rule, the whole document)
+    swapped for another of any type."""
+    bases = [json.loads(path.read_text()) for path in sorted(CONFIG_DIR.glob("*.json"))]
+    bases += list(SMALL_CONFIGS.values())
+    yield from bases
+    for _ in range(n):
+        doc = copy.deepcopy(rng.choice(bases))
+        for _ in range(rng.randint(1, 3)):
+            path, node = rng.choice(list(_nodes(doc)))
+            value = copy.deepcopy(rng.choice(_VALUES))
+            op = rng.choice(("drop", "add", "swap", "swap"))
+            if op == "drop" and isinstance(node, dict) and node:
+                del node[rng.choice(list(node))]
+            elif op == "add" and isinstance(node, dict):
+                node[rng.choice(_FIELD_NAMES)] = value
+            elif op == "add" and isinstance(node, list):
+                node.append(value)
+            elif not path:
+                doc = value
+            else:
+                parent = doc
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = value
+        yield doc
 
 
 class TestValidation:
@@ -141,10 +208,44 @@ class TestValidation:
                 validate_config(_config(experiment, params))
 
     def test_schemas_are_valid(self):
-        # validate_config reuses validators built once, without a metaschema
-        # check; this is that check
-        for schema in (CONFIG_SCHEMA, *(schema for schema, _ in _EXPERIMENTS.values())):
+        # validate_config interprets the schemas without a metaschema check;
+        # this is that check
+        for schema in _SCHEMAS:
             jsonschema.Draft202012Validator.check_schema(schema)
+
+    def test_schemas_use_only_implemented_keywords(self):
+        # _errors ignores a keyword it does not implement, so a later schema
+        # edit such as a "maximum" would otherwise go unchecked without notice
+        for sub in (sub for schema in _SCHEMAS for sub in _subschemas(schema)):
+            assert set(sub) <= _IMPLEMENTED, sub
+            assert sub.get("type", "object") in _TYPES, sub
+            assert all(isinstance(v, str) for v in sub.get("enum", [])), sub
+            assert isinstance(sub.get("const", ""), str), sub
+            assert sub.get("additionalProperties", False) is False, sub
+            assert ("if" in sub) == ("then" in sub), sub
+
+    def test_errors_match_the_reference_validator(self):
+        # a seeded corpus of mutated configs: _errors yields exactly the
+        # reference validator's messages in its order, so it accepts and
+        # rejects alike and validate_config's message is one the reference
+        # reports; the reference is draft 2020-12 with integer meaning a JSON
+        # integer
+        oracle = jsonschema.validators.extend(
+            jsonschema.Draft202012Validator,
+            type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+                "integer", lambda _, doc: isinstance(doc, int) and not isinstance(doc, bool)))
+        validators = {id(schema): oracle(schema) for schema in _SCHEMAS}
+        counts = {"accepted": 0, "rejected": 0}
+        for doc in _mutated_configs(random.Random(15), 10_000):
+            pairs = [(CONFIG_SCHEMA, doc)]
+            experiment = doc.get("experiment") if isinstance(doc, dict) else None
+            if isinstance(experiment, str) and experiment in _EXPERIMENTS and "params" in doc:
+                pairs.append((_EXPERIMENTS[experiment][0], doc["params"]))
+            for schema, instance in pairs:
+                expected = [e.message for e in validators[id(schema)].iter_errors(instance)]
+                assert list(_errors(schema, instance)) == expected, instance
+                counts["rejected" if expected else "accepted"] += 1
+        assert min(counts.values()) >= 2_000, counts
 
     def test_n_samples_floor(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
@@ -269,6 +370,25 @@ class TestMain:
         assert "tail_tol" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("name, path", [pytest.param(name, path, id=path[-1]) for name, path in (
+        ("verify-gamma-bdlp", ("seed",)), ("verify-theorem1", ("n_samples",)),
+        ("verify-corollary2-pathwise", ("params", "rule", "k")),
+        ("perpetuity-iterate", ("params", "n_steps")),
+        ("null-calibration", ("params", "n_pairs")),
+        ("operator-decompose", ("params", "n_records")))])
+    def test_integral_float_in_integer_field_rejected(self, tmp_path, capsys, name, path):
+        # draft 2020-12 counts 2000.0 as an integer, but a runner given one
+        # crashes after creating the output directory; it is a config error
+        doc = json.loads(json.dumps(SMALL_CONFIGS[name]))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value = float(parent.get(path[-1], 200))
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{value!r} is not of type 'integer'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_operator_first_jump_in(self, tmp_path, capsys):
         # operator records take every rule: first_jump_in stops at the first
         # jump whose size lies in the set, and the run passes reproducibly
@@ -300,16 +420,18 @@ import sdlevy, sdlevy.cli
 statuses = [sdlevy.cli.run(config, out_dir=f"{sys.argv[2]}/{i}")
             for i, config in enumerate(json.loads(sys.argv[1]))]
 print(json.dumps({"statuses": statuses,
-                  "scipy": sorted(m for m in sys.modules if m.split(".")[0] == "scipy"),
+                  "test-only": sorted(m for m in sys.modules if m.split(".")[0] in
+                                      ("scipy", "jsonschema", "referencing", "rpds")),
                   "numpy.ma": "numpy.ma" in sys.modules}))
 """
 
 
-def test_run_path_does_not_import_scipy(tmp_path):
-    # the engine needs no scipy (its dense e^{-tQ} is a numpy kernel), and the
+def test_run_path_import_guard(tmp_path):
+    # the engine needs no scipy (its dense e^{-tQ} is a numpy kernel), config
+    # validation no jsonschema (cli._errors interprets the schemas), and the
     # independence diagnostic no numpy.ma (np.median's first call loads it);
     # a fresh interpreter that imports the package and runs an operator and a
-    # theorem-1 config must have loaded neither
+    # theorem-1 config must have loaded none of them
     src = str(ROOT / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     configs = [SMALL_CONFIGS["operator-decompose"], SMALL_CONFIGS["verify-theorem1"]]
@@ -318,7 +440,7 @@ def test_run_path_does_not_import_scipy(tmp_path):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300, check=True)
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
-        "statuses": [0, 0], "scipy": [], "numpy.ma": False}
+        "statuses": [0, 0], "test-only": [], "numpy.ma": False}
 
 
 def _cpu_features() -> dict:
