@@ -8,7 +8,8 @@ Each experiment is declared once in ``_EXPERIMENTS`` (its params schema and
 its runner), and each stopping rule once in ``_RULES`` (its fields and its
 constructor); the schemas are JSON Schema (draft 2020-12) data built from
 these tables, and ``_errors`` checks a document against them with only the
-keywords they use; ``integer`` means a JSON integer, so ``2000.0`` is not one.
+keywords they use; ``integer`` means a JSON integer, so ``2000.0`` is not one,
+and ``number`` a finite one, so ``NaN`` and ``Infinity`` are not numbers.
 
 A runner returns StatReports and named boolean gates, and decides no
 verdict: ``ExperimentResult.verdict`` passes iff every report passes and
@@ -17,7 +18,8 @@ Each run writes four artifacts to the output directory:
 
   samples.csv  raw sample columns at full double precision
   report.json  StatReports, extras and gates, verdict, seed, config fingerprint
-  cdf.csv      empirical CDF pairs of the primary sample pair, plot-ready
+  cdf.csv      both ECDFs of the primary sample pair at 1,025 evenly spaced
+               ranks of the pooled sample, plus the KS peak row
   ecf.csv      characteristic-function grid (empirical vs reference)
 
 Rerunning with the same config and seed on one machine and numpy build
@@ -30,6 +32,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -156,7 +159,8 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
                 "independence_discount_x_prime": d2,
                 "independence_band": band,
                 "max_relative_residual": max_rel},
-        samples=vars(rec), primary=(rec.x_total, direct), ref_cf=gamma_cf(alpha, lam),
+        samples={**vars(rec), "direct_gamma": direct}, primary=(rec.x_total, direct),
+        ref_cf=gamma_cf(alpha, lam),
     )
 
 
@@ -197,7 +201,8 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
         samples={"lhs": first.x_total,
                  "rhs": first.x_tau + first.discount * first.x_prime,
                  "restricted_lhs": restricted.x_total,
-                 "restricted_rhs": restricted.x_tau + restricted.discount * restricted.x_prime},
+                 "restricted_rhs": restricted.x_tau + restricted.discount * restricted.x_prime,
+                 "direct_gamma": direct},
         primary=(first.x_total, direct), ref_cf=gamma_cf(alpha, lam),
     )
 
@@ -357,13 +362,14 @@ CONFIG_SCHEMA = _object(
      "out_dir": {"type": "string"}})
 
 
-# JSON types as Python types; a bool is none of them.
+# JSON types as Python types; a bool is none of them, and a number is finite.
 _TYPES = {"object": dict, "array": list, "string": str, "number": (int, float),
           "integer": int}
 
 
 def _is(doc, name: str) -> bool:
-    return isinstance(doc, _TYPES[name]) and not isinstance(doc, bool)
+    return (isinstance(doc, _TYPES[name]) and not isinstance(doc, bool)
+            and not (isinstance(doc, float) and not math.isfinite(doc)))
 
 
 def _errors(schema: dict, doc):
@@ -448,7 +454,14 @@ def _write_samples_csv(path: Path, columns: dict):
             _write_rows(fh, row_fmt, [c[lo:hi] for c, on in zip(cols, live) if on])
 
 
+_CDF_ROWS = 1025
+_ECF_GRID = np.arange(-5.0, 5.0 + 0.25, 0.5)  # symmetric about u = 0
+
+
 def _write_cdf_csv(path: Path, pair):
+    """Both ECDFs at _CDF_ROWS evenly spaced ranks of the pooled sorted
+    sample, and at the row where |cdf_a - cdf_b| peaks, so the largest
+    difference in the file is the KS statistic of the pair."""
     with path.open("w", newline="\n") as fh:
         fh.write("x,cdf_a,cdf_b\n")
         if pair is None:
@@ -458,18 +471,29 @@ def _write_cdf_csv(path: Path, pair):
         grid = np.sort(np.concatenate([a, b]))
         fa = np.searchsorted(a, grid, side="right") / a.size
         fb = np.searchsorted(b, grid, side="right") / b.size
-        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid, fa, fb])
+        # A row mask, not np.unique: that imports numpy.ma on the run path.
+        rows = np.zeros(grid.size, bool)
+        rows[np.linspace(0, grid.size - 1, _CDF_ROWS).round().astype(int)] = True
+        rows[np.argmax(np.abs(fa - fb))] = True
+        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid[rows], fa[rows], fb[rows]])
+
+
+def _symmetric_cf(samples, grid) -> np.ndarray:
+    """empirical_cf on a grid symmetric about 0, evaluated on u >= 0 only:
+    the CF at -u is the conjugate of the CF at u."""
+    half = empirical_cf(samples, grid[grid.size // 2:])
+    return np.concatenate([half[:0:-1].conj(), half])
 
 
 def _write_ecf_csv(path: Path, pair, ref_cf):
-    grid = np.arange(-5.0, 5.0 + 0.25, 0.5)
+    grid = _ECF_GRID
     with path.open("w", newline="\n") as fh:
         fh.write("u,emp_re,emp_im,ref_re,ref_im,abs_diff\n")
         if pair is None:
             return
-        emp = empirical_cf(pair[0], grid)
+        emp = _symmetric_cf(pair[0], grid)
         ref = (np.asarray(ref_cf(grid), complex) if ref_cf is not None
-               else empirical_cf(pair[1], grid))
+               else _symmetric_cf(pair[1], grid))
         _write_rows(fh, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
                     [grid, emp.real, emp.imag, ref.real, ref.imag,
                      [abs(d) for d in emp - ref]])

@@ -75,7 +75,11 @@ def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.n
     Gaussian part are drawn after them.
     """
     owner, times, sizes = _poisson_jumps(model, window, n, stream)
-    out = _sum_by_path(owner, np.exp(-times) * sizes, n)
+    # e^{-t} * size in the times array: no jump-sized temporaries.
+    times *= -1.0
+    np.exp(times, out=times)
+    times *= sizes
+    out = _sum_by_path(owner, times, n)
     out += model.drift * -np.expm1(-window)
     if model.gauss_var > 0:
         sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import math
 import os
 import random
 import re
@@ -13,13 +14,15 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy.cli import (_EXPERIMENTS, _RULES, _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors,
-                        _parse_rule, main, run, validate_config)
+from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _RULES, _TYPES, CONFIG_SCHEMA,
+                        EXPERIMENTS, _errors, _parse_rule, _symmetric_cf, main, run,
+                        validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
 from sdlevy.levy import ExponentialJumps, JumpSet
 from sdlevy.operator import OperatorDecompositionRecord
+from sdlevy.stats import empirical_cf, ks_two_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -79,7 +82,8 @@ def _subschemas(schema):
 _FIELD_NAMES = sorted({name for schema in _SCHEMAS for sub in _subschemas(schema)
                        for name in sub.get("properties", ())} | {"bogus"})
 _VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 2000, 0.0, 0.5, 1.0, -2.5, 3.0,
-           100.0, 2000.0, 1e-300, "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
+           100.0, 2000.0, 1e-300, math.nan, math.inf, -math.inf,
+           "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
            [], [1.0], [0.0, 2.0], [[1.0, 0.0], [0.0, 2.0]], [[1.0, "x"]], [{}], {},
            {"kind": "first_jump"}, {"kind": "kth_jump", "k": 0}, {"kind": "fixed_time", "t": -1},
            {"kind": "first_jump_in"}, {"kind": "bogus"}, {"horizon": 0},
@@ -229,11 +233,14 @@ class TestValidation:
         # reference validator's messages in its order, so it accepts and
         # rejects alike and validate_config's message is one the reference
         # reports; the reference is draft 2020-12 with integer meaning a JSON
-        # integer
+        # integer and number a finite JSON number
         oracle = jsonschema.validators.extend(
             jsonschema.Draft202012Validator,
-            type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-                "integer", lambda _, doc: isinstance(doc, int) and not isinstance(doc, bool)))
+            type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+                "integer": lambda _, doc: isinstance(doc, int) and not isinstance(doc, bool),
+                "number": lambda _, doc: (isinstance(doc, (int, float))
+                                          and not isinstance(doc, bool)
+                                          and math.isfinite(doc))}))
         validators = {id(schema): oracle(schema) for schema in _SCHEMAS}
         counts = {"accepted": 0, "rejected": 0}
         for doc in _mutated_configs(random.Random(15), 10_000):
@@ -333,6 +340,82 @@ class TestRunners:
         assert abs(row["x_total"] - recombined) <= 1e-10 * (1 + abs(row["x_total"]))
 
 
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    """name -> (output directory, the runner's ExperimentResult) of one
+    ``run`` of that SMALL_CONFIGS entry, made on first use."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            schema, runner = _EXPERIMENTS[name]
+            results = []
+
+            def capture(*args):
+                results.append(runner(*args))
+                return results[-1]
+
+            out = tmp_path_factory.mktemp(name)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setitem(_EXPERIMENTS, name, (schema, capture))
+                assert run(copy.deepcopy(SMALL_CONFIGS[name]), out_dir=out) == 0
+            cache[name] = out, results[0]
+        return cache[name]
+    return get
+
+
+# The primary pairs that no report compares: two samples.csv columns.
+_PRIMARY_COLUMNS = {"verify-corollary2-pathwise": ("x_total", "x_prime"),
+                    "null-calibration": ("sample_a", "sample_b")}
+
+
+class TestArtifacts:
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_cdf_csv_is_a_plot_grid_holding_the_ks_peak(self, small_run, name):
+        # cdf.csv is a fixed-size grid, whatever n, and keeps the row where
+        # |cdf_a - cdf_b| peaks: its largest difference is the KS statistic
+        out, _ = small_run(name)
+        cdf = _columns(out / "cdf.csv")
+        assert cdf["x"].size <= _CDF_ROWS + 1
+        assert np.all(np.diff(cdf["x"]) >= 0)
+        if name in _PRIMARY_COLUMNS:
+            samples = _columns(out / "samples.csv")
+            ks = ks_two_sample(*(samples[col] for col in _PRIMARY_COLUMNS[name]))[0]
+        else:
+            reports = json.loads((out / "report.json").read_text())["reports"]
+            ks = reports[1 if name == "perpetuity-iterate" else 0]["ks_stat"]
+        assert np.max(np.abs(cdf["cdf_a"] - cdf["cdf_b"])) == ks
+
+    @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
+    def test_half_grid_cf_is_bit_equal(self, small_run, name):
+        # ecf.csv evaluates u >= 0 and conjugates for u < 0
+        _, result = small_run(name)
+        for sample in result.primary:
+            assert np.array_equal(_symmetric_cf(sample, _ECF_GRID),
+                                  empirical_cf(sample, _ECF_GRID))
+
+    @pytest.mark.parametrize("name", ["verify-theorem1", "verify-corollary3"])
+    def test_direct_gamma_is_the_last_samples_column(self, small_run, name):
+        # the direct gamma draws of the primary pair are kept in samples.csv,
+        # since cdf.csv no longer holds the pooled sample
+        out, result = small_run(name)
+        header = (out / "samples.csv").read_text().split("\n", 1)[0].split(",")
+        assert header[-1] == "direct_gamma"
+        assert np.array_equal(_columns(out / "samples.csv")["direct_gamma"], result.primary[1])
+
+
+# A valid config with a number field, and the path to that field.
+_NON_FINITE_FIELDS = {
+    "alpha": (SMALL_CONFIGS["verify-gamma-bdlp"], ("params", "alpha")),
+    "horizon": ({**SMALL_CONFIGS["verify-gamma-bdlp"], "policy": {"horizon": 40.0}},
+                ("policy", "horizon")),
+    "t": (_config("verify-corollary2-pathwise", {"alpha": 2.0, "lam": 1.0,
+                                                 "rule": {"kind": "fixed_time", "t": 1.0}}),
+          ("params", "rule", "t")),
+    "q": (SMALL_CONFIGS["operator-decompose"], ("params", "q", 0, 0)),
+}
+
+
 class TestMain:
     def _write(self, tmp_path, doc):
         p = tmp_path / "config.json"
@@ -387,6 +470,22 @@ class TestMain:
         assert main(["run", "--config", self._write(tmp_path, doc),
                      "--out-dir", str(tmp_path / "out")]) == 2
         assert f"{value!r} is not of type 'integer'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("field", sorted(_NON_FINITE_FIELDS))
+    def test_non_finite_number_rejected(self, tmp_path, capsys, field, value):
+        # JSON's NaN and Infinity are not numbers: a runner given one fails
+        # after creating the output directory; it is a config error
+        doc, path = _NON_FINITE_FIELDS[field]
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{value!r} is not of type 'number'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_operator_first_jump_in(self, tmp_path, capsys):
