@@ -24,7 +24,8 @@ Each run writes four artifacts to the output directory:
 
 Rerunning with the same config and seed on one machine and numpy build
 produces byte-identical artifacts.
-Exit status: 0 all verdicts pass, 1 a verdict failed, 2 invalid config.
+Exit status: 0 all verdicts pass, 1 a verdict failed, 2 invalid config, 3 a
+valid config whose run raised (for example a Poisson mean too large).
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                          beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
                          sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
-from .stats import (StatReport, compare_samples, empirical_cf, gamma_cf,
+from .stats import (StatReport, _pooled_ecdfs, compare_samples, empirical_cf, gamma_cf,
                     independence_diagnostic, independence_pass_band, ks_two_sample)
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
@@ -461,21 +462,21 @@ _ECF_GRID = np.arange(-5.0, 5.0 + 0.25, 0.5)  # symmetric about u = 0
 def _write_cdf_csv(path: Path, pair):
     """Both ECDFs at _CDF_ROWS evenly spaced ranks of the pooled sorted
     sample, and at the row where |cdf_a - cdf_b| peaks, so the largest
-    difference in the file is the KS statistic of the pair."""
+    difference in the file is the KS statistic of the pair; the counts come
+    from the same merge as that statistic."""
     with path.open("w", newline="\n") as fh:
         fh.write("x,cdf_a,cdf_b\n")
         if pair is None:
             return
-        a = np.sort(np.asarray(pair[0], float))
-        b = np.sort(np.asarray(pair[1], float))
-        grid = np.sort(np.concatenate([a, b]))
-        fa = np.searchsorted(a, grid, side="right") / a.size
-        fb = np.searchsorted(b, grid, side="right") / b.size
+        grid, last, fa, fb = _pooled_ecdfs(*pair)
         # A row mask, not np.unique: that imports numpy.ma on the run path.
         rows = np.zeros(grid.size, bool)
         rows[np.linspace(0, grid.size - 1, _CDF_ROWS).round().astype(int)] = True
-        rows[np.argmax(np.abs(fa - fb))] = True
-        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid[rows], fa[rows], fb[rows]])
+        peak = np.argmax(np.abs(fa - fb))  # the first run of equal values at the peak
+        rows[last[peak - 1] + 1 if peak else 0] = True
+        at = np.flatnonzero(rows)
+        run = np.searchsorted(last, at)  # the run of equal values each row lies in
+        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid[at], fa[run], fb[run]])
 
 
 def _symmetric_cf(samples, grid) -> np.ndarray:
@@ -558,8 +559,9 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, RuntimeError) as exc:
+        # The config was valid but the run could not finish: not a verdict.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return 3
     print(f"{config['experiment']}: {'pass' if status == 0 else 'FAIL'}")
     return status
 

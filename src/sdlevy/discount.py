@@ -3,11 +3,12 @@ infinite-horizon limit.
 
 Two independent evaluators of a path object are provided on purpose: the
 direct jump-sum form and the integration-by-parts form. Their agreement on
-every path is itself a test. The batch sampler draws its jumps from
-``levy._poisson_jumps``, the generator that also builds path objects, and
-sums them without a path object. Truncating the horizon at T leaves a tail
-distributed as e^{-T} times an independent copy of the full integral, so
-the truncation error is a known multiplicative contraction.
+every path is itself a test. The batch sampler sums, without a path
+object, the variates of ``levy._poisson_jumps``, the generator that also
+builds path objects: ``levy._jump_sums`` draws them in its order, in
+blocks, and keeps one float per jump. Truncating the horizon at T leaves a
+tail distributed as e^{-T} times an independent copy of the full integral,
+so the truncation error is a known multiplicative contraction.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .levy import JumpPath, LevyModel, _poisson_jumps
+from .levy import JumpPath, LevyModel, _jump_sums
 from .rng import RngStream
 
 
@@ -67,20 +68,25 @@ def _sum_by_path(owner, weights, n: int) -> np.ndarray:
     return np.bincount(owner, weights=weights, minlength=n).astype(float, copy=False)
 
 
+def _discounted_sums(owner, times, sizes, m: int) -> np.ndarray:
+    """Per-path sums of e^{-t} * size, computed in the times array."""
+    times *= -1.0
+    np.exp(times, out=times)
+    times *= sizes
+    return _sum_by_path(owner, times, m)
+
+
 def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.ndarray:
     """For each of n independent paths, int_(0,w] e^{-s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
-    The jumps come from ``levy._poisson_jumps``; the normals of the
-    Gaussian part are drawn after them.
+    The jumps are those of ``levy._poisson_jumps``, summed in blocks by
+    ``levy._jump_sums``; the normals of the Gaussian part are drawn after
+    them. A jump-free model draws no jumps, and a zero drift adds nothing.
     """
-    owner, times, sizes = _poisson_jumps(model, window, n, stream)
-    # e^{-t} * size in the times array: no jump-sized temporaries.
-    times *= -1.0
-    np.exp(times, out=times)
-    times *= sizes
-    out = _sum_by_path(owner, times, n)
-    out += model.drift * -np.expm1(-window)
+    out = _jump_sums(model, window, n, stream, _discounted_sums, np.zeros(n))
+    if model.drift:
+        out += model.drift * -np.expm1(-window)
     if model.gauss_var > 0:
         sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
         out += sd * stream.normal(size=n)

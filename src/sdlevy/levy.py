@@ -3,13 +3,17 @@ component), the one compound Poisson generator ``_poisson_jumps``, and
 finite-horizon jump + drift trajectories, with the shift and thin operations
 the discounted-integral constructions need.
 
-``_poisson_jumps`` draws the jumps of n paths as ragged arrays for every
-sampler in ``discount``, ``decomposition`` and ``operator``;
-``simulate_path`` is its n = 1 draw, sorted in time. Path objects have no
-Gaussian part: ``simulate_path`` refuses a model with one, and the batch
-samplers draw it exactly, as normals. Path objects are the reference route
-for the evaluators and the stopping rules: they share the generator with
-the batch engine, but not its stopping or evaluation code.
+``_poisson_jumps`` draws the jumps of n paths as ragged arrays for the
+decomposition records of ``decomposition`` and ``operator``;
+``simulate_path`` is its n = 1 draw, sorted in time. The batch integrals of
+``discount`` and ``operator`` sum the same variates, drawn in
+``_poisson_jumps``'s order, in blocks through ``_jump_sums``, which keeps
+one float per jump (its time) instead of every jump's owner, time and
+size. Path objects have no Gaussian part: ``simulate_path`` refuses a
+model with one, and the batch samplers draw it exactly, as normals. Path
+objects are the reference route for the evaluators and the stopping rules:
+they share the generator with the batch engine, but not its stopping or
+evaluation code.
 
 Only finite-activity jumps are supported: every identity exercised here
 lives in the compound Poisson world, and infinite-activity measures would
@@ -25,6 +29,10 @@ from typing import Union
 import numpy as np
 
 from .rng import GammaParams, RngStream, sample_gamma
+
+# Jumps per block of ``_jump_sums``: it bounds the kernel's temporaries and
+# changes no draw, so it is not a parameter.
+_BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +267,42 @@ def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
         window[owner] if np.ndim(window) else window)
     sizes = model.jump_law.sample(stream, size=owner.size)
     return owner, times, sizes
+
+
+def _jump_sums(model: LevyModel, window, n: int, stream: RngStream, block_sum,
+               out: np.ndarray) -> np.ndarray:
+    """Add to out[i] the sum over path i's jumps that ``block_sum`` computes,
+    for the n paths of ``_poisson_jumps(model, window, n, stream)``: the same
+    variates in the same order, without its owner, time and size arrays.
+
+    After the Poisson counts, pass 1 draws the uniform times _BLOCK at a
+    time into the only jump-sized array. Pass 2 draws the sizes for blocks
+    of whole paths, at most _BLOCK jumps or one path, and adds
+    ``block_sum(owner, times, sizes, m)``, the (m, ...) sums of the block's
+    m paths with a block-local owner; it may overwrite ``times``. The
+    uniform, exponential, constant and table samplers draw value by value,
+    so the smaller calls return the same values; gamma jump sizes run their
+    rejection rounds per block. A jump-free model draws nothing.
+    """
+    if model.jump_rate <= 0:
+        return out
+    counts = stream.poisson(model.jump_rate * window, size=n)
+    ends = np.cumsum(counts)
+    times = np.empty(counts.sum())
+    for lo in range(0, times.size, _BLOCK):
+        t = times[lo:lo + _BLOCK]
+        w = (window[np.searchsorted(ends, np.arange(lo, lo + t.size), side="right")]
+             if np.ndim(window) else window)
+        np.multiply(stream.uniform(size=t.size), w, out=t)
+    lo = p0 = 0
+    while p0 < n:
+        p1 = max(p0 + 1, int(np.searchsorted(ends, lo + _BLOCK, side="right")))
+        hi = ends[p1 - 1]
+        owner = np.repeat(np.arange(p1 - p0), counts[p0:p1])
+        sizes = model.jump_law.sample(stream, size=hi - lo)
+        out[p0:p1] += block_sum(owner, times[lo:hi], sizes, p1 - p0)
+        lo, p0 = hi, p1
+    return out
 
 
 def simulate_path(model: LevyModel, horizon: float, stream: RngStream) -> JumpPath:

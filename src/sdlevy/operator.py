@@ -9,12 +9,13 @@ are small and matrices dense.
 
 An ``OperatorDriver`` is a tuple of independent scalar jump sources, each
 pushed along a fixed direction: one per coordinate
-(``independent_coordinates``), or one shared. Integrals and records run on
-the ragged batch engine of ``decomposition``: each source's jumps are one
-ragged batch from ``levy._poisson_jumps``, and ``_QDiscounter`` sums
-e^{-tQ} u*size over them per row, in the eigenbasis of Q when Q is
-diagonalizable (a diagonal Q has V = I) and otherwise by ``_expm``, a
-stacked scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps.
+(``independent_coordinates``), or one shared. Records run on the ragged
+batch engine of ``decomposition``, each source's jumps one ragged batch
+from ``levy._poisson_jumps``; integrals sum the same variates in blocks
+through ``levy._jump_sums``. For both, one routine of ``_QDiscounter``
+sums e^{-tQ} u*size per row: in the eigenbasis of Q when Q is
+diagonalizable (a diagonal Q has V = I), otherwise by ``_expm``, a stacked
+scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps.
 The engine imports no scipy. The scalar case is d = 1. Records take every
 stopping rule of ``decomposition``; FirstJumpIn stops at the first jump
 whose scalar size lies in the set.
@@ -32,7 +33,7 @@ from .discount import TruncationPolicy, _sum_by_path
 from .errors import SpectralGateError
 # simulate_path stays bound here: perfbench/tests/test_bench_tracer.py::
 # test_instrument_sdlevy_rebinds_from_imports_and_restores_all reads it.
-from .levy import _poisson_jumps, simulate_path  # noqa: F401
+from .levy import _jump_sums, _poisson_jumps, simulate_path  # noqa: F401
 from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
@@ -137,16 +138,16 @@ class _QDiscounter:
         else:
             self.mode = "dense"
 
-    def ragged_sum(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+    def _path_sums(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
                    u: np.ndarray, n: int) -> np.ndarray:
-        """Row i of the (n, d) result: the sum over the jumps k with
-        owner[k] == i of e^{-t_k Q} u * sizes_k.
+        """The (n, d) per-row sums over the jumps k with owner[k] == i of
+        e^{-t_k Q} u * sizes_k, in the discounter's basis.
 
-        In the eigenbasis mode k sums e^{-w_k t} (V^{-1} u)_k * size, real
-        and imaginary parts apart, for each k with (V^{-1} u)_k != 0, and V
-        maps the modes back. In the dense mode each block of _EXPM_BLOCK
-        jumps gets its e^{-t_k Q} u from one ``_expm`` call, and each
-        coordinate is summed per row.
+        In the eigenbasis mode column k sums e^{-w_k t} (V^{-1} u)_k * size,
+        real and imaginary parts apart, for each k with (V^{-1} u)_k != 0;
+        ``_coords`` maps the modes back with V. In the dense mode each block
+        of _EXPM_BLOCK jumps gets its e^{-t_k Q} u from one ``_expm`` call,
+        and each coordinate is summed per row.
         """
         if self.mode == "eigen":
             modes = np.zeros((n, len(self.q)), self.w.dtype)
@@ -156,13 +157,32 @@ class _QDiscounter:
                 modes[:, k] = _sum_by_path(owner, np.real(z), n)
                 if np.iscomplexobj(z):
                     modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
-            return (modes @ self.v.T).real
+            return modes
         jumps = np.empty((times.size, len(self.q)))
         for lo in range(0, times.size, _EXPM_BLOCK):
             t = times[lo:lo + _EXPM_BLOCK]
             jumps[lo:lo + t.size] = _expm(-t[:, None, None] * self.q) @ u
         jumps *= sizes[:, None]
         return np.stack([_sum_by_path(owner, col, n) for col in jumps.T], axis=-1)
+
+    def _coords(self, sums: np.ndarray) -> np.ndarray:
+        return (sums @ self.v.T).real if self.mode == "eigen" else sums
+
+    def ragged_sum(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+                   u: np.ndarray, n: int) -> np.ndarray:
+        """Row i of the (n, d) result: the sum over the jumps k with
+        owner[k] == i of e^{-t_k Q} u * sizes_k."""
+        return self._coords(self._path_sums(owner, times, sizes, u, n))
+
+    def batch_sum(self, source, window: float, n: int, stream: RngStream,
+                  u: np.ndarray) -> np.ndarray:
+        """``ragged_sum`` over the jumps of ``_poisson_jumps(source, window,
+        n, stream)``, drawn and summed in blocks by ``levy._jump_sums``."""
+        sums = np.zeros((n, len(self.q)), self.w.dtype if self.mode == "eigen" else float)
+        _jump_sums(source, window, n, stream,
+                   lambda owner, times, sizes, m: self._path_sums(owner, times, sizes, u, m),
+                   sums)
+        return self._coords(sums)
 
     def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
         """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
@@ -231,9 +251,8 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     """n draws of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift as rows.
 
     The driver's jump sources are drawn from the stream one after another,
-    each as one ragged batch that is discounted before the next is drawn;
-    for diagonal Q coordinate i is the scalar batch at rate Q_ii, draw for
-    draw.
+    each summed in blocks before the next is drawn; for diagonal Q
+    coordinate i is the scalar batch at rate Q_ii, draw for draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -241,7 +260,7 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     T = policy.horizon
     out = np.zeros((n, model.dimension))
     for source, u in model.driver.sources:
-        out += disc.ragged_sum(*_poisson_jumps(source, T, n, stream), u, n)
+        out += disc.batch_sum(source, T, n, stream, u)
     return out + disc.drift_integral(T, model.driver.drift_vector())
 
 

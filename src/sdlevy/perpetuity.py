@@ -74,10 +74,12 @@ class StoppedIntegralAffine:
                 raise ValueError("FirstJump needs a positive jump rate")
             tau = stream.exponential(model.jump_rate, size=n)
             jumps = model.jump_law.sample(stream, size=n)
-            # No jump before tau: only the drift and Gaussian parts remain.
             a = np.exp(-tau)
-            rest = _integral_batch(replace(model, jump_rate=0.0), tau, n, stream)
-            return a, a * jumps + rest
+            b = a * jumps
+            # No jump before tau: only the drift and Gaussian parts remain.
+            if model.drift or model.gauss_var > 0:
+                b += _integral_batch(replace(model, jump_rate=0.0), tau, n, stream)
+            return a, b
         if isinstance(self.rule, (FixedTime, IndependentRandomTime)):
             tau = _preset_time(self.rule, stream, n)
             return np.exp(-tau), _integral_batch(model, tau, n, stream)

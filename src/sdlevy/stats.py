@@ -20,6 +20,24 @@ KS_COEFF = math.sqrt(-0.5 * math.log(SIGNIFICANCE / 2))
 _ECF_CHUNK = 100_000  # samples per block of empirical_cf
 
 
+def _pooled_ecdfs(a, b) -> tuple[np.ndarray, ...]:
+    """The pooled sample of a and b in order, the index in it of the last
+    point of each run of equal values, and the ECDFs of a and of b at those
+    points, read as counts from one stable merge of the two sorted samples.
+    Non-finite samples raise ValueError."""
+    n, m = np.size(a), np.size(b)
+    pooled = np.concatenate([np.sort(np.asarray(a, float)), np.sort(np.asarray(b, float))])
+    if not np.all(np.isfinite(pooled)):
+        raise ValueError("samples must be finite")
+    order = np.argsort(pooled, kind="stable")
+    pooled = pooled[order]
+    from_a = order < n
+    del order  # one pooled-size array fewer at the peak
+    last = np.flatnonzero(np.append(pooled[1:] != pooled[:-1], True))
+    count_a = np.cumsum(from_a)[last]
+    return pooled, last, count_a / n, (last + 1 - count_a) / m
+
+
 def ks_two_sample(a, b) -> tuple[float, float, bool]:
     """Two-sample Kolmogorov-Smirnov statistic, threshold, and verdict at
     SIGNIFICANCE.
@@ -27,16 +45,10 @@ def ks_two_sample(a, b) -> tuple[float, float, bool]:
     D = sup |F_a - F_b|; threshold = KS_COEFF * sqrt((n+m)/(n*m)). Asymptotic
     thresholds only, hence the n, m >= 100 precondition.
     """
-    a = np.asarray(a, float)
-    b = np.asarray(b, float)
-    n, m = a.size, b.size
+    n, m = np.size(a), np.size(b)
     if min(n, m) < 100:
         raise ValueError(f"need at least 100 samples per side, got {n}, {m}")
-    sa = np.sort(a)
-    sb = np.sort(b)
-    grid = np.concatenate([sa, sb])
-    cdf_a = np.searchsorted(sa, grid, side="right") / n
-    cdf_b = np.searchsorted(sb, grid, side="right") / m
+    _, _, cdf_a, cdf_b = _pooled_ecdfs(a, b)
     d = float(np.max(np.abs(cdf_a - cdf_b)))
     threshold = KS_COEFF * math.sqrt((n + m) / (n * m))
     return d, threshold, d < threshold

@@ -488,6 +488,28 @@ class TestMain:
         assert f"{value!r} is not of type 'number'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("field", ["alpha", "horizon"])
+    def test_run_that_raises_exits_3(self, tmp_path, capsys, field):
+        # a valid config whose run raises (numpy refuses a Poisson mean of
+        # 1e300) is neither a failed verdict (1) nor an invalid config (2)
+        doc, path = _NON_FINITE_FIELDS[field]
+        doc = copy.deepcopy(doc)
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = 1e300
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 3
+        assert "ValueError" in capsys.readouterr().err
+
+    def test_failed_verdict_exits_1(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(DecompositionRecord, "relative_residual", property(
+            lambda rec: np.full(rec.tau.shape, 2.0 * rec.TOLERANCE)))
+        doc = SMALL_CONFIGS["verify-corollary2-pathwise"]
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_operator_first_jump_in(self, tmp_path, capsys):
         # operator records take every rule: first_jump_in stops at the first
         # jump whose size lies in the set, and the run passes reproducibly

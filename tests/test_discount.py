@@ -1,14 +1,17 @@
 """The discounted integral: closed-form examples, the dual evaluators, and
 truncation behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
+from sdlevy.discount import (TruncationPolicy, _integral_batch, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
-from sdlevy.levy import ExponentialJumps, JumpPath, LevyModel, simulate_path
+from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, LevyModel, TableJumps,
+                         UniformJumps, _poisson_jumps, simulate_path)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import ks_two_sample
 
@@ -120,6 +123,75 @@ class TestSampling:
                                                 TruncationPolicy(horizon=7.0),
                                                 1000, make_stream())
         np.testing.assert_allclose(draws, 1.0 - np.exp(-7.0), rtol=1e-14)
+
+
+def _unblocked_integral(model, window, n, stream):
+    """The integral batch from the full owner/time/size arrays of
+    ``_poisson_jumps``: one bincount of e^{-t} * size over every jump."""
+    owner, times, sizes = _poisson_jumps(model, window, n, stream)
+    out = np.bincount(owner, weights=np.exp(-times) * sizes, minlength=n).astype(float)
+    out += model.drift * -np.expm1(-window)
+    if model.gauss_var > 0:
+        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
+        out += sd * stream.normal(size=n)
+    return out
+
+
+_LAWS = {"exponential": ExponentialJumps(1.0), "uniform": UniformJumps(-1.0, 2.0),
+         "table": TableJumps((1.0, -2.0, 3.0), (0.2, 0.5, 0.3)),
+         "constant": ConstantJumps(1.5)}
+
+
+class TestBlockedKernel:
+    """The batch integral sums the jumps of ``_poisson_jumps`` in blocks
+    (``levy._jump_sums``) and must equal the unblocked sum bit for bit."""
+
+    # (n, rate, window bound): at n = 1 and 7 every path has more jumps than
+    # a block of 7; at n = 15,000 blocks of whole paths and cut paths mix.
+    _SIZES = [(1, 2.0, 40.0), (7, 2.0, 40.0), (15_000, 0.5, 4.0)]
+
+    @pytest.mark.parametrize("law", sorted(_LAWS))
+    @pytest.mark.parametrize("n, rate, bound", _SIZES)
+    @pytest.mark.parametrize("per_path", [False, True], ids=["scalar_window", "path_windows"])
+    def test_bit_equal_to_unblocked(self, monkeypatch, law, n, rate, bound, per_path):
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        model = LevyModel(jump_rate=rate, jump_law=_LAWS[law], drift=0.3, gauss_var=0.7)
+        window = RngStream(3).uniform(size=n) * bound if per_path else bound
+        ref = _unblocked_integral(model, window, n, RngStream(11, n))
+        counts = RngStream(11, n).poisson(rate * window, size=n)
+        assert counts.max() > 7  # some path spans more than one block
+        got = _integral_batch(model, window, n, RngStream(11, n))
+        assert np.array_equal(got, ref)
+
+    def test_default_block_bit_equal_to_unblocked(self):
+        # about 1.2 million jumps: many blocks of 2^16
+        model = _gamma_model(2.0, 1.0)
+        ref = _unblocked_integral(model, 40.0, 15_000, RngStream(12))
+        got = sample_discounted_integral_many(model, TruncationPolicy(40.0), 15_000,
+                                              RngStream(12))
+        assert np.array_equal(got, ref)
+
+    def test_memory_is_one_float_per_jump(self):
+        # one float per jump plus block temporaries; the unblocked
+        # owner/time/size arrays alone need 24 bytes per jump
+        n = 15_000
+        jumps = int(RngStream(13).poisson(2.0 * 40.0, size=n).sum())
+        tracemalloc.start()
+        try:
+            sample_discounted_integral_many(_gamma_model(2.0, 1.0), TruncationPolicy(40.0),
+                                            n, RngStream(13))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * jumps
+
+    @pytest.mark.parametrize("gauss_var", [0.0, 2.0])
+    def test_jump_free_model_draws_only_its_normals(self, gauss_var):
+        stream = RngStream(14)
+        draws = _integral_batch(LevyModel(drift=1.0, gauss_var=gauss_var), 3.0, 500, stream)
+        assert stream.counter == (500 if gauss_var else 0)
+        assert np.array_equal(draws, _unblocked_integral(
+            LevyModel(drift=1.0, gauss_var=gauss_var), 3.0, 500, RngStream(14)))
 
 
 class TestTruncationDecay:

@@ -2,6 +2,7 @@
 operator factorization."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -423,6 +424,56 @@ class TestRaggedSum:
                 ref[i] += math.exp(-model.q[j, j] * t) * u[j] * size
             assert np.all(np.abs(got[:, j] - ref) <= 1e-14 * np.abs(ref))
             assert not np.any(got[:, 1 - j])
+
+
+def _unblocked_operator_integral(model, T, n, stream):
+    """The operator integral batch from the full owner/time/size arrays of
+    ``_poisson_jumps``, each source discounted by ``ragged_sum``."""
+    disc = model._discounter
+    out = np.zeros((n, model.dimension))
+    for source, u in model.driver.sources:
+        out += disc.ragged_sum(*_poisson_jumps(source, T, n, stream), u, n)
+    return out + disc.drift_integral(T, model.driver.drift_vector())
+
+
+class TestBlockedBatch:
+    """``sample_operator_integral_many`` sums the jumps of ``_poisson_jumps``
+    in blocks (``levy._jump_sums``) and must equal the unblocked sum bit for
+    bit in every discounter mode."""
+
+    @pytest.mark.parametrize("q", [q for q, _ in _MODE_QS],
+                             ids=["diagonal", "coupled", "complex_eigen", "jordan"])
+    @pytest.mark.parametrize("n, T", [(1, 40.0), (7, 40.0), (15_000, 0.5)])
+    def test_bit_equal_to_unblocked(self, monkeypatch, q, n, T):
+        # blocks of 7 jumps: at T = 40 every path spans several blocks, at
+        # T = 0.5 most blocks hold several whole paths
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        model = _model_2d(q)
+        ref = _unblocked_operator_integral(model, T, n, RngStream(21, n))
+        got = sample_operator_integral_many(model, TruncationPolicy(T), n, RngStream(21, n))
+        assert np.array_equal(got, ref)
+
+    def test_shared_direction_bit_equal_to_unblocked(self, monkeypatch):
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        model = OperatorModel(np.asarray(_ROTATING_Q), _shared(_coord(2.0, 1.0, drift=0.2),
+                                                              (1.0, -0.5)))
+        ref = _unblocked_operator_integral(model, 40.0, 50, RngStream(22))
+        got = sample_operator_integral_many(model, POLICY, 50, RngStream(22))
+        assert np.array_equal(got, ref)
+
+    def test_memory_is_one_float_per_jump(self):
+        # operator_2d's coordinates at n = 10^4: one float per jump of the
+        # larger source plus block temporaries; the unblocked owner/time/size
+        # arrays and eigen-mode temporaries need about 40 bytes per jump
+        n = 10_000
+        jumps = int(RngStream(23).poisson(2.0 * POLICY.horizon, size=n).sum())
+        tracemalloc.start()
+        try:
+            sample_operator_integral_many(_model_2d(), POLICY, n, RngStream(23))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 12 * jumps
 
 
 class TestOperatorRecordsEngine:

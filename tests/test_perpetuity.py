@@ -194,6 +194,24 @@ class TestStoppedIntegralAffine:
         records = decompose_many(model, KthJump(2), POLICY, 2_000, make_stream())
         assert ks_two_sample(b, records.x_tau)[2]
 
+    @pytest.mark.parametrize("drift, gauss_var", [(0.0, 0.0), (0.4, 0.0), (0.0, 1.5)])
+    def test_first_jump_pairs_draw_tau_jump_then_the_continuous_part(self, drift, gauss_var):
+        # B = e^{-tau} J + the drift and Gaussian integrals up to tau; a pure
+        # jump model draws tau and J only, and its B is e^{-tau} J exactly
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=drift,
+                          gauss_var=gauss_var)
+        stream = RngStream(31)
+        a, b = StoppedIntegralAffine(model, FirstJump()).sample_pairs(stream, size=1000)
+        replay = RngStream(31)
+        tau = replay.exponential(2.0, size=1000)
+        ref = np.exp(-tau) * model.jump_law.sample(replay, size=1000)
+        ref += drift * -np.expm1(-tau)
+        if gauss_var:
+            ref += np.sqrt(gauss_var * 0.5 * -np.expm1(-2.0 * tau)) * replay.normal(size=1000)
+        assert np.array_equal(a, np.exp(-tau))
+        assert np.array_equal(b, ref)
+        assert stream.counter == replay.counter == (3000 if gauss_var else 2000)
+
     def test_first_jump_requires_jumps(self, make_stream):
         law = StoppedIntegralAffine(LevyModel(drift=1.0), FirstJump())
         with pytest.raises(ValueError):

@@ -55,6 +55,32 @@ class TestKS:
         with pytest.raises(ValueError):
             ks_two_sample(small, big)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=repr)
+    def test_non_finite_samples_raise(self, make_stream, bad):
+        a = make_stream().normal(size=200)
+        b = make_stream().normal(size=200)
+        b[17] = bad
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample(a, b)
+        with pytest.raises(ValueError, match="finite"):
+            ks_two_sample(b, a)
+
+    def test_statistic_is_the_searchsorted_ratio_bit_for_bit(self):
+        # D is the same ratio of the same integer counts as reading
+        # #{a <= x} and #{b <= x} by searchsorted at every pooled point,
+        # ties within and across the samples included
+        rng = np.random.default_rng(5)
+        for _ in range(300):
+            n, m = rng.integers(100, 400, size=2)
+            levels = rng.integers(1, 30)
+            a = rng.integers(0, levels, n).astype(float)
+            b = rng.integers(0, levels, m).astype(float)
+            sa, sb = np.sort(a), np.sort(b)
+            grid = np.concatenate([sa, sb])
+            ref = np.max(np.abs(np.searchsorted(sa, grid, side="right") / n
+                                - np.searchsorted(sb, grid, side="right") / m))
+            assert ks_two_sample(a, b)[0] == ref
+
     def test_null_calibration(self, make_stream):
         # at significance 0.001, 100 independent null pairs should fail at
         # most once (P(>=2 failures) ~ 0.5%)
