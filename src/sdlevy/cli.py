@@ -9,12 +9,17 @@ its runner), and each stopping rule once in ``_RULES`` (its fields and its
 constructor); the schemas are JSON Schema (draft 2020-12) data built from
 these tables, and ``_errors`` checks a document against them with only the
 keywords they use; ``integer`` means a JSON integer, so ``2000.0`` is not one,
-and ``number`` a finite one, so ``NaN`` and ``Infinity`` are not numbers.
+and ``number`` a finite one, so ``NaN`` and ``Infinity`` are not numbers. An
+experiment with an independence gate needs ``MIN_PAIRED_SAMPLES`` samples.
+``verify-theorem1`` and ``verify-corollary2-pathwise`` are one runner: the
+stopped factorization in law and pathwise, at the first jump or at the
+second's ``rule``.
 
 A runner returns StatReports and named boolean gates, and decides no
 verdict: ``ExperimentResult.verdict`` passes iff every report passes and
 every gate holds. A pathwise gate reads its record class's ``TOLERANCE``.
-Each run writes four artifacts to the output directory:
+Each run that returns writes four artifacts to the output directory, which
+it makes only then:
 
   samples.csv  raw sample columns at full double precision
   report.json  StatReports, extras and gates, verdict, seed, config fingerprint
@@ -51,8 +56,9 @@ from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                          beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
                          sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
-from .stats import (StatReport, _pooled_ecdfs, compare_samples, empirical_cf, gamma_cf,
-                    independence_diagnostic, independence_pass_band, ks_two_sample)
+from .stats import (MIN_PAIRED_SAMPLES, StatReport, _pooled_ecdfs, compare_samples,
+                    empirical_cf, gamma_cf, independence_diagnostic, independence_pass_band,
+                    ks_two_sample)
 
 _POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 _GAMMA = {"alpha": _POSITIVE, "lam": _POSITIVE}
@@ -140,20 +146,38 @@ def _run_gamma_bdlp(params, n, policy, stream) -> ExperimentResult:
     )
 
 
+def _exact_tau(rule, alpha: float, lam: float, n: int, stream: RngStream):
+    """n draws of the exact law of tau under ``rule`` for the driver of rate
+    alpha with Exp(lam) jumps, or None for a fixed time. The k-th jump of a
+    rate-r Poisson process comes at a gamma(k, r) time, and the jumps in the
+    runner's sets {x >= a} arrive at rate alpha * e^{-lam * a} (thinning)."""
+    if isinstance(rule, dec.FixedTime):
+        return None
+    if isinstance(rule, dec.IndependentRandomTime):
+        return rule.law.sample(stream, n)
+    k = rule.k if isinstance(rule, dec.KthJump) else 1
+    rate = (alpha * math.exp(-lam * rule.jump_set.a) if isinstance(rule, dec.FirstJumpIn)
+            else alpha)
+    return sample_gamma(GammaParams(k, rate), stream, size=n)
+
+
 def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
     alpha, lam = params["alpha"], params["lam"]
-    model = _gamma_model(alpha, lam)
-    s_rec, s_gamma = stream.split(2)
-    rec = dec.decompose_many(model, dec.FirstJump(), policy, n, s_rec)
+    rule = _parse_rule(params.get("rule", {"kind": "first_jump"}))
+    s_rec, s_gamma, s_tau = stream.split(3)
+    rec = dec.decompose_many(_gamma_model(alpha, lam), rule, policy, n, s_rec)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
-    r_total = compare_samples("x_total_vs_direct", rec.x_total, direct)
-    r_prime = compare_samples("x_prime_vs_direct", rec.x_prime, direct)
+    reports = [compare_samples("x_total_vs_direct", rec.x_total, direct),
+               compare_samples("x_prime_vs_direct", rec.x_prime, direct)]
+    tau = _exact_tau(rule, alpha, lam, n, s_tau)
+    if tau is not None:
+        reports.append(compare_samples("tau_vs_exact_law", rec.tau, tau))
     band = independence_pass_band(n)
     d1 = independence_diagnostic(rec.x_tau, rec.x_prime)
     d2 = independence_diagnostic(rec.discount, rec.x_prime)
     max_rel, pathwise_ok = _pathwise(rec)
     return ExperimentResult(
-        reports=[r_total, r_prime],
+        reports=reports,
         gates={"independence_pass": bool(d1 <= band and d2 <= band),
                "pathwise_pass": pathwise_ok},
         extras={"independence_x_tau_x_prime": d1,
@@ -162,20 +186,6 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
                 "max_relative_residual": max_rel},
         samples={**vars(rec), "direct_gamma": direct}, primary=(rec.x_total, direct),
         ref_cf=gamma_cf(alpha, lam),
-    )
-
-
-def _run_corollary2(params, n, policy, stream) -> ExperimentResult:
-    model = _gamma_model(params["alpha"], params["lam"])
-    rule = _parse_rule(params["rule"])
-    rec = dec.decompose_many(model, rule, policy, n, stream)
-    max_rel, pathwise_ok = _pathwise(rec)
-    return ExperimentResult(
-        gates={"pathwise_pass": pathwise_ok},
-        extras={"max_relative_residual": max_rel, "residual_tolerance": rec.TOLERANCE,
-                "n_records": int(rec.tau.size)},
-        samples={**vars(rec), "residual": rec.residual},
-        primary=(rec.x_total, rec.x_prime),
     )
 
 
@@ -331,7 +341,7 @@ _EXPERIMENTS = {
     "verify-gamma-bdlp": (_object(_GAMMA), _run_gamma_bdlp),
     "verify-theorem1": (_object(_GAMMA), _run_theorem1),
     "verify-corollary2-pathwise": (_object({**_GAMMA, "rule": _RULE_SCHEMA}),
-                                   _run_corollary2),
+                                   _run_theorem1),
     "verify-corollary3": (_object({**_GAMMA, "set_threshold": _POSITIVE}),
                           _run_corollary3),
     "verify-prop1": (_object({"alphas": {"type": "array", "items": _POSITIVE,
@@ -354,13 +364,19 @@ _EXPERIMENTS = {
 
 EXPERIMENTS = tuple(_EXPERIMENTS)
 
-CONFIG_SCHEMA = _object(
-    {"experiment": {"enum": list(EXPERIMENTS)},
-     "seed": {"type": "integer", "minimum": 0},
-     "n_samples": {"type": "integer", "minimum": 200},
-     "params": {"type": "object"}},
-    {"policy": _object({}, {"horizon": _POSITIVE}),
-     "out_dir": {"type": "string"}})
+# The experiments whose independence gate pairs n_samples draws.
+_PAIRED = ["verify-theorem1", "verify-corollary2-pathwise", "verify-corollary3",
+           "null-calibration"]
+
+CONFIG_SCHEMA = {
+    **_object({"experiment": {"enum": list(EXPERIMENTS)},
+               "seed": {"type": "integer", "minimum": 0},
+               "n_samples": {"type": "integer", "minimum": 200},
+               "params": {"type": "object"}},
+              {"policy": _object({}, {"horizon": _POSITIVE}),
+               "out_dir": {"type": "string"}}),
+    "allOf": [{"if": {"properties": {"experiment": {"enum": _PAIRED}}},
+               "then": {"properties": {"n_samples": {"minimum": MIN_PAIRED_SAMPLES}}}}]}
 
 
 # JSON types as Python types; a bool is none of them, and a number is finite.
@@ -501,14 +517,11 @@ def _write_ecf_csv(path: Path, pair, ref_cf):
 
 
 def run(config: dict, out_dir: str | Path | None = None) -> int:
-    """Validate the config, run the experiment, write artifacts; returns the
-    exit status (0 pass, 1 fail)."""
+    """Validate the config, run the experiment, then make the output directory
+    and write the artifacts; returns the exit status (0 pass, 1 fail)."""
     config = validate_config(config)
     fingerprint = hashlib.sha256(
         json.dumps(config, sort_keys=True).encode()).hexdigest()
-    out = Path(out_dir if out_dir is not None else config.get("out_dir", "."))
-    out.mkdir(parents=True, exist_ok=True)
-
     seed = config["seed"]
     policy = TruncationPolicy(**config.get("policy", {}))
     _, runner = _EXPERIMENTS[config["experiment"]]
@@ -526,6 +539,9 @@ def run(config: dict, out_dir: str | Path | None = None) -> int:
         "extras": {**result.extras, **result.gates},
         "verdict": result.verdict,
     }
+    # Made only now, so a run that raises leaves no directory behind.
+    out = Path(out_dir if out_dir is not None else config.get("out_dir", "."))
+    out.mkdir(parents=True, exist_ok=True)
     (out / "report.json").write_text(
         json.dumps(report_doc, sort_keys=True, indent=2) + "\n")
     _write_samples_csv(out / "samples.csv", result.samples)

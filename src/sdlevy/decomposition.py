@@ -10,7 +10,9 @@ e^{-tau} times that jump. X_tau and X' are evaluated on the same
 realization, so the recombination x_total = x_tau + e^{-tau} * x_prime
 holds pathwise (to roundoff), not just in distribution. Path-dependent
 stopping times are looked for on (0, _REACH * T]; one that is not realized
-there raises InsufficientHorizonError and is never silently capped.
+there raises InsufficientHorizonError and is never silently capped. Within a
+block, a record's k-th jump time is peeled off its per-record minima, one
+rank per round (``_kth_times``), so a first jump is one per-record minimum.
 ``evaluate_stopping`` realizes a rule on one path object, the independent
 reference route.
 """
@@ -163,13 +165,24 @@ def _preset_time(rule, stream: RngStream, size: int) -> np.ndarray:
 
 def _kth_times(owner, times, count, rank, rows):
     """For each record in ``rows``, the rank-th smallest of its ``times``;
-    ``count`` holds each record's number of ``times``."""
-    if np.all(rank == 1):  # a per-record minimum needs no sort
+    ``count`` holds each record's number of ``times``, at least its rank.
+
+    Peeled one per-record minimum at a time: a round takes each record's
+    smallest time, then drops it, with the times equal to it, from the
+    records that still need a later rank. Rank 1 is the first round alone."""
+    need = np.zeros(count.size, np.intp)
+    need[rows] = rank
+    kth = np.empty(count.size)
+    while True:
         first = np.full(count.size, np.inf)
         np.minimum.at(first, owner, times)
-        return first[rows]
-    order = np.lexsort((times, owner))
-    return times[order[np.cumsum(count)[rows] - count[rows] + rank - 1]]
+        kth[need > 0] = first[need > 0]
+        if np.all(need <= 1):
+            return kth[rows]
+        drop = times == first[owner]
+        need = np.maximum(need - np.bincount(owner[drop], minlength=count.size), 0)
+        keep = ~drop & (need[owner] > 0)
+        owner, times = owner[keep], times[keep]
 
 
 def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream):

@@ -18,6 +18,7 @@ SIGNIFICANCE = 0.001
 # c(sig) from the asymptotic Kolmogorov distribution: c = sqrt(-ln(sig/2)/2).
 KS_COEFF = math.sqrt(-0.5 * math.log(SIGNIFICANCE / 2))
 _ECF_CHUNK = 100_000  # samples per block of empirical_cf
+MIN_PAIRED_SAMPLES = 1000  # the fewest pairs independence_diagnostic accepts
 
 
 def _pooled_ecdfs(a, b) -> tuple[np.ndarray, ...]:
@@ -112,8 +113,8 @@ def independence_diagnostic(x, y) -> float:
     y = np.asarray(y, float)
     if x.size != y.size:
         raise ValueError("paired samples must have equal length")
-    if x.size < 1000:
-        raise ValueError("need at least 1000 paired samples")
+    if x.size < MIN_PAIRED_SAMPLES:
+        raise ValueError(f"need at least {MIN_PAIRED_SAMPLES} paired samples")
 
     def transforms(v):
         return (np.clip(v, -10.0, 10.0), (v > _median(v)).astype(float))

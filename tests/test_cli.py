@@ -14,15 +14,16 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _RULES, _TYPES, CONFIG_SCHEMA,
-                        EXPERIMENTS, _errors, _parse_rule, _symmetric_cf, main, run,
-                        validate_config)
+from sdlevy import decomposition
+from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES, _TYPES,
+                        CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf, main,
+                        run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
 from sdlevy.levy import ExponentialJumps, JumpSet
 from sdlevy.operator import OperatorDecompositionRecord
-from sdlevy.stats import empirical_cf, ks_two_sample
+from sdlevy.stats import MIN_PAIRED_SAMPLES, empirical_cf, ks_two_sample
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -42,7 +43,7 @@ SMALL_CONFIGS = {
                                n=2000),
     "verify-corollary2-pathwise": _config(
         "verify-corollary2-pathwise",
-        {"alpha": 2.0, "lam": 1.0, "rule": {"kind": "kth_jump", "k": 3}}, n=300),
+        {"alpha": 2.0, "lam": 1.0, "rule": {"kind": "kth_jump", "k": 3}}, n=1200),
     "verify-corollary3": _config("verify-corollary3",
                                  {"alpha": 2.0, "lam": 1.0, "set_threshold": 1.0},
                                  n=1200),
@@ -81,7 +82,8 @@ def _subschemas(schema):
 
 _FIELD_NAMES = sorted({name for schema in _SCHEMAS for sub in _subschemas(schema)
                        for name in sub.get("properties", ())} | {"bogus"})
-_VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 2000, 0.0, 0.5, 1.0, -2.5, 3.0,
+_VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 999, 1000, 2000, 0.0, 0.5, 1.0,
+           -2.5, 3.0,
            100.0, 2000.0, 1e-300, math.nan, math.inf, -math.inf,
            "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
            [], [1.0], [0.0, 2.0], [[1.0, 0.0], [0.0, 2.0]], [[1.0, "x"]], [{}], {},
@@ -260,6 +262,19 @@ class TestValidation:
         with pytest.raises(ConfigError):
             validate_config(doc)
 
+    @pytest.mark.parametrize("name", _PAIRED)
+    def test_independence_gate_floor(self, name, tmp_path, capsys):
+        # an independence gate needs MIN_PAIRED_SAMPLES pairs: one fewer is
+        # an invalid config (exit 2, no output directory), not a run that raises
+        doc = {**SMALL_CONFIGS[name], "n_samples": MIN_PAIRED_SAMPLES}
+        validate_config(doc)
+        doc["n_samples"] = MIN_PAIRED_SAMPLES - 1
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "999 is less than the minimum of 1000" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
 
 class TestRunners:
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
@@ -298,6 +313,36 @@ class TestRunners:
             assert doc["verdict"] is False
             assert doc["extras"]["pathwise_pass"] is False
 
+    @pytest.mark.parametrize("kind", sorted(_RULES))
+    def test_theorem1_under_every_rule(self, kind, tmp_path):
+        # verify-corollary2-pathwise is verify-theorem1 under its rule: x_total
+        # and x_prime against direct gamma draws, and tau against its exact
+        # law under every rule but a fixed time, where it is not random
+        fields = {"fixed_time": {"t": 0.7}, "first_jump_in": {"threshold": 1.0},
+                  "kth_jump": {"k": 3}, "independent_exponential": {"rate": 1.0}}
+        doc = json.loads(json.dumps(SMALL_CONFIGS["verify-corollary2-pathwise"]))
+        doc["params"]["rule"] = {"kind": kind, **fields.get(kind, {})}
+        assert run(doc, out_dir=tmp_path) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        names = ["x_total_vs_direct", "x_prime_vs_direct"]
+        assert [r["name"] for r in report["reports"]] == (
+            names if kind == "fixed_time" else [*names, "tau_vs_exact_law"])
+        assert report["extras"]["independence_pass"] and report["extras"]["pathwise_pass"]
+
+    def test_tau_report_catches_a_rank_off_by_one(self, monkeypatch, tmp_path):
+        # a stopping engine that takes the (k+1)-th jump where the block holds
+        # it still satisfies the factorization (X' restarts at any jump), so
+        # only tau's exact law can tell: every other report and gate passes
+        kth_times = decomposition._kth_times
+        monkeypatch.setattr(decomposition, "_kth_times", lambda owner, times, count, rank, rows:
+                            kth_times(owner, times, count, np.minimum(rank + 1, count[rows]),
+                                      rows))
+        assert run(dict(SMALL_CONFIGS["verify-corollary2-pathwise"]), out_dir=tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert {r["name"]: r["verdict"] for r in report["reports"]} == {
+            "x_total_vs_direct": True, "x_prime_vs_direct": True, "tau_vs_exact_law": False}
+        assert all(v for v in report["extras"].values() if isinstance(v, bool))
+
     @pytest.mark.parametrize("name", sorted(SMALL_CONFIGS))
     def test_artifacts_byte_identical(self, name, tmp_path):
         cfg = SMALL_CONFIGS[name]
@@ -333,7 +378,7 @@ class TestRunners:
         lines = (tmp_path / "samples.csv").read_text().strip().split("\n")
         header = lines[0].split(",")
         assert header == ["tau", "x_tau", "discount", "x_prime", "x_total",
-                          "residual"]
+                          "direct_gamma"]
         row = dict(zip(header, (float(v) for v in lines[1].split(","))))
         # the recombination must survive the CSV round trip
         recombined = row["x_tau"] + row["discount"] * row["x_prime"]
@@ -365,8 +410,7 @@ def small_run(tmp_path_factory):
 
 
 # The primary pairs that no report compares: two samples.csv columns.
-_PRIMARY_COLUMNS = {"verify-corollary2-pathwise": ("x_total", "x_prime"),
-                    "null-calibration": ("sample_a", "sample_b")}
+_PRIMARY_COLUMNS = {"null-calibration": ("sample_a", "sample_b")}
 
 
 class TestArtifacts:
@@ -394,7 +438,8 @@ class TestArtifacts:
             assert np.array_equal(_symmetric_cf(sample, _ECF_GRID),
                                   empirical_cf(sample, _ECF_GRID))
 
-    @pytest.mark.parametrize("name", ["verify-theorem1", "verify-corollary3"])
+    @pytest.mark.parametrize("name", ["verify-theorem1", "verify-corollary2-pathwise",
+                                      "verify-corollary3"])
     def test_direct_gamma_is_the_last_samples_column(self, small_run, name):
         # the direct gamma draws of the primary pair are kept in samples.csv,
         # since cdf.csv no longer holds the pooled sample
@@ -410,7 +455,8 @@ _NON_FINITE_FIELDS = {
     "horizon": ({**SMALL_CONFIGS["verify-gamma-bdlp"], "policy": {"horizon": 40.0}},
                 ("policy", "horizon")),
     "t": (_config("verify-corollary2-pathwise", {"alpha": 2.0, "lam": 1.0,
-                                                 "rule": {"kind": "fixed_time", "t": 1.0}}),
+                                                 "rule": {"kind": "fixed_time", "t": 1.0}},
+                  n=1200),
           ("params", "rule", "t")),
     "q": (SMALL_CONFIGS["operator-decompose"], ("params", "q", 0, 0)),
 }
@@ -501,6 +547,8 @@ class TestMain:
         assert main(["run", "--config", self._write(tmp_path, doc),
                      "--out-dir", str(tmp_path / "out")]) == 3
         assert "ValueError" in capsys.readouterr().err
+        # the output directory is made only after the run returns
+        assert not (tmp_path / "out").exists()
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(DecompositionRecord, "relative_residual", property(
@@ -622,7 +670,5 @@ class TestCpuDispatch:
             assert a.keys() == b.keys()
             assert np.array_equal(a["tau"], b["tau"])
             for col in a:
-                # the residual is judged on the scale 1 + |x_total|
-                scale = (1.0 + np.abs(a["x_total"]) if col == "residual"
-                         else np.maximum(np.abs(a[col]), np.abs(b[col])))
+                scale = np.maximum(np.abs(a[col]), np.abs(b[col]))
                 assert np.all(np.abs(a[col] - b[col]) <= 4 * np.spacing(scale)), (name, col)

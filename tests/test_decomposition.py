@@ -5,7 +5,7 @@ import pytest
 
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
                                   FixedTime, IndependentRandomTime, KthJump,
-                                  _stopped_jumps, decompose, decompose_many,
+                                  _kth_times, _stopped_jumps, decompose, decompose_many,
                                   evaluate_stopping, first_value_identity,
                                   restricted_jump_identity)
 from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
@@ -110,6 +110,25 @@ class TestStoppedPath:
             hit = np.zeros(m, bool)
             hit[owner[times == tau[owner]]] = True
             assert hit.all()
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["distinct", "ties"])
+    def test_kth_times_matches_a_sort(self, ties, make_stream):
+        # the peel equals the rank-th entry of a lexsort by (owner, time), bit
+        # for bit: ragged records (some without times, some not asked for),
+        # ranks 1 to 5, records whose rank is their count, and equal times
+        s = make_stream()
+        m = 60
+        count = np.minimum(s.poisson(3.0, size=m), 9)
+        owner = np.repeat(np.arange(m), count)[np.argsort(s.uniform(size=count.sum()))]
+        times = s.uniform(size=owner.size)
+        if ties:
+            times = np.floor(4.0 * times)
+        rows = np.flatnonzero(count > 0)[::2]
+        rank = 1 + np.minimum(np.arange(rows.size) % 5, count[rows] - 1)
+        assert np.any(rank == count[rows]) and set(rank) == {1, 2, 3, 4, 5}
+        order = np.lexsort((times, owner))
+        sorted_kth = times[order[np.cumsum(count)[rows] - count[rows] + rank - 1]]
+        assert np.array_equal(_kth_times(owner, times, count, rank, rows), sorted_kth)
 
     def test_rounded_window_still_holds_T(self, make_stream):
         # fl(30.1 + 40) - 30.1 < 40: a fixed time whose rounded window falls
