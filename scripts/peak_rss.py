@@ -1,0 +1,54 @@
+#!/usr/bin/env python3
+"""Peak memory of each example config, one fresh child process per config.
+
+Usage: python scripts/peak_rss.py [--configs configs]
+
+Each config runs as ``python -m sdlevy.cli run`` in its own child, with the
+artifacts written to a temporary directory that is removed afterwards. The
+table gives the child's own peak resident set size (``ru_maxrss`` from
+``wait4``), its wall time and its exit status. The child imports sdlevy
+from this tree's ``src``. Exits nonzero if any child does.
+"""
+
+import argparse
+import os
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def peak_rss(config: Path) -> tuple[int, float, float]:
+    """(exit status, peak RSS in MB, wall seconds) of one child run."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    with tempfile.TemporaryDirectory() as out:
+        t0 = time.perf_counter()
+        child = subprocess.Popen(
+            [sys.executable, "-m", "sdlevy.cli", "run", "--config", str(config),
+             "--out-dir", out], env=env, stdout=subprocess.DEVNULL)
+        _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
+        wall = time.perf_counter() - t0
+    child.returncode = os.waitstatus_to_exitcode(status)
+    return child.returncode, usage.ru_maxrss / 1024.0, wall
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--configs", default=str(ROOT / "configs"))
+    args = parser.parse_args()
+
+    failed = False
+    print(f"{'config':30s} {'exit':>4s} {'peak MB':>8s} {'wall s':>7s}")
+    for path in sorted(Path(args.configs).glob("*.json")):
+        status, mb, wall = peak_rss(path)
+        failed |= status != 0
+        print(f"{path.stem:30s} {status:4d} {mb:8.1f} {wall:7.2f}", flush=True)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

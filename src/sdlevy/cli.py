@@ -448,12 +448,17 @@ def validate_config(doc: dict) -> dict:
 # Artifact writers (full double precision, deterministic layout)
 # ---------------------------------------------------------------------------
 
+_CELLS = 1 << 14  # values per '%' call of _write_rows
+
+
 def _write_rows(fh, row_fmt: str, cols: list):
     """Write the rows of equal-length float columns through row_fmt, one '%'
-    call per block of 4096 rows ('%.17g' prints what format(v, ".17g") does)."""
-    rows = np.column_stack(cols)
-    for lo in range(0, len(rows), 4096):
-        part = rows[lo:lo + 4096]
+    call per block of whole rows of at most _CELLS values (at least one
+    row), stacking only that block's slice of the columns ('%.17g' prints
+    what format(v, ".17g") does)."""
+    step = max(1, _CELLS // len(cols))
+    for lo in range(0, len(cols[0]), step):
+        part = np.column_stack([c[lo:lo + step] for c in cols])
         fh.write((row_fmt * len(part)) % tuple(part.ravel().tolist()))
 
 

@@ -276,13 +276,19 @@ def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
 
 def _by_chunks(chunk, n: int, stream: RngStream) -> list[np.ndarray]:
     """The columns of ``chunk(m, child)`` over n records in chunks of
-    _CHUNK, each column concatenated; chunk i gets only child i of
-    ``stream.split(ceil(n / _CHUNK))``."""
+    _CHUNK, each chunk written into length-n columns as it comes; chunk i
+    gets only child i of ``stream.split(ceil(n / _CHUNK))``."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    chunks = stream.split(-(-n // _CHUNK))
-    cols = [chunk(min(_CHUNK, n - i * _CHUNK), s) for i, s in enumerate(chunks)]
-    return [np.concatenate(c) for c in zip(*cols)]
+    cols = None
+    for i, s in enumerate(stream.split(-(-n // _CHUNK))):
+        lo = i * _CHUNK
+        part = chunk(min(_CHUNK, n - lo), s)
+        if cols is None:
+            cols = [np.empty((n, *c.shape[1:]), c.dtype) for c in part]
+        for col, c in zip(cols, part):
+            col[lo:lo + len(c)] = c
+    return cols
 
 
 def decompose_many(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,

@@ -8,9 +8,11 @@ decomposition records of ``decomposition`` and ``operator``;
 ``simulate_path`` is its n = 1 draw, sorted in time. The batch integrals of
 ``discount`` and ``operator`` sum the same variates, drawn in
 ``_poisson_jumps``'s order, in blocks through ``_jump_sums``, which keeps
-one float per jump (its time) instead of every jump's owner, time and
-size. Path objects have no Gaussian part: ``simulate_path`` refuses a
-model with one, and the batch samplers draw it exactly, as normals. Path
+no per-jump array: the jump times come block by block from a copy of the
+stream that ``RngStream.take_uniforms`` hands out, an exact skip-ahead of
+the counter-based stream past them to the jump sizes. Path objects have
+no Gaussian part: ``simulate_path`` refuses a model with one, and the
+batch samplers draw it exactly, as normals. Path
 objects are the reference route for the evaluators and the stopping rules:
 they share the generator with the batch engine, but not its stopping or
 evaluation code.
@@ -273,34 +275,33 @@ def _jump_sums(model: LevyModel, window, n: int, stream: RngStream, block_sum,
                out: np.ndarray) -> np.ndarray:
     """Add to out[i] the sum over path i's jumps that ``block_sum`` computes,
     for the n paths of ``_poisson_jumps(model, window, n, stream)``: the same
-    variates in the same order, without its owner, time and size arrays.
+    variates in the same order, with no array the size of all the jumps.
 
-    After the Poisson counts, pass 1 draws the uniform times _BLOCK at a
-    time into the only jump-sized array. Pass 2 draws the sizes for blocks
-    of whole paths, at most _BLOCK jumps or one path, and adds
-    ``block_sum(owner, times, sizes, m)``, the (m, ...) sums of the block's
-    m paths with a block-local owner; it may overwrite ``times``. The
-    uniform, exponential, constant and table samplers draw value by value,
-    so the smaller calls return the same values; gamma jump sizes run their
-    rejection rounds per block. A jump-free model draws nothing.
+    After the Poisson counts, ``stream.take_uniforms`` hands out a stream
+    at the first uniform time and moves ``stream`` past all of them to the
+    first jump size. Blocks of whole paths, at most _BLOCK jumps or one
+    path, then draw their times from the one stream and their sizes from
+    the other, and add ``block_sum(owner, times, sizes, m)``, the (m, ...)
+    sums of the block's m paths with a block-local owner; it may overwrite
+    ``times``. The uniform, exponential, constant and table samplers draw
+    value by value, so the smaller calls return the same values; gamma jump
+    sizes run their rejection rounds per block. A jump-free model draws
+    nothing.
     """
     if model.jump_rate <= 0:
         return out
     counts = stream.poisson(model.jump_rate * window, size=n)
     ends = np.cumsum(counts)
-    times = np.empty(counts.sum())
-    for lo in range(0, times.size, _BLOCK):
-        t = times[lo:lo + _BLOCK]
-        w = (window[np.searchsorted(ends, np.arange(lo, lo + t.size), side="right")]
-             if np.ndim(window) else window)
-        np.multiply(stream.uniform(size=t.size), w, out=t)
+    uniforms = stream.take_uniforms(counts.sum())
     lo = p0 = 0
     while p0 < n:
         p1 = max(p0 + 1, int(np.searchsorted(ends, lo + _BLOCK, side="right")))
         hi = ends[p1 - 1]
         owner = np.repeat(np.arange(p1 - p0), counts[p0:p1])
+        times = uniforms.uniform(size=hi - lo)
+        times *= window[p0:p1][owner] if np.ndim(window) else window
         sizes = model.jump_law.sample(stream, size=hi - lo)
-        out[p0:p1] += block_sum(owner, times[lo:hi], sizes, p1 - p0)
+        out[p0:p1] += block_sum(owner, times, sizes, p1 - p0)
         lo, p0 = hi, p1
     return out
 

@@ -12,11 +12,11 @@ pushed along a fixed direction: one per coordinate
 (``independent_coordinates``), or one shared. Records run on the ragged
 batch engine of ``decomposition``, each source's jumps one ragged batch
 from ``levy._poisson_jumps``; integrals sum the same variates in blocks
-through ``levy._jump_sums``. For both, one routine of ``_QDiscounter``
-sums e^{-tQ} u*size per row: in the eigenbasis of Q when Q is
-diagonalizable (a diagonal Q has V = I), otherwise by ``_expm``, a stacked
-scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps.
-The engine imports no scipy. The scalar case is d = 1. Records take every
+through ``levy._jump_sums``, with no per-jump array. For both, one
+routine of ``_QDiscounter`` sums e^{-tQ} u*size per row: in the
+eigenbasis of Q when Q is diagonalizable (a diagonal Q has V = I),
+otherwise by ``_expm``, a stacked scaling-and-squaring Pade-13 kernel in
+numpy, over blocks of jumps. The engine imports no scipy. The scalar case is d = 1. Records take every
 stopping rule of ``decomposition``; FirstJumpIn stops at the first jump
 whose scalar size lies in the set.
 """

@@ -56,13 +56,16 @@ def ks_two_sample(a, b) -> tuple[float, float, bool]:
 
 
 def empirical_cf(samples, grid) -> np.ndarray:
-    """Mean of exp(i*u*x) over the sample, evaluated on the grid."""
+    """Mean of exp(i*u*x) over the sample, evaluated on the grid one
+    frequency and one block of _ECF_CHUNK samples at a time, so memory does
+    not grow with the grid."""
     samples = np.asarray(samples, float)
     grid = np.asarray(grid, float)
     acc = np.zeros(grid.size, complex)
     for start in range(0, samples.size, _ECF_CHUNK):
         block = samples[start:start + _ECF_CHUNK]
-        acc += np.exp(1j * grid[:, None] * block[None, :]).sum(axis=1)
+        for k, u in enumerate(grid):
+            acc[k] += np.exp(1j * u * block).sum()
     return acc / samples.size
 
 

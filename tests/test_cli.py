@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import jsonschema
@@ -16,13 +17,14 @@ import pytest
 
 from sdlevy import decomposition
 from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES, _TYPES,
-                        CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf, main,
-                        run, validate_config)
+                        CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf,
+                        _write_samples_csv, main, run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.errors import ConfigError
 from sdlevy.levy import ExponentialJumps, JumpSet
 from sdlevy.operator import OperatorDecompositionRecord
+from sdlevy.rng import RngStream
 from sdlevy.stats import MIN_PAIRED_SAMPLES, empirical_cf, ks_two_sample
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -447,6 +449,25 @@ class TestArtifacts:
         header = (out / "samples.csv").read_text().split("\n", 1)[0].split(",")
         assert header[-1] == "direct_gamma"
         assert np.array_equal(_columns(out / "samples.csv")["direct_gamma"], result.primary[1])
+
+
+    def test_samples_csv_peak_is_bounded(self, tmp_path):
+        # rows go out in blocks of at most _CELLS values, so 9 columns of
+        # 15,000 rows (one column 1,000 rows shorter) stay under a bound
+        # below the 1.1 MB of one stacked copy of them; each value is its
+        # own '%.17g'
+        cols = {f"c{i}": RngStream(60 + i).normal(size=15_000 - 1_000 * (i == 8))
+                for i in range(9)}
+        tracemalloc.start()
+        try:
+            _write_samples_csv(tmp_path / "samples.csv", cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+        rows = [",".join("%.17g" % c[r] if r < c.size else "" for c in cols.values())
+                for r in range(15_000)]
+        assert (tmp_path / "samples.csv").read_text() == "\n".join([",".join(cols), *rows, ""])
 
 
 # A valid config with a number field, and the path to that field.

@@ -157,11 +157,13 @@ class TestBlockedKernel:
         monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
         model = LevyModel(jump_rate=rate, jump_law=_LAWS[law], drift=0.3, gauss_var=0.7)
         window = RngStream(3).uniform(size=n) * bound if per_path else bound
-        ref = _unblocked_integral(model, window, n, RngStream(11, n))
         counts = RngStream(11, n).poisson(rate * window, size=n)
         assert counts.max() > 7  # some path spans more than one block
-        got = _integral_batch(model, window, n, RngStream(11, n))
+        ref_stream, stream = RngStream(11, n), RngStream(11, n)
+        ref = _unblocked_integral(model, window, n, ref_stream)
+        got = _integral_batch(model, window, n, stream)
         assert np.array_equal(got, ref)
+        assert stream.counter == ref_stream.counter  # each variate counted once
 
     def test_default_block_bit_equal_to_unblocked(self):
         # about 1.2 million jumps: many blocks of 2^16
@@ -171,19 +173,20 @@ class TestBlockedKernel:
                                               RngStream(12))
         assert np.array_equal(got, ref)
 
-    def test_memory_is_one_float_per_jump(self):
-        # one float per jump plus block temporaries; the unblocked
-        # owner/time/size arrays alone need 24 bytes per jump
-        n = 15_000
-        jumps = int(RngStream(13).poisson(2.0 * 40.0, size=n).sum())
-        tracemalloc.start()
-        try:
-            sample_discounted_integral_many(_gamma_model(2.0, 1.0), TruncationPolicy(40.0),
-                                            n, RngStream(13))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * jumps
+    def test_peak_does_not_grow_with_jumps(self):
+        # one fixed bound at T = 40 and T = 400 (about 1.2 and 12 million
+        # jumps): block temporaries and length-n arrays, no per-jump array
+        # (one float per jump alone would be 9.6 MB at T = 40)
+        for horizon in (40.0, 400.0):
+            tracemalloc.start()
+            try:
+                sample_discounted_integral_many(_gamma_model(2.0, 1.0),
+                                                TruncationPolicy(horizon), 15_000,
+                                                RngStream(13))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 << 20, horizon
 
     @pytest.mark.parametrize("gauss_var", [0.0, 2.0])
     def test_jump_free_model_draws_only_its_normals(self, gauss_var):

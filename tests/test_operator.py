@@ -461,19 +461,19 @@ class TestBlockedBatch:
         got = sample_operator_integral_many(model, POLICY, 50, RngStream(22))
         assert np.array_equal(got, ref)
 
-    def test_memory_is_one_float_per_jump(self):
-        # operator_2d's coordinates at n = 10^4: one float per jump of the
-        # larger source plus block temporaries; the unblocked owner/time/size
-        # arrays and eigen-mode temporaries need about 40 bytes per jump
-        n = 10_000
-        jumps = int(RngStream(23).poisson(2.0 * POLICY.horizon, size=n).sum())
-        tracemalloc.start()
-        try:
-            sample_operator_integral_many(_model_2d(), POLICY, n, RngStream(23))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 12 * jumps
+    def test_peak_does_not_grow_with_jumps(self):
+        # operator_2d's coordinates at n = 10^4, one fixed bound at T = 40
+        # and T = 400 (about 1.2 and 12 million jumps): block temporaries
+        # and (n, d) sums, no per-jump array
+        for horizon in (40.0, 400.0):
+            tracemalloc.start()
+            try:
+                sample_operator_integral_many(_model_2d(), TruncationPolicy(horizon), 10_000,
+                                              RngStream(23))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 5 << 20, horizon
 
 
 class TestOperatorRecordsEngine:

@@ -3,6 +3,7 @@ independence diagnostics, and report plumbing."""
 
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -128,6 +129,21 @@ class TestECF:
         grid = np.array([-3.0, -0.5, 0.0, 1.0, 4.0])
         direct = np.exp(1j * grid[:, None] * x[None, :]).mean(axis=1)
         np.testing.assert_allclose(empirical_cf(x, grid), direct, atol=1e-12)
+
+    def test_empirical_cf_peak_does_not_grow_with_grid(self, make_stream):
+        # one frequency at a time: 11 and 1001 frequencies over 15,000
+        # samples stay under one bound (a (grid x samples) complex matrix
+        # would be 2.6 MB and 240 MB)
+        x = make_stream().normal(size=15_000)
+        for size in (11, 1001):
+            grid = np.linspace(-5.0, 5.0, size)
+            tracemalloc.start()
+            try:
+                empirical_cf(x, grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 1 << 20, size
 
     def test_bad_grid(self, make_stream):
         with pytest.raises(ValueError):
