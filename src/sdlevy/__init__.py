@@ -18,7 +18,7 @@ from .operator import (OperatorDecompositionRecord, OperatorDriver, OperatorMode
                        independent_coordinates, operator_decompose_many,
                        sample_operator_integral_many)
 from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
-                         beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
+                         beta_gamma_identity_samples, gamma_factor_samples,
                          sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, ecf_distance, gamma_cf,

@@ -30,7 +30,8 @@ it makes only then:
 Rerunning with the same config and seed on one machine and numpy build
 produces byte-identical artifacts.
 Exit status: 0 all verdicts pass, 1 a verdict failed, 2 invalid config, 3 a
-valid config whose run raised (for example a Poisson mean too large).
+valid config whose run raised (for example a Poisson mean too large, or a
+perpetuity series that needs more than ``n_steps`` terms).
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from .levy import ExponentialJumps, JumpSet, LevyModel
 from .operator import (OperatorModel, independent_coordinates, operator_decompose_many,
                        sample_operator_integral_many)
 from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
-                         beta_gamma_identity_samples, gamma_factor_samples, iterate_many,
+                         beta_gamma_identity_samples, gamma_factor_samples,
                          sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (MIN_PAIRED_SAMPLES, StatReport, _pooled_ecdfs, compare_samples,
@@ -237,9 +238,14 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
     return ExperimentResult(reports=reports, samples=samples, primary=primary)
 
 
+# Every perpetuity series stops a chain once its running product is below this.
+_TAIL_TOL = 1e-12
+
+
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     gamma = params["driver"] == "gamma"
     alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
+    max_terms = params.get("n_steps", 200)
     if gamma:
         model, rule = _gamma_model(alpha, lam), dec.FirstJump()
     else:
@@ -250,18 +256,21 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     law = StoppedIntegralAffine(model, rule)
     s_perp, s_series, s_gamma = stream.split(3)
     s_iter, s_direct, s_diag = s_perp.split(3)
-    stationary = iterate_many(law, 0.0, params.get("n_steps", 200), n, s_iter)
+    stationary, terms = sample_backward_series_many(law, _TAIL_TOL, n, s_iter,
+                                                    max_terms=max_terms)
     direct = sample_discounted_integral_many(model, policy, n, s_direct)
     a, _ = law.sample_pairs(s_diag, size=min(n, 10_000))
     reports = [compare_samples("perpetuity_fixed_point", stationary, direct)]
     gates = {"discount_in_unit_interval": bool(np.all((a >= 0.0) & (a <= 1.0))),
              "discount_nondegenerate": bool(np.std(a) > 0.0)}
+    extras = {"tail_tol": _TAIL_TOL, "max_terms": max_terms, "fixed_point_terms": terms}
     if not gamma:
-        return ExperimentResult(reports=reports, gates=gates)
-    series = sample_backward_series_many(BetaGammaAffine(alpha, lam), 1e-12, n, s_series)
+        return ExperimentResult(reports=reports, gates=gates, extras=extras)
+    series, extras["backward_series_terms"] = sample_backward_series_many(
+        BetaGammaAffine(alpha, lam), _TAIL_TOL, n, s_series, max_terms=max_terms)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     reports.append(compare_samples("backward_series_vs_direct", series, direct))
-    return ExperimentResult(reports=reports, gates=gates,
+    return ExperimentResult(reports=reports, gates=gates, extras=extras,
                             samples={"backward_series": series, "direct_gamma": direct},
                             primary=(series, direct), ref_cf=gamma_cf(alpha, lam))
 

@@ -244,12 +244,6 @@ class JumpPath:
         idx = int(np.searchsorted(self.jump_times, t, side="right"))
         return self.drift * t + float(np.sum(self.jump_sizes[:idx]))
 
-    def value_left(self, t: float) -> float:
-        """Y(t-): excludes a jump landing exactly at t."""
-        self._check_time(t)
-        idx = int(np.searchsorted(self.jump_times, t, side="left"))
-        return self.drift * t + float(np.sum(self.jump_sizes[:idx]))
-
 
 def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
     """The jumps of n independent compound Poisson paths on (0, w_i], with

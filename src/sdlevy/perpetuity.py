@@ -5,7 +5,12 @@ Every selfdecomposable law is a perpetuity: the pair (e^{-tau}, X_tau)
 produced by stopping the discounted integral at tau (StoppedIntegralAffine)
 gives an affine recursion whose fixed point is the law itself; the
 ``perpetuity-iterate`` runner in ``cli`` picks tau and judges that fixed
-point. The gamma law additionally admits the closed-form factorizations
+point. One loop draws every stationary law: the backward series
+Z = sum_k B_k prod_{l<k} A_l, cut once each chain's running product is below
+tail_tol (from Z_0 = 0, k forward steps equal the series cut after k terms in
+law: the pairs are i.i.d., so reversing their order changes no law); a series
+that needs more than max_terms terms raises ContractionError. The gamma law
+additionally admits the closed-form factorizations
 
     gamma(a, r) =d U^{1/a} * gamma(a+1, r)
     gamma(a, r) =d D * (gamma(1, r) + gamma(a, r)),   D = e^{-Exp(a)} =d U^{1/a}
@@ -31,9 +36,6 @@ from .discount import TruncationPolicy, _integral_batch
 from .errors import ContractionError
 from .levy import LevyModel
 from .rng import GammaParams, RngStream, sample_gamma
-
-# A backward series that needs more terms than this raises ContractionError.
-_MAX_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -98,20 +100,8 @@ def estimate_log_contraction(law, stream: RngStream, n: int = 512) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Iteration and the backward series
+# The backward series
 # ---------------------------------------------------------------------------
-
-def iterate_many(law, z0: float, n_steps: int, n_chains: int,
-                 stream: RngStream) -> np.ndarray:
-    """Forward iteration over independent chains, vectorized per step."""
-    if n_steps < 1:
-        raise ValueError("n_steps must be at least 1")
-    z = np.full(int(n_chains), float(z0))
-    for _ in range(n_steps):
-        a, b = law.sample_pairs(stream, size=n_chains)
-        z = a * z + b
-    return z
-
 
 def _require_contractive(law, stream: RngStream):
     est = estimate_log_contraction(law, stream.split(1)[0])
@@ -120,26 +110,29 @@ def _require_contractive(law, stream: RngStream):
             f"estimated E[log|A|] = {est:.4g} >= 0; the backward series diverges")
 
 
-def sample_backward_series_many(law, tail_tol: float, n: int,
-                                stream: RngStream) -> np.ndarray:
+def sample_backward_series_many(law, tail_tol: float, n: int, stream: RngStream, *,
+                                max_terms: int) -> tuple[np.ndarray, int]:
     """n exactly-stationary draws of Z = sum_k B_k prod_{l<k} A_l, each
     truncated once its running product drops below tail_tol (the truncation
-    error is bounded by tail_tol times a stationary copy). The paths run in
-    lockstep: every term draws n pairs and a stopped path's product is 0, so
-    on the same stream a tighter tail_tol only appends terms to each path."""
+    error is bounded by tail_tol times a stationary copy), and the number of
+    terms the slowest path used. The paths run in lockstep: every term draws
+    n pairs and a stopped path's product is 0, so on the same stream a
+    tighter tail_tol only appends terms to each path. A path still running
+    after max_terms terms raises ContractionError."""
     if not (0.0 < tail_tol < 1.0):
         raise ValueError("tail_tol must be in (0, 1)")
     _require_contractive(law, stream)
     z = np.zeros(n)
     prod = np.ones(n)
-    for _ in range(_MAX_TERMS):
+    for terms in range(1, max_terms + 1):
         a, b = law.sample_pairs(stream, size=n)
         z += prod * b
         prod *= a
         prod[np.abs(prod) < tail_tol] = 0.0
         if not prod.any():
-            return z
-    raise ContractionError(f"series did not contract within {_MAX_TERMS} terms")
+            return z, terms
+    raise ContractionError(f"series did not reach tail_tol {tail_tol:g} "
+                           f"within max_terms = {max_terms} terms")
 
 
 # ---------------------------------------------------------------------------

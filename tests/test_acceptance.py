@@ -119,8 +119,8 @@ def test_05_backward_series():
     for a in (0.5, 1.0, 2.0):
         for lam in (1.0, 3.0):
             s_ser, s_ref = stream.split(2)
-            series = sample_backward_series_many(BetaGammaAffine(a, lam), 1e-12,
-                                                 N, s_ser)
+            series, _ = sample_backward_series_many(BetaGammaAffine(a, lam), 1e-12,
+                                                    N, s_ser, max_terms=200)
             ref = sample_gamma(GammaParams(a, lam), s_ref, size=N)
             d, thr, this_ok = ks_two_sample(series, ref)
             ok = ok and this_ok

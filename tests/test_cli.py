@@ -16,12 +16,12 @@ import numpy as np
 import pytest
 
 from sdlevy import decomposition
-from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES, _TYPES,
-                        CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf,
+from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES, _TAIL_TOL,
+                        _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf,
                         _write_samples_csv, main, run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
-from sdlevy.errors import ConfigError
+from sdlevy.errors import ConfigError, ContractionError
 from sdlevy.levy import ExponentialJumps, JumpSet
 from sdlevy.operator import OperatorDecompositionRecord
 from sdlevy.rng import RngStream
@@ -302,6 +302,25 @@ class TestRunners:
             assert doc["extras"]["discount_in_unit_interval"] is True
             assert doc["extras"]["discount_nondegenerate"] is True
 
+    @pytest.mark.parametrize("driver", ["gamma", "gaussian"])
+    def test_perpetuity_extras_state_the_series_terms(self, driver, tmp_path):
+        # report.json states the tail tolerance, the cap on terms (n_steps)
+        # and the terms each series used, none of them a gate; a cap of the
+        # largest reported count still passes, and one term less exits 3
+        doc = _config("perpetuity-iterate", {"driver": driver, "n_steps": 150}, n=2000)
+        assert run(copy.deepcopy(doc), out_dir=tmp_path / "run") == 0
+        extras = json.loads((tmp_path / "run" / "report.json").read_text())["extras"]
+        counts = ["fixed_point_terms"] + ["backward_series_terms"] * (driver == "gamma")
+        assert set(extras) == {"tail_tol", "max_terms", "discount_in_unit_interval",
+                               "discount_nondegenerate", *counts}
+        assert extras["tail_tol"] == _TAIL_TOL and extras["max_terms"] == 150
+        assert all(type(extras[k]) is int and 0 < extras[k] <= 150 for k in counts)
+        doc["params"]["n_steps"] = max(extras[k] for k in counts)
+        assert run(copy.deepcopy(doc), out_dir=tmp_path / "at_cap") == 0
+        doc["params"]["n_steps"] -= 1
+        with pytest.raises(ContractionError):
+            run(doc, out_dir=tmp_path / "below_cap")
+
     def test_pathwise_residual_fails_every_record_experiment(self, monkeypatch, tmp_path):
         # a relative residual above its record class's TOLERANCE must fail
         # the run; verify-theorem1 gates its residual like the others
@@ -482,6 +501,16 @@ _NON_FINITE_FIELDS = {
     "q": (SMALL_CONFIGS["operator-decompose"], ("params", "q", 0, 0)),
 }
 
+# A valid config, the path to a field, a valid value of it that makes the run
+# raise, and the error: numpy refuses a Poisson mean of 1e300, and the
+# perpetuity series needs more than 5 terms.
+_RAISING_FIELDS = {
+    "alpha": (*_NON_FINITE_FIELDS["alpha"], 1e300, "ValueError"),
+    "horizon": (*_NON_FINITE_FIELDS["horizon"], 1e300, "ValueError"),
+    "n_steps": (SMALL_CONFIGS["perpetuity-iterate"], ("params", "n_steps"), 5,
+                "ContractionError"),
+}
+
 
 class TestMain:
     def _write(self, tmp_path, doc):
@@ -555,19 +584,19 @@ class TestMain:
         assert f"{value!r} is not of type 'number'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("field", ["alpha", "horizon"])
+    @pytest.mark.parametrize("field", sorted(_RAISING_FIELDS))
     def test_run_that_raises_exits_3(self, tmp_path, capsys, field):
-        # a valid config whose run raises (numpy refuses a Poisson mean of
-        # 1e300) is neither a failed verdict (1) nor an invalid config (2)
-        doc, path = _NON_FINITE_FIELDS[field]
+        # a valid config whose run raises is neither a failed verdict (1)
+        # nor an invalid config (2)
+        doc, path, value, error = _RAISING_FIELDS[field]
         doc = copy.deepcopy(doc)
         parent = doc
         for key in path[:-1]:
             parent = parent[key]
-        parent[path[-1]] = 1e300
+        parent[path[-1]] = value
         assert main(["run", "--config", self._write(tmp_path, doc),
                      "--out-dir", str(tmp_path / "out")]) == 3
-        assert "ValueError" in capsys.readouterr().err
+        assert error in capsys.readouterr().err
         # the output directory is made only after the run returns
         assert not (tmp_path / "out").exists()
 

@@ -52,7 +52,6 @@ class TestPathValues:
         assert p.value(0.0) == 0.0
         assert p.value(0.5) == pytest.approx(0.25)
         assert p.value(1.0) == pytest.approx(0.5 + 2.0)   # jump at t included
-        assert p.value_left(1.0) == pytest.approx(0.5)    # and excluded on the left
         assert p.value(10.0) == pytest.approx(5.0 + 1.0)
 
     def test_path_validation(self, make_stream):

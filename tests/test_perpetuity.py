@@ -12,7 +12,7 @@ from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
 from sdlevy.perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                                beta_gamma_identity_samples, estimate_log_contraction,
-                               gamma_factor_samples, iterate_many, sample_backward_series_many)
+                               gamma_factor_samples, sample_backward_series_many)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import compare_samples, ks_two_sample
 
@@ -35,28 +35,6 @@ class ConstantAffine:
 
 
 class TestIteration:
-    def test_a_zero_forgets_the_start(self, make_stream):
-        law = ConstantAffine(0.0, 3.0)
-        np.testing.assert_array_equal(iterate_many(law, 1e9, 1, 5, make_stream()), 3.0)
-
-    def test_geometric_contraction(self, make_stream):
-        # Z_{n+1} = Z_n / 2 + 1 converges to 2 exactly in float
-        law = ConstantAffine(0.5, 1.0)
-        z = iterate_many(law, 0.0, 200, 1, make_stream())
-        assert z[0] == pytest.approx(2.0, abs=1e-12)
-        zs = iterate_many(law, 10.0, 200, 50, make_stream())
-        np.testing.assert_allclose(zs, 2.0, atol=1e-12)
-
-    def test_step_count_validated(self, make_stream):
-        with pytest.raises(ValueError):
-            iterate_many(ConstantAffine(0.5, 1.0), 0.0, 0, 10, make_stream())
-
-    def test_gamma_chain_stationary_law(self, make_stream):
-        # the C-form chain Z' = A(Z + C) with A = U^{1/a}, C = Exp(lam)
-        z = iterate_many(BetaGammaAffine(2.0, 1.0), 0.0, 200, 30_000, make_stream())
-        ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=30_000)
-        assert ks_two_sample(z, ref)[2]
-
     def test_log_contraction_estimate(self, make_stream):
         # E[log U^{1/a}] = -1/a
         est = estimate_log_contraction(BetaGammaAffine(2.0, 1.0), make_stream(),
@@ -66,39 +44,55 @@ class TestIteration:
 
 class TestBackwardSeries:
     def test_constant_law_closed_form(self, make_stream):
-        # sum of 1 * (1/2)^k = 2 up to the truncation tail
-        z = sample_backward_series_many(ConstantAffine(0.5, 1.0), 1e-12, 5, make_stream())
+        # sum of 1 * (1/2)^k = 2 up to the truncation tail; 2^-k drops below
+        # 1e-12 at k = 40, so a cap of 40 terms suffices and 39 raises
+        z, terms = sample_backward_series_many(ConstantAffine(0.5, 1.0), 1e-12, 5,
+                                               make_stream(), max_terms=40)
         np.testing.assert_allclose(z, 2.0, rtol=0, atol=1e-10)
+        assert terms == 40
+        with pytest.raises(ContractionError, match="max_terms = 39"):
+            sample_backward_series_many(ConstantAffine(0.5, 1.0), 1e-12, 5,
+                                        make_stream(), max_terms=39)
 
     def test_tail_tol_validated(self, make_stream):
         with pytest.raises(ValueError):
             sample_backward_series_many(ConstantAffine(0.5, 1.0), 0.0, 10,
-                                        make_stream())
+                                        make_stream(), max_terms=200)
         with pytest.raises(ValueError):
             sample_backward_series_many(ConstantAffine(0.5, 1.0), 2.0, 10,
-                                        make_stream())
+                                        make_stream(), max_terms=200)
 
     def test_divergent_law_rejected(self, make_stream):
         with pytest.raises(ContractionError):
             sample_backward_series_many(ConstantAffine(1.0, 1.0), 1e-12, 10,
-                                        make_stream())
+                                        make_stream(), max_terms=200)
         with pytest.raises(ContractionError):
             sample_backward_series_many(ConstantAffine(1.5, 1.0), 1e-12, 10,
-                                        make_stream())
+                                        make_stream(), max_terms=200)
 
     def test_gamma_series_marginal_and_mean(self, make_stream):
-        z = sample_backward_series_many(BetaGammaAffine(2.0, 1.0), 1e-12, 50_000,
-                                        make_stream())
+        z, _ = sample_backward_series_many(BetaGammaAffine(2.0, 1.0), 1e-12, 50_000,
+                                           make_stream(), max_terms=200)
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=50_000)
         assert ks_two_sample(z, ref)[2]
         se = z.std() / np.sqrt(z.size)
         assert abs(z.mean() - 2.0) < 3.0 * se
 
     def test_forward_and_backward_agree_in_law(self, make_stream):
-        law = BetaGammaAffine(0.5, 1.0)
-        fwd = iterate_many(law, 0.0, 300, 30_000, make_stream())
-        bwd = sample_backward_series_many(law, 1e-12, 30_000, make_stream())
-        assert ks_two_sample(fwd, bwd)[2]
+        # 300 forward steps of Z' = AZ + B from 0, the reference the series
+        # replaces, against the series, for the gamma chain and the Gaussian
+        # stopped-integral law
+        gaussian = StoppedIntegralAffine(LevyModel(gauss_var=1.0),
+                                         IndependentRandomTime(ExponentialJumps(1.0)))
+        for law in (BetaGammaAffine(0.5, 1.0), gaussian):
+            stream = make_stream()
+            fwd = np.zeros(30_000)
+            for _ in range(300):
+                a, b = law.sample_pairs(stream, size=30_000)
+                fwd = a * fwd + b
+            bwd, _ = sample_backward_series_many(law, 1e-12, 30_000, make_stream(),
+                                                 max_terms=200)
+            assert ks_two_sample(fwd, bwd)[2], law
 
     def test_truncation_honesty(self):
         # same stream, tighter tail_tol: the lockstep series draws the same
@@ -106,8 +100,10 @@ class TestBackwardSeries:
         # the two draws agree to roughly the looser tolerance and the mean
         # moves far less than one Monte Carlo standard error
         law = BetaGammaAffine(2.0, 1.0)
-        z1 = sample_backward_series_many(law, 1e-8, 5000, RngStream(314159))
-        z2 = sample_backward_series_many(law, 1e-12, 5000, RngStream(314159))
+        z1, _ = sample_backward_series_many(law, 1e-8, 5000, RngStream(314159),
+                                            max_terms=200)
+        z2, _ = sample_backward_series_many(law, 1e-12, 5000, RngStream(314159),
+                                            max_terms=200)
         assert np.max(np.abs(z1 - z2)) < 1e-6
         se = z1.std() / np.sqrt(z1.size)
         assert abs(z1.mean() - z2.mean()) < se
@@ -219,12 +215,12 @@ class TestStoppedIntegralAffine:
 
 
 def _check_perpetuity(model, rule, stream):
-    """The (e^{-tau}, X_tau) recursion, iterated 200 steps from 0, matches
-    direct integral draws (KS and both moment bands); its discount lies in
-    [0, 1] and is non-degenerate."""
+    """The (e^{-tau}, X_tau) recursion's backward series matches direct
+    integral draws (KS and both moment bands); its discount lies in [0, 1]
+    and is non-degenerate."""
     law = StoppedIntegralAffine(model, rule)
     s_iter, s_direct, s_diag = stream.split(3)
-    stationary = iterate_many(law, 0.0, 200, 30_000, s_iter)
+    stationary, _ = sample_backward_series_many(law, 1e-12, 30_000, s_iter, max_terms=200)
     direct = sample_discounted_integral_many(model, POLICY, 30_000, s_direct)
     report = compare_samples("perpetuity_fixed_point", stationary, direct)
     assert report.verdict, report.to_json_dict()
@@ -247,5 +243,6 @@ class TestSelfdecomposableAsPerpetuity:
                                     IndependentRandomTime(ExponentialJumps(1.0)))
         a, b = law.sample_pairs(make_stream(), size=1000)
         np.testing.assert_allclose(b, 1.0 - a, rtol=1e-12)
-        z = iterate_many(law, 0.0, 400, 1000, make_stream())
+        # the series is 1 - prod A, cut once prod A < 1e-12
+        z, _ = sample_backward_series_many(law, 1e-12, 1000, make_stream(), max_terms=400)
         np.testing.assert_allclose(z, 1.0, atol=1e-9)
