@@ -6,8 +6,9 @@ Usage: python scripts/peak_rss.py [--configs configs]
 Each config runs as ``python -m sdlevy.cli run`` in its own child, with the
 artifacts written to a temporary directory that is removed afterwards. The
 table gives the child's own peak resident set size (``ru_maxrss`` from
-``wait4``), its wall time and its exit status. The child imports sdlevy
-from this tree's ``src``. Exits nonzero if any child does.
+``wait4``), its minor page faults (``ru_minflt``), its CPU time
+(``ru_utime + ru_stime``), its wall time and its exit status. The child
+imports sdlevy from this tree's ``src``. Exits nonzero if any child does.
 """
 
 import argparse
@@ -21,8 +22,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def peak_rss(config: Path) -> tuple[int, float, float]:
-    """(exit status, peak RSS in MB, wall seconds) of one child run."""
+def peak_rss(config: Path) -> tuple[int, float, int, float, float]:
+    """(exit status, peak RSS in MB, minor faults, CPU seconds, wall seconds)
+    of one child run."""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     with tempfile.TemporaryDirectory() as out:
@@ -33,7 +35,8 @@ def peak_rss(config: Path) -> tuple[int, float, float]:
         _, status, usage = os.wait4(child.pid, 0)  # this child's own rusage
         wall = time.perf_counter() - t0
     child.returncode = os.waitstatus_to_exitcode(status)
-    return child.returncode, usage.ru_maxrss / 1024.0, wall
+    return (child.returncode, usage.ru_maxrss / 1024.0, usage.ru_minflt,
+            usage.ru_utime + usage.ru_stime, wall)
 
 
 def main() -> int:
@@ -42,11 +45,13 @@ def main() -> int:
     args = parser.parse_args()
 
     failed = False
-    print(f"{'config':30s} {'exit':>4s} {'peak MB':>8s} {'wall s':>7s}")
+    print(f"{'config':30s} {'exit':>4s} {'peak MB':>8s} {'minflt':>8s} {'cpu s':>6s} "
+          f"{'wall s':>7s}")
     for path in sorted(Path(args.configs).glob("*.json")):
-        status, mb, wall = peak_rss(path)
+        status, mb, minflt, cpu, wall = peak_rss(path)
         failed |= status != 0
-        print(f"{path.stem:30s} {status:4d} {mb:8.1f} {wall:7.2f}", flush=True)
+        print(f"{path.stem:30s} {status:4d} {mb:8.1f} {minflt:8d} {cpu:6.2f} {wall:7.2f}",
+              flush=True)
     return 1 if failed else 0
 
 

@@ -4,6 +4,7 @@ import copy
 import json
 import math
 import os
+import platform
 import random
 import re
 import subprocess
@@ -633,6 +634,16 @@ class TestMain:
         assert doc["seed"] == 123
 
 
+def _fresh_python(script: str, *args: str, **env: str) -> dict:
+    """The JSON object on the last stdout line of ``script``, run with ``args``
+    by a fresh interpreter that imports sdlevy from this tree's ``src``."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run([sys.executable, "-c", script, *args],
+                          env={**os.environ, "PYTHONPATH": path, **env},
+                          capture_output=True, text=True, timeout=300, check=True)
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
 _IMPORT_GUARD = """
 import json, sys
 import sdlevy, sdlevy.cli
@@ -651,15 +662,67 @@ def test_run_path_import_guard(tmp_path):
     # independence diagnostic no numpy.ma (np.median's first call loads it);
     # a fresh interpreter that imports the package and runs an operator and a
     # theorem-1 config must have loaded none of them
-    src = str(ROOT / "src")
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     configs = [SMALL_CONFIGS["operator-decompose"], SMALL_CONFIGS["verify-theorem1"]]
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_GUARD, json.dumps(configs), str(tmp_path / "out")],
-        env={**os.environ, "PYTHONPATH": path},
-        capture_output=True, text=True, timeout=300, check=True)
-    assert json.loads(proc.stdout.strip().splitlines()[-1]) == {
+    assert _fresh_python(_IMPORT_GUARD, json.dumps(configs), str(tmp_path / "out")) == {
         "statuses": [0, 0], "test-only": [], "numpy.ma": False}
+
+
+_REPEAT_FAULTS = """
+import json, resource, sys
+import sdlevy.cli
+statuses, faults = [], []
+for i in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    statuses.append(sdlevy.cli.run(json.loads(sys.argv[1]), out_dir=f"{sys.argv[2]}/{i}"))
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+print(json.dumps({"statuses": statuses, "faults": faults}))
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="sets glibc's malloc thresholds")
+def test_repeated_run_faults_no_pages_back_in(tmp_path):
+    # with glibc's dynamic thresholds, a theorem-1 run at n = 10^4 returns its
+    # chunk-sized temporaries' pages to the OS and faults them in again, about
+    # 10^4 minor faults even when the same run is repeated; run fixes the
+    # thresholds, so the repeat reuses the pages. A fresh interpreter, because
+    # earlier tests in this process may have raised the thresholds already.
+    config = _config("verify-theorem1", {"alpha": 2.0, "lam": 1.0}, n=10_000)
+    doc = _fresh_python(_REPEAT_FAULTS, json.dumps(config), str(tmp_path / "out"))
+    assert doc["statuses"] == [0, 0]
+    assert doc["faults"][1] <= 1_000, doc["faults"]
+
+
+_NO_MALLOPT = """
+import builtins, ctypes, json, sys
+import sdlevy.cli
+error, lookups = getattr(builtins, sys.argv[1]), []
+
+def no_mallopt(name):
+    lookups.append(name)
+    if error is AttributeError:
+        return object()  # a C library without the symbol
+    raise error("no mallopt")
+
+ctypes.CDLL = no_mallopt
+status = sdlevy.cli.run(json.loads(sys.argv[2]), out_dir=sys.argv[3])
+print(json.dumps({"status": status, "lookups": lookups}))
+"""
+
+
+@pytest.mark.parametrize("error", ["OSError", "TypeError", "AttributeError"])
+def test_run_without_mallopt_writes_the_same_artifacts(error, tmp_path):
+    # where the C library has no mallopt (CDLL(None) raises, or has no such
+    # symbol), run skips the setting. The run without it is a fresh
+    # interpreter, so it keeps glibc's dynamic thresholds throughout, while
+    # this process has fixed them: equal artifacts also pin that the setting
+    # changes no arithmetic.
+    cfg = SMALL_CONFIGS["verify-theorem1"]
+    assert run(copy.deepcopy(cfg), out_dir=tmp_path / "with") == 0
+    assert _fresh_python(_NO_MALLOPT, error, json.dumps(cfg), str(tmp_path / "without")) == {
+        "status": 0, "lookups": [None]}
+    for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
+        assert ((tmp_path / "with" / artifact).read_bytes()
+                == (tmp_path / "without" / artifact).read_bytes())
 
 
 def _cpu_features() -> dict:
@@ -699,17 +762,11 @@ class TestCpuDispatch:
         # times only, so they must not move at all, and no verdict may flip.
         names = ("verify-theorem1", "verify-corollary2-pathwise")
         configs = json.dumps({name: SMALL_CONFIGS[name] for name in names})
-        src = str(ROOT / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         results = {}
         for tag, extra in (("native", {}),
                            ("no_avx512", {"NPY_DISABLE_CPU_FEATURES":
                                           " ".join(_AVX512_TARGETS)})):
-            env = {**os.environ, "PYTHONPATH": path, **extra}
-            proc = subprocess.run([sys.executable, "-c", _CHILD, configs,
-                                   str(tmp_path / tag)], env=env, capture_output=True,
-                                  text=True, timeout=300, check=True)
-            results[tag] = json.loads(proc.stdout.strip().splitlines()[-1])
+            results[tag] = _fresh_python(_CHILD, configs, str(tmp_path / tag), **extra)
         assert results["native"]["x86_v4"] and not results["no_avx512"]["x86_v4"]
         assert results["native"]["status"] == results["no_avx512"]["status"]
         for name in names:
