@@ -11,9 +11,8 @@ from .discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                        sample_discounted_integral_many)
 from .errors import (ConfigError, ContractionError, InsufficientHorizonError,
                      SpectralGateError)
-from .levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath, JumpSet,
-                   LevyModel, TableJumps, UniformJumps, shift_path, simulate_path,
-                   thin_path)
+from .levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel, shift_path,
+                   simulate_path, thin_path)
 from .operator import (OperatorDecompositionRecord, OperatorDriver, OperatorModel,
                        independent_coordinates, operator_decompose_many,
                        sample_operator_integral_many)
@@ -21,8 +20,7 @@ from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
                          beta_gamma_identity_samples, gamma_factor_samples,
                          sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
-from .stats import (StatReport, compare_samples, ecf_distance, gamma_cf,
-                    independence_diagnostic, independence_pass_band, ks_two_sample,
-                    normal_cf)
+from .stats import (StatReport, compare_samples, gamma_cf, independence_diagnostic,
+                    independence_pass_band, ks_two_sample)
 
 __version__ = "0.1.0"

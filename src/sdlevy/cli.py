@@ -32,8 +32,9 @@ produces byte-identical artifacts. ``run`` fixes glibc's mmap and trim
 thresholds for the process, so chunk-sized temporaries keep their pages; this
 has no effect on other C libraries and changes no draw and no artifact.
 Exit status: 0 all verdicts pass, 1 a verdict failed, 2 invalid config, 3 a
-valid config whose run raised (for example a Poisson mean too large, or a
-perpetuity series that needs more than ``n_steps`` terms).
+valid config whose run raised (for example a Poisson mean too large, a
+sample too large for memory, or a perpetuity series that needs more than
+``n_steps`` terms).
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ _RULES = {
     "fixed_time": ({"t": {"type": "number", "minimum": 0}}, dec.FixedTime),
     "first_jump": ({}, dec.FirstJump),
     "first_jump_in": ({"threshold": _POSITIVE},
-                      lambda threshold: dec.FirstJumpIn(JumpSet("ge", threshold))),
+                      lambda threshold: dec.FirstJumpIn(JumpSet(threshold))),
     "kth_jump": ({"k": {"type": "integer", "minimum": 1}}, dec.KthJump),
     "independent_exponential": (
         {"rate": _POSITIVE}, lambda rate: dec.IndependentRandomTime(ExponentialJumps(rate))),
@@ -196,7 +197,7 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
 def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     alpha, lam = params["alpha"], params["lam"]
     model = _gamma_model(alpha, lam)
-    jump_set = JumpSet("ge", params["set_threshold"])
+    jump_set = JumpSet(params["set_threshold"])
     s_first, s_restr, s_gamma = stream.split(3)
     first = dec.first_value_identity(model, policy, n, s_first)
     restricted = dec.restricted_jump_identity(model, jump_set, policy, n, s_restr)
@@ -226,16 +227,17 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
     lam = params["lam"]
     reports, samples, primary = [], {}, None
     for alpha in params["alphas"]:
+        # the shortest round-trip repr: distinct alphas never share a name
+        tag = repr(alpha).removesuffix(".0")
         s_bg, s_fac, s_ref = stream.split(3)
         lhs, rhs = beta_gamma_identity_samples(alpha, lam, n, s_bg)
-        reports.append(compare_samples(f"beta_gamma_alpha_{alpha:g}", lhs, rhs))
+        reports.append(compare_samples(f"beta_gamma_alpha_{tag}", lhs, rhs))
         factor = gamma_factor_samples(alpha, lam, n, s_fac, discount="first_jump")
         direct = sample_gamma(GammaParams(alpha, lam), s_ref, size=n)
-        reports.append(compare_samples(f"first_jump_factor_alpha_{alpha:g}",
-                                       direct, factor))
-        samples[f"beta_gamma_lhs_{alpha:g}"] = lhs
-        samples[f"beta_gamma_rhs_{alpha:g}"] = rhs
-        samples[f"factor_form_{alpha:g}"] = factor
+        reports.append(compare_samples(f"first_jump_factor_alpha_{tag}", direct, factor))
+        samples[f"beta_gamma_lhs_{tag}"] = lhs
+        samples[f"beta_gamma_rhs_{tag}"] = rhs
+        samples[f"factor_form_{tag}"] = factor
         if primary is None:
             primary = (lhs, rhs)
     return ExperimentResult(reports=reports, samples=samples, primary=primary)
@@ -357,7 +359,7 @@ _EXPERIMENTS = {
     "verify-corollary3": (_object({**_GAMMA, "set_threshold": _POSITIVE}),
                           _run_corollary3),
     "verify-prop1": (_object({"alphas": {"type": "array", "items": _POSITIVE,
-                                         "minItems": 1},
+                                         "minItems": 1, "uniqueItems": True},
                               "lam": _POSITIVE}), _run_prop1),
     "perpetuity-iterate": (_tagged("driver", {
         driver: ({}, {**fields, "n_steps": {"type": "integer", "minimum": 1}})
@@ -401,12 +403,24 @@ def _is(doc, name: str) -> bool:
             and not (isinstance(doc, float) and not math.isfinite(doc)))
 
 
+def _same(a, b) -> bool:
+    """JSON equality: 1 == 1.0, a bool equals only itself, and arrays and
+    objects are equal item by item."""
+    if isinstance(a, bool) or isinstance(b, bool):
+        return a is b
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
 def _errors(schema: dict, doc):
     """Yield each way ``doc`` violates ``schema``, in the order and words of
     a draft 2020-12 validator. Only the keywords these schemas use are
     implemented: ``enum`` and ``const`` values are strings,
-    ``additionalProperties`` is false, and ``if`` applies its sibling
-    ``then``."""
+    ``additionalProperties`` is false, ``uniqueItems`` is true, and ``if``
+    applies its sibling ``then``."""
     for key, value in schema.items():
         if key == "type" and not _is(doc, value):
             yield f"{doc!r} is not of type {value!r}"
@@ -423,6 +437,9 @@ def _errors(schema: dict, doc):
         elif key == "items" and _is(doc, "array"):
             for item in doc:
                 yield from _errors(value, item)
+        elif (key == "uniqueItems" and _is(doc, "array")
+              and any(_same(x, y) for i, x in enumerate(doc) for y in doc[i + 1:])):
+            yield f"{doc!r} has non-unique elements"
         elif key == "properties" and _is(doc, "object"):
             for name, sub in value.items():
                 if name in doc:
@@ -603,7 +620,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, MemoryError) as exc:
         # The config was valid but the run could not finish: not a verdict.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3

@@ -5,9 +5,9 @@ Two independent evaluators of a path object are provided on purpose: the
 direct jump-sum form and the integration-by-parts form. Their agreement on
 every path is itself a test. The batch sampler sums, without a path
 object, the variates of ``levy._poisson_jumps``, the generator that also
-builds path objects: ``levy._jump_sums`` draws them in its order, in
-blocks, and keeps no per-jump array: the jump times come from a copy of
-the stream that ``RngStream.take_uniforms`` hands out, an exact
+builds path objects: ``levy._jump_sums`` draws them draw for draw in its
+order, in blocks, and keeps no per-jump array: the jump times come from a
+copy of the stream that ``RngStream.take_uniforms`` hands out, an exact
 skip-ahead. Truncating the horizon at T leaves a tail distributed as
 e^{-T} times an independent copy of the full integral, so the truncation
 error is a known multiplicative contraction.

@@ -1,12 +1,12 @@
-"""Levy models (compound Poisson jumps, drift and an optional Gaussian
-component), the one compound Poisson generator ``_poisson_jumps``, and
-finite-horizon jump + drift trajectories, with the shift and thin operations
-the discounted-integral constructions need.
+"""Levy models (compound Poisson jumps of exponential size, drift and an
+optional Gaussian component), the one compound Poisson generator
+``_poisson_jumps``, and finite-horizon jump + drift trajectories, with the
+shift and thin operations the discounted-integral constructions need.
 
 ``_poisson_jumps`` draws the jumps of n paths as ragged arrays for the
 decomposition records of ``decomposition`` and ``operator``;
 ``simulate_path`` is its n = 1 draw, sorted in time. The batch integrals of
-``discount`` and ``operator`` sum the same variates, drawn in
+``discount`` and ``operator`` sum the same variates, draw for draw in
 ``_poisson_jumps``'s order, in blocks through ``_jump_sums``, which keeps
 no per-jump array: the jump times come block by block from a copy of the
 stream that ``RngStream.take_uniforms`` hands out, an exact skip-ahead of
@@ -24,13 +24,11 @@ introduce simulation bias the exact pathwise checks cannot absorb.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
-from .rng import GammaParams, RngStream, sample_gamma
+from .rng import RngStream
 
 # Jumps per block of ``_jump_sums``: it bounds the kernel's temporaries and
 # changes no draw, so it is not a parameter.
@@ -38,7 +36,7 @@ _BLOCK = 1 << 16
 
 
 # ---------------------------------------------------------------------------
-# Jump-size laws
+# Jump-size law
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -57,86 +55,6 @@ class ExponentialJumps:
         return 1.0 / self.rate
 
 
-@dataclass(frozen=True)
-class GammaJumps:
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        GammaParams(self.shape, self.rate)  # validates
-
-    def sample(self, stream: RngStream, size: int) -> np.ndarray:
-        return sample_gamma(GammaParams(self.shape, self.rate), stream, size=size)
-
-    @property
-    def mean(self) -> float:
-        return self.shape / self.rate
-
-
-@dataclass(frozen=True)
-class ConstantJumps:
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("value must be finite")
-
-    def sample(self, stream: RngStream, size: int) -> np.ndarray:
-        return np.full(int(size), self.value)
-
-    @property
-    def mean(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
-class UniformJumps:
-    low: float
-    high: float
-
-    def __post_init__(self):
-        if not (np.isfinite(self.low) and np.isfinite(self.high) and self.low < self.high):
-            raise ValueError("need finite low < high")
-
-    def sample(self, stream: RngStream, size: int) -> np.ndarray:
-        u = stream.uniform(size=size)
-        return self.low + (self.high - self.low) * u
-
-    @property
-    def mean(self) -> float:
-        return 0.5 * (self.low + self.high)
-
-
-@dataclass(frozen=True)
-class TableJumps:
-    """Discrete jump law given by values and probabilities."""
-
-    values: tuple
-    probs: tuple
-
-    def __post_init__(self):
-        v = np.asarray(self.values, float)
-        p = np.asarray(self.probs, float)
-        if v.size == 0 or v.shape != p.shape:
-            raise ValueError("values and probs must be nonempty and matched")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("values must be finite")
-        if np.any(p < 0) or not math.isclose(p.sum(), 1.0, rel_tol=1e-9):
-            raise ValueError("probs must be nonnegative and sum to 1")
-
-    def sample(self, stream: RngStream, size: int) -> np.ndarray:
-        cum = np.cumsum(np.asarray(self.probs, float))
-        idx = np.searchsorted(cum, stream.uniform(size=size), side="left")
-        return np.asarray(self.values, float)[np.minimum(idx, len(cum) - 1)]
-
-    @property
-    def mean(self) -> float:
-        return float(np.dot(self.values, self.probs))
-
-
-JumpLaw = Union[ExponentialJumps, GammaJumps, ConstantJumps, UniformJumps, TableJumps]
-
-
 # ---------------------------------------------------------------------------
 # Models and Borel jump sets
 # ---------------------------------------------------------------------------
@@ -147,7 +65,7 @@ class LevyModel:
     jump law, deterministic drift rate, and Gaussian variance rate."""
 
     jump_rate: float = 0.0
-    jump_law: JumpLaw | None = None
+    jump_law: ExponentialJumps | None = None
     drift: float = 0.0
     gauss_var: float = 0.0
 
@@ -169,32 +87,16 @@ class LevyModel:
 
 @dataclass(frozen=True)
 class JumpSet:
-    """Borel set of jump sizes, separated from zero.
+    """The Borel set {x >= a} of jump sizes, separated from zero (a > 0)."""
 
-    kind is one of "abs_ge" ({|x| >= a}), "ge" ({x >= a}), or
-    "interval" ({x in [a, b]} with a > 0).
-    """
-
-    kind: str
     a: float
-    b: float | None = None
 
     def __post_init__(self):
-        if self.kind not in ("abs_ge", "ge", "interval"):
-            raise ValueError(f"unknown jump-set kind {self.kind!r}")
         if not (self.a > 0):
             raise ValueError("jump set must be separated from zero (a > 0)")
-        if self.kind == "interval":
-            if self.b is None or not (self.b >= self.a):
-                raise ValueError("interval needs b >= a")
 
     def contains(self, x):
-        x = np.asarray(x, float)
-        if self.kind == "abs_ge":
-            return np.abs(x) >= self.a
-        if self.kind == "ge":
-            return x >= self.a
-        return (x >= self.a) & (x <= self.b)
+        return np.asarray(x, float) >= self.a
 
 
 # ---------------------------------------------------------------------------
@@ -277,10 +179,8 @@ def _jump_sums(model: LevyModel, window, n: int, stream: RngStream, block_sum,
     path, then draw their times from the one stream and their sizes from
     the other, and add ``block_sum(owner, times, sizes, m)``, the (m, ...)
     sums of the block's m paths with a block-local owner; it may overwrite
-    ``times``. The uniform, exponential, constant and table samplers draw
-    value by value, so the smaller calls return the same values; gamma jump
-    sizes run their rejection rounds per block. A jump-free model draws
-    nothing.
+    ``times``. The exponential jump law draws value by value, so the smaller
+    calls return the same values. A jump-free model draws nothing.
     """
     if model.jump_rate <= 0:
         return out

@@ -1,5 +1,5 @@
-"""Distributional verification toolkit: two-sample KS, empirical
-characteristic function distance, transform-correlation independence
+"""Distributional verification toolkit: two-sample KS, the empirical
+characteristic function, transform-correlation independence
 diagnostics, and the StatReport container that turns them into verdicts.
 
 Acceptance suites run dozens of KS tests, so every KS test runs at the
@@ -69,30 +69,9 @@ def empirical_cf(samples, grid) -> np.ndarray:
     return acc / samples.size
 
 
-def ecf_distance(samples, cf, grid) -> float:
-    """Max over the grid of |empirical CF - analytic CF|.
-
-    ``cf`` is a callable taking an array of frequencies. Passing suites keep
-    this below 5/sqrt(n) on |u| <= 5.
-    """
-    grid = np.asarray(grid, float)
-    if grid.size == 0 or not np.all(np.isfinite(grid)):
-        raise ValueError("grid must be nonempty and finite")
-    emp = empirical_cf(samples, grid)
-    return float(np.max(np.abs(emp - np.asarray(cf(grid), complex))))
-
-
 def gamma_cf(shape: float, rate: float):
     """Characteristic function u -> (1 - i*u/rate)^(-shape)."""
     return lambda u: (1.0 - 1j * np.asarray(u, float) / rate) ** (-shape)
-
-
-def normal_cf(mean: float, var: float):
-    return lambda u: np.exp(1j * np.asarray(u, float) * mean - 0.5 * var * np.asarray(u, float) ** 2)
-
-
-def point_mass_cf(x0: float):
-    return lambda u: np.exp(1j * np.asarray(u, float) * x0)
 
 
 def _corr(x: np.ndarray, y: np.ndarray) -> float:

@@ -58,7 +58,7 @@ def test_01_gamma_driver_marginal():
 def test_02_pathwise_recombination():
     """x_total = x_tau + e^{-tau} x_prime on every realization, five stopping
     rules, 1e4 records each, relative tolerance 1e-10."""
-    rules = (FixedTime(0.7), FirstJump(), FirstJumpIn(JumpSet("ge", 1.0)),
+    rules = (FixedTime(0.7), FirstJump(), FirstJumpIn(JumpSet(1.0)),
              KthJump(3), IndependentRandomTime(ExponentialJumps(1.0)))
     model = _gamma_model(2.0, 1.0)
     stream = RngStream(SEED, stream_id=2)

@@ -69,7 +69,8 @@ SMALL_CONFIGS = {
 _SCHEMAS = (CONFIG_SCHEMA, *(schema for schema, _ in _EXPERIMENTS.values()))
 # The keywords cli._errors implements ("then" is applied by "if").
 _IMPLEMENTED = {"type", "enum", "const", "minimum", "exclusiveMinimum", "minItems", "items",
-                "properties", "required", "additionalProperties", "allOf", "if", "then"}
+                "uniqueItems", "properties", "required", "additionalProperties", "allOf", "if",
+                "then"}
 
 
 def _subschemas(schema):
@@ -89,7 +90,9 @@ _VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 999, 1000, 2000, 0
            -2.5, 3.0,
            100.0, 2000.0, 1e-300, math.nan, math.inf, -math.inf,
            "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
-           [], [1.0], [0.0, 2.0], [[1.0, 0.0], [0.0, 2.0]], [[1.0, "x"]], [{}], {},
+           [], [1.0], [0.0, 2.0], [2.0, 2.0], [1, 1.0], [True, 1], [0.5, 2.0, 0.5],
+           [math.nan, math.nan],
+           [[1.0, 0.0], [0.0, 2.0]], [[1.0, "x"]], [{}], {},
            {"kind": "first_jump"}, {"kind": "kth_jump", "k": 0}, {"kind": "fixed_time", "t": -1},
            {"kind": "first_jump_in"}, {"kind": "bogus"}, {"horizon": 0},
            {"jump_rate": 1.0, "exp_jump_rate": 2.0}, {"jump_rate": 1.0, "drift": 1}]
@@ -176,7 +179,7 @@ class TestValidation:
         # the table is a schema violation, never a fallback rule
         docs = {"fixed_time": ({"t": 0.5}, FixedTime(0.5)),
                 "first_jump": ({}, FirstJump()),
-                "first_jump_in": ({"threshold": 2.0}, FirstJumpIn(JumpSet("ge", 2.0))),
+                "first_jump_in": ({"threshold": 2.0}, FirstJumpIn(JumpSet(2.0))),
                 "kth_jump": ({"k": 3}, KthJump(3)),
                 "independent_exponential": (
                     {"rate": 1.5}, IndependentRandomTime(ExponentialJumps(1.5)))}
@@ -231,6 +234,7 @@ class TestValidation:
             assert all(isinstance(v, str) for v in sub.get("enum", [])), sub
             assert isinstance(sub.get("const", ""), str), sub
             assert sub.get("additionalProperties", False) is False, sub
+            assert sub.get("uniqueItems", True) is True, sub
             assert ("if" in sub) == ("then" in sub), sub
 
     def test_errors_match_the_reference_validator(self):
@@ -374,6 +378,23 @@ class TestRunners:
         for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
             assert (out1 / artifact).read_bytes() == (out2 / artifact).read_bytes()
 
+    @pytest.mark.parametrize("alphas, tags", [([0.5, 1.0, 2.0], ["0.5", "1", "2"]),
+                                              ([1.0, 1.0000001], ["1", "1.0000001"]),
+                                              ([2, 1e-05], ["2", "1e-05"])])
+    def test_prop1_names_every_alpha_apart(self, tmp_path, alphas, tags):
+        # each alpha is named by its shortest round-trip repr less a trailing
+        # ".0": the shipped names 0.5, 1 and 2 stay, and alphas that print
+        # alike at "%g" keep their own columns and reports
+        doc = json.loads(json.dumps(SMALL_CONFIGS["verify-prop1"]))
+        doc["params"]["alphas"] = alphas
+        run(doc, out_dir=tmp_path)
+        reports = json.loads((tmp_path / "report.json").read_text())["reports"]
+        assert [r["name"] for r in reports] == [
+            f"{kind}_alpha_{tag}" for tag in tags for kind in ("beta_gamma", "first_jump_factor")]
+        header = (tmp_path / "samples.csv").read_text().split("\n", 1)[0]
+        assert header.split(",") == [f"{column}_{tag}" for tag in tags for column in
+                                     ("beta_gamma_lhs", "beta_gamma_rhs", "factor_form")]
+
     def test_operator_eigen_mode(self, tmp_path):
         # a Q with complex eigenvalues runs the eigenbasis discounter; it is a
         # separate test because SMALL_CONFIGS is keyed by experiment
@@ -503,13 +524,15 @@ _NON_FINITE_FIELDS = {
 }
 
 # A valid config, the path to a field, a valid value of it that makes the run
-# raise, and the error: numpy refuses a Poisson mean of 1e300, and the
-# perpetuity series needs more than 5 terms.
+# raise, and the error: numpy refuses a Poisson mean of 1e300 and an array
+# of 10^15 samples, and the perpetuity series needs more than 5 terms.
 _RAISING_FIELDS = {
     "alpha": (*_NON_FINITE_FIELDS["alpha"], 1e300, "ValueError"),
     "horizon": (*_NON_FINITE_FIELDS["horizon"], 1e300, "ValueError"),
     "n_steps": (SMALL_CONFIGS["perpetuity-iterate"], ("params", "n_steps"), 5,
                 "ContractionError"),
+    # 8 PB of samples: past the address space, so the allocation fails at once
+    "n_samples": (SMALL_CONFIGS["verify-gamma-bdlp"], ("n_samples",), 10**15, "MemoryError"),
 }
 
 
@@ -599,6 +622,17 @@ class TestMain:
                      "--out-dir", str(tmp_path / "out")]) == 3
         assert error in capsys.readouterr().err
         # the output directory is made only after the run returns
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("alphas", [[2.0, 2.0], [1, 1.0], [0.5, 2.0, 0.5]], ids=repr)
+    def test_duplicate_alphas_rejected(self, tmp_path, capsys, alphas):
+        # equal alphas would share one set of samples.csv columns and one
+        # report name; JSON equality counts 1 and 1.0 as equal
+        doc = json.loads(json.dumps(SMALL_CONFIGS["verify-prop1"]))
+        doc["params"]["alphas"] = alphas
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"{alphas!r} has non-unique elements" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_failed_verdict_exits_1(self, tmp_path, capsys, monkeypatch):

@@ -11,9 +11,8 @@ from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
 from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import InsufficientHorizonError
-from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, JumpSet,
-                         LevyModel, _poisson_jumps, shift_path, simulate_path,
-                         thin_path)
+from sdlevy.levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel, _poisson_jumps,
+                         shift_path, simulate_path, thin_path)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import independence_diagnostic, independence_pass_band, ks_two_sample
 
@@ -28,7 +27,7 @@ POLICY = TruncationPolicy()
 RULES = [
     FixedTime(0.7),
     FirstJump(),
-    FirstJumpIn(JumpSet("ge", 1.0)),
+    FirstJumpIn(JumpSet(1.0)),
     KthJump(3),
     IndependentRandomTime(ExponentialJumps(1.0)),
 ]
@@ -63,9 +62,9 @@ class TestStoppingRules:
 
     def test_first_jump_in_set(self):
         p = JumpPath(5.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.5, 4.0]))
-        assert evaluate_stopping(FirstJumpIn(JumpSet("ge", 2.0)), p) == 2.0
+        assert evaluate_stopping(FirstJumpIn(JumpSet(2.0)), p) == 2.0
         with pytest.raises(InsufficientHorizonError):
-            evaluate_stopping(FirstJumpIn(JumpSet("ge", 10.0)), p)
+            evaluate_stopping(FirstJumpIn(JumpSet(10.0)), p)
 
     def test_independent_time_needs_stream(self, make_stream):
         p = simulate_path(_gamma_model(), 50.0, make_stream())
@@ -85,7 +84,7 @@ class TestStoppingRules:
     def test_first_jump_in_time_is_exponential_at_thinned_rate(self, make_stream):
         # jumps >= a survive thinning with probability e^{-lam*a}
         alpha, lam, a = 2.0, 1.0, 1.0
-        rule = FirstJumpIn(JumpSet("ge", a))
+        rule = FirstJumpIn(JumpSet(a))
         stream = make_stream()
         taus = decompose_many(_gamma_model(alpha, lam), rule, POLICY, 30_000, stream).tau
         ref = make_stream().exponential(alpha * np.exp(-lam * a), size=30_000)
@@ -143,7 +142,7 @@ class TestStoppedPath:
         # Path-dependent rules are looked for on (0, 15T]. At rate 1e4 and
         # T = 1 the 145000th jump lies in (14, 15] and the 155000th past 15,
         # each by more than 12 standard deviations of the Poisson counts.
-        model = LevyModel(jump_rate=1e4, jump_law=ConstantJumps(1.0))
+        model = LevyModel(jump_rate=1e4, jump_law=ExponentialJumps(1.0))
         policy = TruncationPolicy(horizon=1.0)
         rec = decompose(model, KthJump(145_000), policy, RngStream(3))
         assert 14.0 < rec.tau <= 15.0 and rec.passes()
@@ -156,9 +155,10 @@ class TestStoppedPath:
             decompose_many(model, KthJump(155_000), policy, 3, RngStream(4))
 
     def test_unrealizable_rule_raises(self, make_stream):
-        # no jump of size 1 ever lies in [2, inf): never capped, always raised
-        model = LevyModel(jump_rate=2.0, jump_law=ConstantJumps(1.0))
-        rule = FirstJumpIn(JumpSet("ge", 2.0))
+        # P(Exp(1) jump >= 60) = e^{-60}: about 3e-21 jumps expected in the
+        # set over the (0, 15T] of 300 records, so never capped, always raised
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0))
+        rule = FirstJumpIn(JumpSet(60.0))
         with pytest.raises(InsufficientHorizonError):
             decompose(model, rule, POLICY, make_stream())
         with pytest.raises(InsufficientHorizonError):
@@ -380,7 +380,7 @@ class TestFirstValueIdentity:
     def test_restricted_identity(self, make_stream):
         # rebuilt as path objects from the same chunk streams, each thinned
         # path has its first jump at tau, and that jump lies in the set
-        jump_set = JumpSet("ge", 1.0)
+        jump_set = JumpSet(1.0)
         model, T, stream = _gamma_model(), POLICY.horizon, make_stream()
         d = restricted_jump_identity(model, jump_set, POLICY, 300, stream)
         assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.x_total)))
@@ -402,7 +402,7 @@ class TestFirstValueIdentity:
     def test_full_support_set_reduces_to_first_value(self, make_stream):
         # a set containing every positive jump makes the restricted identity
         # reproduce the plain one draw for draw
-        full = JumpSet("ge", 1e-300)
+        full = JumpSet(1e-300)
         a = first_value_identity(_gamma_model(), POLICY, 300, make_stream(seed=42))
         b = restricted_jump_identity(_gamma_model(), full, POLICY, 300,
                                      RngStream(42, stream_id=1))
@@ -413,7 +413,7 @@ class TestFirstValueIdentity:
         # sum_k e^{-tau_k} * jump_k over the thinned path equals both
         # evaluators applied to it
         p = simulate_path(_gamma_model(alpha=4.0), 20.0, make_stream())
-        in_a, _ = thin_path(p, JumpSet("ge", 0.5))
+        in_a, _ = thin_path(p, JumpSet(0.5))
         manual = sum(float(np.exp(-t)) * float(x)
                      for t, x in zip(in_a.jump_times, in_a.jump_sizes))
         assert eval_jump_sum(in_a, 20.0) == pytest.approx(manual, rel=1e-10)
@@ -426,7 +426,7 @@ class TestFirstValueIdentity:
         gaps, sizes = [], []
         for s in stream.split(10_000):
             p = simulate_path(_gamma_model(alpha=2.0), 20.0, s)
-            in_a, _ = thin_path(p, JumpSet("ge", 0.5))
+            in_a, _ = thin_path(p, JumpSet(0.5))
             if in_a.n_jumps >= 2:
                 gaps.append(float(in_a.jump_times[1] - in_a.jump_times[0]))
                 sizes.append(float(in_a.jump_sizes[0]))

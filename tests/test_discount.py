@@ -2,6 +2,7 @@
 truncation behavior."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,8 +11,7 @@ from hypothesis import strategies as st
 
 from sdlevy.discount import (TruncationPolicy, _integral_batch, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
-from sdlevy.levy import (ConstantJumps, ExponentialJumps, JumpPath, LevyModel, TableJumps,
-                         UniformJumps, _poisson_jumps, simulate_path)
+from sdlevy.levy import ExponentialJumps, JumpPath, LevyModel, _poisson_jumps, simulate_path
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import ks_two_sample
 
@@ -137,9 +137,14 @@ def _unblocked_integral(model, window, n, stream):
     return out
 
 
-_LAWS = {"exponential": ExponentialJumps(1.0), "uniform": UniformJumps(-1.0, 2.0),
-         "table": TableJumps((1.0, -2.0, 3.0), (0.2, 0.5, 0.3)),
-         "constant": ConstantJumps(1.5)}
+# The kernel reads a law only through its ``sample``. Beside the library's
+# one law, stand-ins that draw value by value pin it for signed sizes from
+# one uniform each and for a law that draws no variate at all.
+_LAWS = {"exponential": ExponentialJumps(1.0),
+         "uniform": SimpleNamespace(sample=lambda s, size: 3.0 * s.uniform(size=size) - 1.0),
+         "table": SimpleNamespace(sample=lambda s, size: np.array([1.0, -2.0, 3.0])[
+             np.searchsorted([0.2, 0.7], s.uniform(size=size))]),
+         "constant": SimpleNamespace(sample=lambda s, size: np.full(size, 1.5))}
 
 
 class TestBlockedKernel:

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from sdlevy.levy import (ConstantJumps, ExponentialJumps, GammaJumps, JumpPath,
-                         JumpSet, LevyModel, TableJumps, UniformJumps, shift_path,
+from sdlevy.levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel, shift_path,
                          simulate_path, thin_path)
 from sdlevy.stats import ks_two_sample
 
@@ -16,22 +15,6 @@ def _exp_model(rate=2.0, jump_rate=1.0):
 class TestJumpLaws:
     def test_means(self):
         assert ExponentialJumps(4.0).mean == 0.25
-        assert GammaJumps(3.0, 2.0).mean == 1.5
-        assert ConstantJumps(-2.0).mean == -2.0
-        assert UniformJumps(-1.0, 3.0).mean == 1.0
-
-    def test_table_law(self, make_stream):
-        law = TableJumps(values=(1.0, 2.0, 4.0), probs=(0.5, 0.25, 0.25))
-        assert law.mean == pytest.approx(2.0)
-        x = law.sample(make_stream(), size=100_000)
-        assert set(np.unique(x)) == {1.0, 2.0, 4.0}
-        assert abs(np.mean(x == 1.0) - 0.5) < 0.01
-
-    def test_table_validation(self):
-        with pytest.raises(ValueError):
-            TableJumps(values=(1.0,), probs=(0.5,))
-        with pytest.raises(ValueError):
-            TableJumps(values=(), probs=())
 
     def test_model_validation(self):
         with pytest.raises(ValueError):
@@ -136,7 +119,7 @@ class TestShift:
 class TestThin:
     def test_partition_is_exact(self, make_stream):
         p = simulate_path(_exp_model(rate=1.0, jump_rate=4.0), 10.0, make_stream())
-        in_a, rest = thin_path(p, JumpSet("ge", 1.0))
+        in_a, rest = thin_path(p, JumpSet(1.0))
         merged = np.sort(np.concatenate([in_a.jump_times, rest.jump_times]))
         np.testing.assert_array_equal(merged, p.jump_times)
         assert np.all(in_a.jump_sizes >= 1.0)
@@ -146,7 +129,7 @@ class TestThin:
     def test_drift_stays_with_rest(self, make_stream):
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.4)
         in_a, rest = thin_path(simulate_path(model, 5.0, make_stream()),
-                               JumpSet("ge", 0.5))
+                               JumpSet(0.5))
         assert in_a.drift == 0.0
         assert rest.drift == 0.4
 
@@ -156,7 +139,7 @@ class TestThin:
         alpha, lam, a = 4.0, 1.0, 1.0
         stream = make_stream()
         counts = [thin_path(simulate_path(_exp_model(lam, alpha), 1.0, s),
-                            JumpSet("ge", a))[0].n_jumps
+                            JumpSet(a))[0].n_jumps
                   for s in stream.split(30_000)]
         target = alpha * np.exp(-lam * a)
         assert abs(np.mean(counts) - target) < 4.0 * np.sqrt(target / 30_000)
@@ -166,7 +149,7 @@ class TestThin:
         na, nb = [], []
         for s in stream.split(20_000):
             in_a, rest = thin_path(simulate_path(_exp_model(1.0, 3.0), 1.0, s),
-                                   JumpSet("ge", 0.7))
+                                   JumpSet(0.7))
             na.append(in_a.n_jumps)
             nb.append(rest.n_jumps)
         na, nb = np.array(na, float), np.array(nb, float)
@@ -180,14 +163,8 @@ class TestThin:
 
     def test_jump_set_validation(self):
         with pytest.raises(ValueError):
-            JumpSet("ge", 0.0)  # not separated from zero
-        with pytest.raises(ValueError):
-            JumpSet("interval", 2.0, 1.0)
-        with pytest.raises(ValueError):
-            JumpSet("nonsense", 1.0)
-        assert JumpSet("interval", 1.0, 2.0).contains(1.5)
-        assert not JumpSet("abs_ge", 1.0).contains(0.5)
-        assert JumpSet("abs_ge", 1.0).contains(-2.0)
+            JumpSet(0.0)  # not separated from zero
+        assert JumpSet(1.0).contains(1.0) and not JumpSet(1.0).contains(0.5)
 
 
 class TestIncrements:

@@ -349,7 +349,7 @@ class TestOperatorDecomposition:
         # FirstJumpIn(A) stops at the first jump of any source whose scalar
         # size lies in A, so tau ~ Exp(sum_j rate_j * P(size_j in A)); here
         # A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
-        rule = FirstJumpIn(JumpSet("ge", 1.0))
+        rule = FirstJumpIn(JumpSet(1.0))
         coords_rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
         shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
         cases = [(_model_2d(), coords_rate), (_model_2d(_ROTATING_Q), coords_rate),

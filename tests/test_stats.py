@@ -1,4 +1,4 @@
-"""The verification toolkit itself: KS calibration and power, CF distances,
+"""The verification toolkit itself: KS calibration and power, the empirical CF,
 independence diagnostics, and report plumbing."""
 
 import json
@@ -11,9 +11,8 @@ import scipy.stats
 
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import (_ECF_CHUNK, KS_COEFF, SIGNIFICANCE, _median, compare_samples,
-                          ecf_distance, empirical_cf, gamma_cf, independence_diagnostic,
-                          independence_pass_band, ks_two_sample, moment_summary, normal_cf,
-                          point_mass_cf)
+                          empirical_cf, gamma_cf, independence_diagnostic,
+                          independence_pass_band, ks_two_sample, moment_summary)
 
 
 class TestKS:
@@ -104,24 +103,29 @@ class TestKS:
 class TestECF:
     GRID = np.linspace(-5.0, 5.0, 41)
 
+    def _gap(self, x, cf) -> float:
+        # the largest |empirical CF - reference CF| over the grid
+        return float(np.max(np.abs(empirical_cf(x, self.GRID) - cf)))
+
     def test_point_mass(self):
         x = np.full(1000, 2.5)
-        assert ecf_distance(x, point_mass_cf(2.5), self.GRID) < 1e-12
+        assert self._gap(x, np.exp(2.5j * self.GRID)) < 1e-12
 
     def test_gamma_bound(self, make_stream):
         n = 100_000
         x = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=n)
-        assert ecf_distance(x, gamma_cf(2.0, 1.0), self.GRID) < 5.0 / math.sqrt(n)
+        assert self._gap(x, gamma_cf(2.0, 1.0)(self.GRID)) < 5.0 / math.sqrt(n)
 
     def test_normal_bound(self, make_stream):
+        # N(1, 4): CF exp(i*u - 2*u^2)
         n = 50_000
         x = 1.0 + 2.0 * make_stream().normal(size=n)
-        assert ecf_distance(x, normal_cf(1.0, 4.0), self.GRID) < 5.0 / math.sqrt(n)
+        assert self._gap(x, np.exp(1j * self.GRID - 2.0 * self.GRID ** 2)) < 5.0 / math.sqrt(n)
 
     def test_wrong_parameters_detected(self, make_stream):
         n = 100_000
         x = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=n)
-        assert ecf_distance(x, gamma_cf(3.0, 1.0), self.GRID) > 5.0 / math.sqrt(n)
+        assert self._gap(x, gamma_cf(3.0, 1.0)(self.GRID)) > 5.0 / math.sqrt(n)
 
     def test_empirical_cf_chunking_consistent(self, make_stream):
         # two full blocks and a partial one agree with the one-shot formula
@@ -144,10 +148,6 @@ class TestECF:
             finally:
                 tracemalloc.stop()
             assert peak <= 1 << 20, size
-
-    def test_bad_grid(self, make_stream):
-        with pytest.raises(ValueError):
-            ecf_distance(make_stream().normal(size=100), point_mass_cf(0.0), [])
 
 
 class TestIndependence:
