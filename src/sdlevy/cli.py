@@ -384,7 +384,7 @@ _PAIRED = ["verify-theorem1", "verify-corollary2-pathwise", "verify-corollary3",
 
 CONFIG_SCHEMA = {
     **_object({"experiment": {"enum": list(EXPERIMENTS)},
-               "seed": {"type": "integer", "minimum": 0},
+               "seed": {"type": "integer", "minimum": 0, "maximum": 2**64 - 1},
                "n_samples": {"type": "integer", "minimum": 200},
                "params": {"type": "object"}},
               {"policy": _object({}, {"horizon": _POSITIVE}),
@@ -430,6 +430,8 @@ def _errors(schema: dict, doc):
             yield f"{value!r} was expected"
         elif key == "minimum" and _is(doc, "number") and doc < value:
             yield f"{doc!r} is less than the minimum of {value!r}"
+        elif key == "maximum" and _is(doc, "number") and doc > value:
+            yield f"{doc!r} is greater than the maximum of {value!r}"
         elif key == "exclusiveMinimum" and _is(doc, "number") and doc <= value:
             yield f"{doc!r} is less than or equal to the minimum of {value!r}"
         elif key == "minItems" and _is(doc, "array") and len(doc) < value:

@@ -4,11 +4,9 @@ infinite-horizon limit.
 Two independent evaluators of a path object are provided on purpose: the
 direct jump-sum form and the integration-by-parts form. Their agreement on
 every path is itself a test. The batch sampler sums, without a path
-object, the variates of ``levy._poisson_jumps``, the generator that also
-builds path objects: ``levy._jump_sums`` draws them draw for draw in its
-order, in blocks, and keeps no per-jump array: the jump times come from a
-copy of the stream that ``RngStream.take_uniforms`` hands out, an exact
-skip-ahead. Truncating the horizon at T leaves a tail distributed as
+object, the jumps of ``levy._poisson_jumps``, the generator that also
+builds path objects, drawn in blocks of paths by ``levy._jump_sums``.
+Truncating the horizon at T leaves a tail distributed as
 e^{-T} times an independent copy of the full integral, so the truncation
 error is a known multiplicative contraction.
 """
@@ -82,11 +80,11 @@ def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.n
     """For each of n independent paths, int_(0,w] e^{-s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
-    The jumps are those of ``levy._poisson_jumps``, summed in blocks by
-    ``levy._jump_sums``; the normals of the Gaussian part are drawn after
-    them. A jump-free model draws no jumps, and a zero drift adds nothing.
+    The jumps are drawn and summed in blocks of paths by ``levy._jump_sums``;
+    the normals of the Gaussian part are drawn after all of them. A
+    jump-free model draws no jumps, and a zero drift adds nothing.
     """
-    out = _jump_sums(model, window, n, stream, _discounted_sums, np.zeros(n))
+    out = _jump_sums([(model, _discounted_sums)], window, n, stream, np.zeros(n))
     if model.drift:
         out += model.drift * -np.expm1(-window)
     if model.gauss_var > 0:

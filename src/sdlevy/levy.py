@@ -3,19 +3,16 @@ optional Gaussian component), the one compound Poisson generator
 ``_poisson_jumps``, and finite-horizon jump + drift trajectories, with the
 shift and thin operations the discounted-integral constructions need.
 
-``_poisson_jumps`` draws the jumps of n paths as ragged arrays for the
-decomposition records of ``decomposition`` and ``operator``;
-``simulate_path`` is its n = 1 draw, sorted in time. The batch integrals of
-``discount`` and ``operator`` sum the same variates, draw for draw in
-``_poisson_jumps``'s order, in blocks through ``_jump_sums``, which keeps
-no per-jump array: the jump times come block by block from a copy of the
-stream that ``RngStream.take_uniforms`` hands out, an exact skip-ahead of
-the counter-based stream past them to the jump sizes. Path objects have
-no Gaussian part: ``simulate_path`` refuses a model with one, and the
-batch samplers draw it exactly, as normals. Path
-objects are the reference route for the evaluators and the stopping rules:
-they share the generator with the batch engine, but not its stopping or
-evaluation code.
+``_poisson_jumps`` draws the jumps of n paths as ragged arrays, and it is
+the only code that draws a jump: the records of ``decomposition`` and
+``operator`` draw with it, the batch integrals of ``discount`` and
+``operator`` draw with it in blocks of paths through ``_jump_sums``, so no
+per-jump array outgrows a block, and ``simulate_path`` is its n = 1 draw,
+sorted in time. Path objects have no Gaussian part: ``simulate_path``
+refuses a model with one, and the batch samplers draw it exactly, as
+normals. Path objects are the reference route for the evaluators and the
+stopping rules: they share the generator with the batch engine, but not
+its stopping or evaluation code.
 
 Only finite-activity jumps are supported: every identity exercised here
 lives in the compound Poisson world, and infinite-activity measures would
@@ -30,8 +27,9 @@ import numpy as np
 
 from .rng import RngStream
 
-# Jumps per block of ``_jump_sums``: it bounds the kernel's temporaries and
-# changes no draw, so it is not a parameter.
+# Expected jumps per block of paths in ``_jump_sums``: it bounds the kernel's
+# temporaries and is part of the stream layout, as ``decomposition._CHUNK`` is
+# for records, so it is not a parameter.
 _BLOCK = 1 << 16
 
 
@@ -167,36 +165,27 @@ def _poisson_jumps(model: LevyModel, window, n: int, stream: RngStream):
     return owner, times, sizes
 
 
-def _jump_sums(model: LevyModel, window, n: int, stream: RngStream, block_sum,
-               out: np.ndarray) -> np.ndarray:
-    """Add to out[i] the sum over path i's jumps that ``block_sum`` computes,
-    for the n paths of ``_poisson_jumps(model, window, n, stream)``: the same
-    variates in the same order, with no array the size of all the jumps.
+def _jump_sums(parts, window, n: int, stream: RngStream, out: np.ndarray) -> np.ndarray:
+    """Add to out[i], for each (model, block_sum) of ``parts``, the sum that
+    ``block_sum`` computes over path i's jumps, for n independent paths on
+    (0, w_i], with w a scalar or one window per path.
 
-    After the Poisson counts, ``stream.take_uniforms`` hands out a stream
-    at the first uniform time and moves ``stream`` past all of them to the
-    first jump size. Blocks of whole paths, at most _BLOCK jumps or one
-    path, then draw their times from the one stream and their sizes from
-    the other, and add ``block_sum(owner, times, sizes, m)``, the (m, ...)
-    sums of the block's m paths with a block-local owner; it may overwrite
-    ``times``. The exponential jump law draws value by value, so the smaller
-    calls return the same values. A jump-free model draws nothing.
+    The paths are drawn in consecutive blocks of m; in each block every model
+    in turn draws one ``_poisson_jumps(model, window[block], m, stream)``,
+    and ``block_sum(owner, times, sizes, m)`` returns its (m, ...) per-path
+    sums; it may overwrite ``times``. m is the most paths whose expected jump
+    count over all the models at the largest window stays within _BLOCK, and
+    at least 1. So for a scalar window the first k * m paths are the same for
+    every n >= k * m, and n <= m paths are one ``_poisson_jumps`` draw per
+    model. A jump-free model draws nothing and adds zeros.
     """
-    if model.jump_rate <= 0:
-        return out
-    counts = stream.poisson(model.jump_rate * window, size=n)
-    ends = np.cumsum(counts)
-    uniforms = stream.take_uniforms(counts.sum())
-    lo = p0 = 0
-    while p0 < n:
-        p1 = max(p0 + 1, int(np.searchsorted(ends, lo + _BLOCK, side="right")))
-        hi = ends[p1 - 1]
-        owner = np.repeat(np.arange(p1 - p0), counts[p0:p1])
-        times = uniforms.uniform(size=hi - lo)
-        times *= window[p0:p1][owner] if np.ndim(window) else window
-        sizes = model.jump_law.sample(stream, size=hi - lo)
-        out[p0:p1] += block_sum(owner, times, sizes, p1 - p0)
-        lo, p0 = hi, p1
+    top = sum(model.jump_rate for model, _ in parts) * float(np.max(window))
+    m = n if top * n <= _BLOCK else max(1, int(_BLOCK // top))
+    for lo in range(0, n, m):
+        w = window[lo:lo + m] if np.ndim(window) else window
+        k = min(m, n - lo)
+        for model, block_sum in parts:
+            out[lo:lo + k] += block_sum(*_poisson_jumps(model, w, k, stream), k)
     return out
 
 

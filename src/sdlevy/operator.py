@@ -11,12 +11,12 @@ An ``OperatorDriver`` is a tuple of independent scalar jump sources, each
 pushed along a fixed direction: one per coordinate
 (``independent_coordinates``), or one shared. Records run on the ragged
 batch engine of ``decomposition``, each source's jumps one ragged batch
-from ``levy._poisson_jumps``; integrals sum the same variates in blocks
-through ``levy._jump_sums``, with no per-jump array. For both, one
-routine of ``_QDiscounter`` sums e^{-tQ} u*size per row: in the
-eigenbasis of Q when Q is diagonalizable (a diagonal Q has V = I),
-otherwise by ``_expm``, a stacked scaling-and-squaring Pade-13 kernel in
-numpy, over blocks of jumps. The engine imports no scipy. The scalar case is d = 1. Records take every
+from ``levy._poisson_jumps``; integrals draw the same way in blocks of
+paths through ``levy._jump_sums``. For both, ``_QDiscounter.ragged_sum``
+sums e^{-tQ} u*size per row: in the eigenbasis of Q when Q is
+diagonalizable (a diagonal Q has V = I), otherwise by ``_expm``, a stacked
+scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps. The
+engine imports no scipy. The scalar case is d = 1. Records take every
 stopping rule of ``decomposition``; FirstJumpIn stops at the first jump
 whose scalar size lies in the set.
 """
@@ -138,16 +138,16 @@ class _QDiscounter:
         else:
             self.mode = "dense"
 
-    def _path_sums(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
+    def ragged_sum(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
                    u: np.ndarray, n: int) -> np.ndarray:
-        """The (n, d) per-row sums over the jumps k with owner[k] == i of
-        e^{-t_k Q} u * sizes_k, in the discounter's basis.
+        """Row i of the (n, d) result: the sum over the jumps k with
+        owner[k] == i of e^{-t_k Q} u * sizes_k.
 
-        In the eigenbasis mode column k sums e^{-w_k t} (V^{-1} u)_k * size,
-        real and imaginary parts apart, for each k with (V^{-1} u)_k != 0;
-        ``_coords`` maps the modes back with V. In the dense mode each block
-        of _EXPM_BLOCK jumps gets its e^{-t_k Q} u from one ``_expm`` call,
-        and each coordinate is summed per row.
+        In the eigenbasis mode column k of the modes sums e^{-w_k t}
+        (V^{-1} u)_k * size, real and imaginary parts apart, for each k with
+        (V^{-1} u)_k != 0, and V maps the modes back. In the dense mode each
+        block of _EXPM_BLOCK jumps gets its e^{-t_k Q} u from one ``_expm``
+        call, and each coordinate is summed per row.
         """
         if self.mode == "eigen":
             modes = np.zeros((n, len(self.q)), self.w.dtype)
@@ -157,32 +157,13 @@ class _QDiscounter:
                 modes[:, k] = _sum_by_path(owner, np.real(z), n)
                 if np.iscomplexobj(z):
                     modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
-            return modes
+            return (modes @ self.v.T).real
         jumps = np.empty((times.size, len(self.q)))
         for lo in range(0, times.size, _EXPM_BLOCK):
             t = times[lo:lo + _EXPM_BLOCK]
             jumps[lo:lo + t.size] = _expm(-t[:, None, None] * self.q) @ u
         jumps *= sizes[:, None]
         return np.stack([_sum_by_path(owner, col, n) for col in jumps.T], axis=-1)
-
-    def _coords(self, sums: np.ndarray) -> np.ndarray:
-        return (sums @ self.v.T).real if self.mode == "eigen" else sums
-
-    def ragged_sum(self, owner: np.ndarray, times: np.ndarray, sizes: np.ndarray,
-                   u: np.ndarray, n: int) -> np.ndarray:
-        """Row i of the (n, d) result: the sum over the jumps k with
-        owner[k] == i of e^{-t_k Q} u * sizes_k."""
-        return self._coords(self._path_sums(owner, times, sizes, u, n))
-
-    def batch_sum(self, source, window: float, n: int, stream: RngStream,
-                  u: np.ndarray) -> np.ndarray:
-        """``ragged_sum`` over the jumps of ``_poisson_jumps(source, window,
-        n, stream)``, drawn and summed in blocks by ``levy._jump_sums``."""
-        sums = np.zeros((n, len(self.q)), self.w.dtype if self.mode == "eigen" else float)
-        _jump_sums(source, window, n, stream,
-                   lambda owner, times, sizes, m: self._path_sums(owner, times, sizes, u, m),
-                   sums)
-        return self._coords(sums)
 
     def drift_integral(self, t, drift: np.ndarray) -> np.ndarray:
         """int_0^t e^{-sQ} drift ds = Q^{-1} (I - e^{-tQ}) drift, one row per
@@ -250,18 +231,18 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
                                   n: int, stream: RngStream) -> np.ndarray:
     """n draws of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift as rows.
 
-    The driver's jump sources are drawn from the stream one after another,
-    each summed in blocks before the next is drawn; for diagonal Q
-    coordinate i is the scalar batch at rate Q_ii, draw for draw.
+    Paths are drawn in blocks, as ``levy._jump_sums`` lays them out: in each
+    block the driver's sources draw one after another, as records draw
+    them. For d = 1 this is the scalar batch, draw for draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     disc = model._discounter
-    T = policy.horizon
-    out = np.zeros((n, model.dimension))
-    for source, u in model.driver.sources:
-        out += disc.batch_sum(source, T, n, stream, u)
-    return out + disc.drift_integral(T, model.driver.drift_vector())
+    parts = [(source, lambda owner, times, sizes, m, u=u:
+              disc.ragged_sum(owner, times, sizes, u, m))
+             for source, u in model.driver.sources]
+    out = _jump_sums(parts, policy.horizon, n, stream, np.zeros((n, model.dimension)))
+    return out + disc.drift_integral(policy.horizon, model.driver.drift_vector())
 
 
 # ---------------------------------------------------------------------------
@@ -332,7 +313,7 @@ def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
                             stream: RngStream) -> OperatorDecompositionRecord:
     """n independent operator records as one record of arrays, in the
     chunk layout of ``decompose_many``: chunk i draws only from child i of
-    ``stream.split(ceil(n / 256))``.
+    ``stream.split(ceil(n / _CHUNK))``.
 
     Every stopping rule applies. FirstJumpIn(A) stops at the first jump of
     the driver whose scalar size lies in A; that jump is the row size * u of

@@ -5,12 +5,9 @@ Streams are counter-based (Philox), so the raw draws are a pure function of
 scheduled across threads or processes. Values computed from them with
 numpy's vectorized math (exp, log, powers) can differ in the last bits
 between CPU feature sets, so run artifacts are byte-identical on one
-machine and numpy build, not across machines. Being counter-based, a
-stream can also skip ahead exactly (``RngStream.take_uniforms``), so a
-batch kernel can draw jump times and sizes block by block in the order of
-one long draw without keeping either. A single stream must not be shared
-mutably between threads; use :meth:`RngStream.split` to hand independent
-child streams to parallel workers.
+machine and numpy build, not across machines. A single stream must not be
+shared mutably between threads; use :meth:`RngStream.split` to hand
+independent child streams to parallel workers.
 """
 
 from __future__ import annotations
@@ -35,9 +32,7 @@ class RngStream:
 
     Distinct ``(seed, stream_id)`` pairs yield statistically independent
     sequences; identical pairs yield identical raw draws on every platform.
-    ``counter`` counts variates drawn, for report fingerprints; uniforms
-    handed out by ``take_uniforms`` count on the stream that handed them
-    out, when they are handed out.
+    ``counter`` counts variates drawn, for report fingerprints.
     """
 
     __slots__ = ("seed", "stream_id", "counter", "_gen", "_spawned")
@@ -62,33 +57,6 @@ class RngStream:
             cid = _splitmix64(self.stream_id ^ ((_GOLDEN * self._spawned) & _MASK64))
             children.append(RngStream(self.seed, cid))
         return children
-
-    def take_uniforms(self, n: int) -> "RngStream":
-        """Hand out a stream whose first n ``uniform`` draws are this
-        stream's next n, and move this stream past them in O(1).
-
-        Exact because ``uniform`` takes one 64-bit Philox word per value
-        (``integers(0, 2**53)`` never rejects), and Philox4x64 makes four
-        words per counter step: this stream uses up the at most 3 words
-        left in its buffer, ``advance``s its counter by whole steps and
-        draws the rest, so its later draws of any kind are those that
-        follow the n uniforms. Every method here draws 64-bit words only,
-        so no buffered 32-bit half is lost. The n variates are counted
-        once, here, on this stream. The handed-out stream has this
-        stream's id, so it is for those uniforms only, not for ``split``.
-        """
-        n = int(n)
-        ahead = RngStream(self.seed, self.stream_id)
-        bits = self._gen.bit_generator
-        ahead._gen.bit_generator.state = bits.state
-        used = min(n, 4 - bits.state["buffer_pos"])
-        bits.random_raw(used)
-        steps, rest = divmod(n - used, 4)
-        if steps:  # advance(0) would drop the buffered words
-            bits.advance(steps)
-        bits.random_raw(rest)
-        self.counter += n
-        return ahead
 
     def uniform(self, size):
         """Uniform draws strictly inside the open interval (0, 1)."""

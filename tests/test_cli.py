@@ -68,9 +68,9 @@ SMALL_CONFIGS = {
 
 _SCHEMAS = (CONFIG_SCHEMA, *(schema for schema, _ in _EXPERIMENTS.values()))
 # The keywords cli._errors implements ("then" is applied by "if").
-_IMPLEMENTED = {"type", "enum", "const", "minimum", "exclusiveMinimum", "minItems", "items",
-                "uniqueItems", "properties", "required", "additionalProperties", "allOf", "if",
-                "then"}
+_IMPLEMENTED = {"type", "enum", "const", "minimum", "maximum", "exclusiveMinimum", "minItems",
+                "items", "uniqueItems", "properties", "required", "additionalProperties", "allOf",
+                "if", "then"}
 
 
 def _subschemas(schema):
@@ -88,7 +88,7 @@ _FIELD_NAMES = sorted({name for schema in _SCHEMAS for sub in _subschemas(schema
                        for name in sub.get("properties", ())} | {"bogus"})
 _VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 999, 1000, 2000, 0.0, 0.5, 1.0,
            -2.5, 3.0,
-           100.0, 2000.0, 1e-300, math.nan, math.inf, -math.inf,
+           100.0, 2000.0, 1e-300, 1e300, 2**64 - 1, 2**64, math.nan, math.inf, -math.inf,
            "", "x", "gamma", "gaussian", *EXPERIMENTS, *_RULES,
            [], [1.0], [0.0, 2.0], [2.0, 2.0], [1, 1.0], [True, 1], [0.5, 2.0, 0.5],
            [math.nan, math.nan],
@@ -657,6 +657,24 @@ class TestMain:
         for artifact in ("report.json", "samples.csv", "cdf.csv", "ecf.csv"):
             assert ((tmp_path / "a" / artifact).read_bytes()
                     == (tmp_path / "b" / artifact).read_bytes())
+
+    @pytest.mark.parametrize("seed", [2**64, 5 + 2**64], ids=repr)
+    @pytest.mark.parametrize("by_flag", [False, True], ids=["config", "flag"])
+    def test_seed_past_64_bits_rejected(self, tmp_path, capsys, seed, by_flag):
+        # a stream keeps a seed's low 64 bits, so 5 + 2^64 would draw what 5
+        # draws while report.json records 5 + 2^64; it is a config error
+        doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
+        flag = ["--seed", str(seed)] if by_flag else []
+        if not by_flag:
+            doc["seed"] = seed
+        assert main(["run", "--config", self._write(tmp_path, doc), *flag,
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert (f"{seed!r} is greater than the maximum of {2**64 - 1!r}"
+                in capsys.readouterr().err)
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_accepted(self):
+        validate_config({**SMALL_CONFIGS["verify-gamma-bdlp"], "seed": 2**64 - 1})
 
     def test_seed_override(self, tmp_path):
         cfg = dict(SMALL_CONFIGS["verify-gamma-bdlp"])

@@ -125,11 +125,18 @@ class TestSampling:
         np.testing.assert_allclose(draws, 1.0 - np.exp(-7.0), rtol=1e-14)
 
 
-def _unblocked_integral(model, window, n, stream):
+def _unblocked_integral(model, window, n, stream, m=None):
     """The integral batch from the full owner/time/size arrays of
-    ``_poisson_jumps``: one bincount of e^{-t} * size over every jump."""
-    owner, times, sizes = _poisson_jumps(model, window, n, stream)
-    out = np.bincount(owner, weights=np.exp(-times) * sizes, minlength=n).astype(float)
+    ``_poisson_jumps``, one call per consecutive block of m paths (all n
+    at once by default) on the one stream: one bincount of e^{-t} * size
+    per block, then the normals of the Gaussian part."""
+    m = m or n
+    out = np.zeros(n)
+    for lo in range(0, n, m):
+        k = min(m, n - lo)
+        owner, times, sizes = _poisson_jumps(
+            model, window[lo:lo + k] if np.ndim(window) else window, k, stream)
+        out[lo:lo + k] += np.bincount(owner, weights=np.exp(-times) * sizes, minlength=k)
     out += model.drift * -np.expm1(-window)
     if model.gauss_var > 0:
         sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
@@ -137,46 +144,82 @@ def _unblocked_integral(model, window, n, stream):
     return out
 
 
-# The kernel reads a law only through its ``sample``. Beside the library's
-# one law, stand-ins that draw value by value pin it for signed sizes from
-# one uniform each and for a law that draws no variate at all.
+# The kernel reads a law only through its ``sample``, and each block draws
+# its own sizes, so a law that draws in rounds (the gamma rejection sampler)
+# blocks like one that draws value by value. Beside the library's one law,
+# stand-ins pin it for signed sizes, for sizes from a table, for a law that
+# draws in rounds and for a law that draws no variate at all.
 _LAWS = {"exponential": ExponentialJumps(1.0),
          "uniform": SimpleNamespace(sample=lambda s, size: 3.0 * s.uniform(size=size) - 1.0),
          "table": SimpleNamespace(sample=lambda s, size: np.array([1.0, -2.0, 3.0])[
              np.searchsorted([0.2, 0.7], s.uniform(size=size))]),
+         "gamma_rounds": SimpleNamespace(
+             sample=lambda s, size: sample_gamma(GammaParams(0.7, 2.0), s, size)),
          "constant": SimpleNamespace(sample=lambda s, size: np.full(size, 1.5))}
 
 
 class TestBlockedKernel:
-    """The batch integral sums the jumps of ``_poisson_jumps`` in blocks
-    (``levy._jump_sums``) and must equal the unblocked sum bit for bit."""
+    """The batch integral draws its paths in consecutive blocks of m, each
+    one ``_poisson_jumps`` call on the one stream (``levy._jump_sums``), and
+    must equal the unblocked sums of those calls bit for bit."""
 
-    # (n, rate, window bound): at n = 1 and 7 every path has more jumps than
-    # a block of 7; at n = 15,000 blocks of whole paths and cut paths mix.
+    # (n, rate, window bound) under blocks of 500 expected jumps: m = 6 at
+    # rate 2 and window 40, so n = 1 is one block and n = 7 a full block and
+    # a partial one; at n = 15,000 and m = 250 there are 60 blocks.
     _SIZES = [(1, 2.0, 40.0), (7, 2.0, 40.0), (15_000, 0.5, 4.0)]
 
     @pytest.mark.parametrize("law", sorted(_LAWS))
     @pytest.mark.parametrize("n, rate, bound", _SIZES)
     @pytest.mark.parametrize("per_path", [False, True], ids=["scalar_window", "path_windows"])
     def test_bit_equal_to_unblocked(self, monkeypatch, law, n, rate, bound, per_path):
-        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 500)
         model = LevyModel(jump_rate=rate, jump_law=_LAWS[law], drift=0.3, gauss_var=0.7)
         window = RngStream(3).uniform(size=n) * bound if per_path else bound
-        counts = RngStream(11, n).poisson(rate * window, size=n)
-        assert counts.max() > 7  # some path spans more than one block
+        # the most paths whose expected jump count at the largest window is
+        # at most 500
+        m = max(1, int(500 // (rate * np.max(window))))
+        if not per_path:
+            assert m == {1: 6, 7: 6, 15_000: 250}[n]
         ref_stream, stream = RngStream(11, n), RngStream(11, n)
-        ref = _unblocked_integral(model, window, n, ref_stream)
+        ref = _unblocked_integral(model, window, n, ref_stream, m)
         got = _integral_batch(model, window, n, stream)
         assert np.array_equal(got, ref)
         assert stream.counter == ref_stream.counter  # each variate counted once
 
-    def test_default_block_bit_equal_to_unblocked(self):
-        # about 1.2 million jumps: many blocks of 2^16
-        model = _gamma_model(2.0, 1.0)
-        ref = _unblocked_integral(model, 40.0, 15_000, RngStream(12))
-        got = sample_discounted_integral_many(model, TruncationPolicy(40.0), 15_000,
-                                              RngStream(12))
+    def test_one_block_is_the_unblocked_draw(self):
+        # 500 paths of about 80 jumps fit one default block of 2^16: the
+        # draws are one _poisson_jumps call, as with no blocking at all
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3)
+        ref_stream, stream = RngStream(12), RngStream(12)
+        ref = _unblocked_integral(model, 40.0, 500, ref_stream)
+        got = sample_discounted_integral_many(model, TruncationPolicy(40.0), 500, stream)
         assert np.array_equal(got, ref)
+        assert stream.counter == ref_stream.counter
+
+    def test_prefix_stable(self):
+        # at rate 2 and T = 40 a default block holds m = 2^16 // 80 = 819
+        # paths, so the first 2 * 819 draws are the same for every n >= 1,638
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3)
+        draws = {n: sample_discounted_integral_many(model, TruncationPolicy(40.0), n,
+                                                    RngStream(12))
+                 for n in (1_638, 1_639, 5_000)}
+        for n in (1_639, 5_000):
+            assert np.array_equal(draws[n][:1_638], draws[1_638])
+
+    @pytest.mark.parametrize("gauss_var", [0.0, 0.7])
+    def test_zero_and_tiny_windows(self, gauss_var):
+        # a zero window and a subnormal one hold no expected jump: the
+        # block guard neither divides by them nor overflows, and a zero
+        # window's integral is exactly 0 (its normal has sd 0)
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3,
+                          gauss_var=gauss_var)
+        for window in (np.array([0.0, 5e-324, 2.5, 0.0, 40.0, 0.0]), np.zeros(6),
+                       np.full(6, 5e-324)):
+            ref_stream, stream = RngStream(15), RngStream(15)
+            got = _integral_batch(model, window, 6, stream)
+            assert np.array_equal(got, _unblocked_integral(model, window, 6, ref_stream))
+            assert stream.counter == ref_stream.counter
+            assert not np.any(got[window == 0.0])
 
     def test_peak_does_not_grow_with_jumps(self):
         # one fixed bound at T = 40 and T = 400 (about 1.2 and 12 million

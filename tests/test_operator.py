@@ -426,40 +426,72 @@ class TestRaggedSum:
             assert not np.any(got[:, 1 - j])
 
 
-def _unblocked_operator_integral(model, T, n, stream):
+def _unblocked_operator_integral(model, T, n, stream, m=None):
     """The operator integral batch from the full owner/time/size arrays of
-    ``_poisson_jumps``, each source discounted by ``ragged_sum``."""
+    ``_poisson_jumps``, one block of m rows (all n at once by default) after
+    another on the one stream: in each block one call per source in the
+    driver's order, discounted by ``ragged_sum``."""
+    m = m or n
     disc = model._discounter
     out = np.zeros((n, model.dimension))
-    for source, u in model.driver.sources:
-        out += disc.ragged_sum(*_poisson_jumps(source, T, n, stream), u, n)
+    for lo in range(0, n, m):
+        k = min(m, n - lo)
+        for source, u in model.driver.sources:
+            out[lo:lo + k] += disc.ragged_sum(*_poisson_jumps(source, T, k, stream), u, k)
     return out + disc.drift_integral(T, model.driver.drift_vector())
 
 
 class TestBlockedBatch:
-    """``sample_operator_integral_many`` sums the jumps of ``_poisson_jumps``
-    in blocks (``levy._jump_sums``) and must equal the unblocked sum bit for
+    """``sample_operator_integral_many`` draws its rows in consecutive
+    blocks of m (``levy._jump_sums``), each source one ``_poisson_jumps``
+    call per block, and must equal the unblocked sums of those calls bit for
     bit in every discounter mode."""
 
     @pytest.mark.parametrize("q", [q for q, _ in _MODE_QS],
                              ids=["diagonal", "coupled", "complex_eigen", "jordan"])
     @pytest.mark.parametrize("n, T", [(1, 40.0), (7, 40.0), (15_000, 0.5)])
     def test_bit_equal_to_unblocked(self, monkeypatch, q, n, T):
-        # blocks of 7 jumps: at T = 40 every path spans several blocks, at
-        # T = 0.5 most blocks hold several whole paths
-        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        # blocks of 500 expected jumps at the total rate 3: m = 4 rows at
+        # T = 40, so n = 7 is a full block and a partial one, and m = 333
+        # at T = 0.5, 46 blocks
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 500)
         model = _model_2d(q)
-        ref = _unblocked_operator_integral(model, T, n, RngStream(21, n))
-        got = sample_operator_integral_many(model, TruncationPolicy(T), n, RngStream(21, n))
+        m = {40.0: 4, 0.5: 333}[T]
+        ref_stream, stream = RngStream(21, n), RngStream(21, n)
+        ref = _unblocked_operator_integral(model, T, n, ref_stream, m)
+        got = sample_operator_integral_many(model, TruncationPolicy(T), n, stream)
         assert np.array_equal(got, ref)
+        assert stream.counter == ref_stream.counter
 
     def test_shared_direction_bit_equal_to_unblocked(self, monkeypatch):
-        monkeypatch.setattr("sdlevy.levy._BLOCK", 7)
+        # one source at rate 2: m = 6 rows per block of 500 expected jumps
+        monkeypatch.setattr("sdlevy.levy._BLOCK", 500)
         model = OperatorModel(np.asarray(_ROTATING_Q), _shared(_coord(2.0, 1.0, drift=0.2),
                                                               (1.0, -0.5)))
-        ref = _unblocked_operator_integral(model, 40.0, 50, RngStream(22))
+        ref = _unblocked_operator_integral(model, 40.0, 50, RngStream(22), 6)
         got = sample_operator_integral_many(model, POLICY, 50, RngStream(22))
         assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("q", [q for q, _ in _MODE_QS],
+                             ids=["diagonal", "coupled", "complex_eigen", "jordan"])
+    def test_one_block_is_the_unblocked_draw(self, q):
+        # 500 rows of about 120 jumps fit one default block of 2^16
+        model = _model_2d(q)
+        ref_stream, stream = RngStream(24), RngStream(24)
+        ref = _unblocked_operator_integral(model, 40.0, 500, ref_stream)
+        got = sample_operator_integral_many(model, POLICY, 500, stream)
+        assert np.array_equal(got, ref)
+        assert stream.counter == ref_stream.counter
+
+    def test_prefix_stable(self):
+        # at the total rate 3 and T = 40 a default block holds
+        # m = 2^16 // 120 = 546 rows: both sources draw in each block, so the
+        # first 2 * 546 rows are the same for every n >= 1,092
+        for q in (None, _ROTATING_Q):
+            draws = {n: sample_operator_integral_many(_model_2d(q), POLICY, n, RngStream(25))
+                     for n in (1_092, 1_093, 3_000)}
+            for n in (1_093, 3_000):
+                assert np.array_equal(draws[n][:1_092], draws[1_092])
 
     def test_peak_does_not_grow_with_jumps(self):
         # operator_2d's coordinates at n = 10^4, one fixed bound at T = 40

@@ -177,6 +177,18 @@ class TestStoppedIntegralAffine:
                                  make_stream())
         assert ks_two_sample(b, records.x_tau)[2]
 
+    @pytest.mark.parametrize("drift", [0.0, 0.4])
+    def test_zero_fixed_time_pairs(self, drift):
+        # stopped at once: no jump, no drift and a discount of 1; the jump
+        # model's zero windows hold no expected jump, so its n paths are one
+        # block and only their Poisson counts are drawn
+        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=drift)
+        stream = RngStream(32)
+        a, b = StoppedIntegralAffine(model, FixedTime(0.0)).sample_pairs(stream, size=1000)
+        assert np.array_equal(a, np.ones(1000))
+        assert not np.any(b)
+        assert stream.counter == 1000
+
     def test_generic_rule_fallback(self, make_stream):
         # the second jump at rate 3 comes at tau ~ gamma(2, 3), and X_tau has
         # the law of the per-record decomposition's x_tau

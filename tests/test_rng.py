@@ -43,38 +43,6 @@ class TestStreamDeterminism:
         assert s.counter == 16
 
 
-class TestTakeUniforms:
-    """``take_uniforms(n)`` hands out the next n uniforms and moves the
-    stream past them by Philox skip-ahead, bit for bit."""
-
-    _LATER = (lambda s: s.exponential(1.5, size=7), lambda s: s.normal(size=9),
-              lambda s: s.poisson(3.0, size=5), lambda s: s.uniform(size=6))
-
-    # used: words of the current 4-word Philox block already drawn (0 and 4
-    # both leave an empty buffer, before and after the first block); n ends
-    # inside the buffer, on a block edge, past it, and many blocks past it
-    @pytest.mark.parametrize("used", [0, 1, 2, 3, 4])
-    @pytest.mark.parametrize("n", [0, 1, 3, 4, 5, (1 << 16) + 1])
-    def test_skip_ahead_matches_drawing_through(self, used, n):
-        stream, ref = RngStream(41, stream_id=3), RngStream(41, stream_id=3)
-        stream.uniform(size=used)
-        ref.uniform(size=used)
-        ahead = stream.take_uniforms(n)
-        assert ahead.uniform(size=n).tobytes() == ref.uniform(size=n).tobytes()
-        for draw in self._LATER:
-            assert draw(stream).tobytes() == draw(ref).tobytes()
-
-    def test_counter_counts_handed_out_uniforms_once(self):
-        stream = RngStream(42)
-        stream.normal(size=2)
-        ahead = stream.take_uniforms(10)
-        assert stream.counter == 12  # counted when handed out
-        ahead.uniform(size=10)
-        assert stream.counter == 12  # not again when drawn
-        stream.uniform(size=3)
-        assert stream.counter == 15
-
-
 class TestUniform:
     def test_open_interval(self, make_stream):
         u = make_stream().uniform(size=200_000)
