@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Peak memory of each example config, one fresh child process per config.
 
-Usage: python scripts/peak_rss.py [--configs configs]
+Usage: python scripts/peak_rss.py [--configs configs] [--repeat N]
 
 Each config runs as ``python -m sdlevy.cli run`` in its own child, with the
 artifacts written to a temporary directory that is removed afterwards. The
@@ -9,10 +9,16 @@ table gives the child's own peak resident set size (``ru_maxrss`` from
 ``wait4``), its minor page faults (``ru_minflt``), its CPU time
 (``ru_utime + ru_stime``), its wall time and its exit status. The child
 imports sdlevy from this tree's ``src``. Exits nonzero if any child does.
+
+``--repeat N`` runs N rounds, each config once per round in the same order,
+so a drift in the host's speed spreads over every config alike. Each row
+then gives the config's largest peak and fault count, its median CPU and
+wall time, and the first nonzero exit status of its runs (0 if none).
 """
 
 import argparse
 import os
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -42,17 +48,24 @@ def peak_rss(config: Path) -> tuple[int, float, int, float, float]:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--configs", default=str(ROOT / "configs"))
+    parser.add_argument("--repeat", type=int, default=1, help="rounds of one child per config")
     args = parser.parse_args()
+    if args.repeat < 1:
+        parser.error("--repeat must be at least 1")
 
-    failed = False
+    paths = sorted(Path(args.configs).glob("*.json"))
+    runs = {path: [] for path in paths}
     print(f"{'config':30s} {'exit':>4s} {'peak MB':>8s} {'minflt':>8s} {'cpu s':>6s} "
           f"{'wall s':>7s}")
-    for path in sorted(Path(args.configs).glob("*.json")):
-        status, mb, minflt, cpu, wall = peak_rss(path)
-        failed |= status != 0
-        print(f"{path.stem:30s} {status:4d} {mb:8.1f} {minflt:8d} {cpu:6.2f} {wall:7.2f}",
-              flush=True)
-    return 1 if failed else 0
+    for round_ in range(args.repeat):
+        for path in paths:
+            runs[path].append(peak_rss(path))
+            if round_ == args.repeat - 1:
+                status, mb, minflt, cpu, wall = zip(*runs[path])
+                print(f"{path.stem:30s} {next(filter(None, status), 0):4d} {max(mb):8.1f} "
+                      f"{max(minflt):8d} {statistics.median(cpu):6.2f} "
+                      f"{statistics.median(wall):7.2f}", flush=True)
+    return 1 if any(run[0] for rows in runs.values() for run in rows) else 0
 
 
 if __name__ == "__main__":

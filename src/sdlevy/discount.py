@@ -68,29 +68,29 @@ def _sum_by_path(owner, weights, n: int) -> np.ndarray:
     return np.bincount(owner, weights=weights, minlength=n).astype(float, copy=False)
 
 
-def _discounted_sums(owner, times, sizes, m: int) -> np.ndarray:
-    """Per-path sums of e^{-t} * size, computed in the times array."""
-    times *= -1.0
-    np.exp(times, out=times)
-    times *= sizes
-    return _sum_by_path(owner, times, m)
-
-
 def _integral_batch(model: LevyModel, window, n: int, stream: RngStream) -> np.ndarray:
     """For each of n independent paths, int_(0,w] e^{-s} dY(s) over the
     path's window w (a scalar, or one value per path).
 
-    The jumps are drawn and summed in blocks of paths by ``levy._jump_sums``;
-    the normals of the Gaussian part are drawn after all of them. A
-    jump-free model draws no jumps, and a zero drift adds nothing.
+    The paths are drawn and summed in blocks by ``levy._jump_sums``, and each
+    block's normals of the Gaussian part are drawn right after its jumps, so
+    for a scalar window the first k * m draws are the same for every
+    n >= k * m. A jump-free model draws no jumps and is one block, and a zero
+    drift adds nothing.
     """
-    out = _jump_sums([(model, _discounted_sums)], window, n, stream, np.zeros(n))
-    if model.drift:
-        out += model.drift * -np.expm1(-window)
-    if model.gauss_var > 0:
-        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
-        out += sd * stream.normal(size=n)
-    return out
+    def block_sum(owner, times, sizes, w, m):
+        times *= -1.0  # the per-path sums of e^{-t} * size, in the times array
+        np.exp(times, out=times)
+        times *= sizes
+        out = _sum_by_path(owner, times, m)
+        if model.drift:
+            out += model.drift * -np.expm1(-w)
+        if model.gauss_var > 0:
+            sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * w))
+            out += sd * stream.normal(size=m)
+        return out
+
+    return _jump_sums([(model, block_sum)], window, n, stream, np.zeros(n))
 
 
 def sample_discounted_integral_many(model: LevyModel, policy: TruncationPolicy,

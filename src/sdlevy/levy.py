@@ -171,13 +171,15 @@ def _jump_sums(parts, window, n: int, stream: RngStream, out: np.ndarray) -> np.
     (0, w_i], with w a scalar or one window per path.
 
     The paths are drawn in consecutive blocks of m; in each block every model
-    in turn draws one ``_poisson_jumps(model, window[block], m, stream)``,
-    and ``block_sum(owner, times, sizes, m)`` returns its (m, ...) per-path
-    sums; it may overwrite ``times``. m is the most paths whose expected jump
-    count over all the models at the largest window stays within _BLOCK, and
-    at least 1. So for a scalar window the first k * m paths are the same for
-    every n >= k * m, and n <= m paths are one ``_poisson_jumps`` draw per
-    model. A jump-free model draws nothing and adds zeros.
+    in turn draws one ``_poisson_jumps(model, w, m, stream)`` with w =
+    window[block], and ``block_sum(owner, times, sizes, w, m)`` returns its
+    (m, ...) per-path sums; it may overwrite ``times``, and it may draw the
+    block's other variates (the normals of a Gaussian part) from the stream
+    right after the jumps. m is the most paths whose expected jump count over
+    all the models at the largest window stays within _BLOCK, and at least 1.
+    So for a scalar window the first k * m paths are the same for every
+    n >= k * m, and n <= m paths are one ``_poisson_jumps`` draw per model. A
+    jump-free model draws no jumps, and its paths are one block.
     """
     top = sum(model.jump_rate for model, _ in parts) * float(np.max(window))
     m = n if top * n <= _BLOCK else max(1, int(_BLOCK // top))
@@ -185,7 +187,7 @@ def _jump_sums(parts, window, n: int, stream: RngStream, out: np.ndarray) -> np.
         w = window[lo:lo + m] if np.ndim(window) else window
         k = min(m, n - lo)
         for model, block_sum in parts:
-            out[lo:lo + k] += block_sum(*_poisson_jumps(model, w, k, stream), k)
+            out[lo:lo + k] += block_sum(*_poisson_jumps(model, w, k, stream), w, k)
     return out
 
 

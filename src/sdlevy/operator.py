@@ -15,10 +15,13 @@ from ``levy._poisson_jumps``; integrals draw the same way in blocks of
 paths through ``levy._jump_sums``. For both, ``_QDiscounter.ragged_sum``
 sums e^{-tQ} u*size per row: in the eigenbasis of Q when Q is
 diagonalizable (a diagonal Q has V = I), otherwise by ``_expm``, a stacked
-scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps. The
-engine imports no scipy. The scalar case is d = 1. Records take every
-stopping rule of ``decomposition``; FirstJumpIn stops at the first jump
-whose scalar size lies in the set.
+scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps. In the
+eigenbasis every sum is real: a real eigenvalue is one mode, and a conjugate
+pair a +- ib is two, the sums of e^{-at} cos(bt) and e^{-at} sin(bt) times
+the size, since Q and the jumps are real. The engine imports no scipy. The
+scalar case is d = 1. Records take every stopping rule of
+``decomposition``; FirstJumpIn stops at the first jump whose scalar size
+lies in the set.
 """
 
 from __future__ import annotations
@@ -126,7 +129,10 @@ class _QDiscounter:
     is diagonalizable with a well-conditioned eigenvector matrix ("eigen";
     a diagonal Q has V = I and runs coordinatewise), and by the stacked
     Pade kernel ``_expm`` otherwise ("dense"). ``cond`` is the condition
-    number of the eigenvector matrix V that picks the mode."""
+    number of the eigenvector matrix V that picks the mode. In the eigen
+    mode ``pairs`` indexes the first member of each conjugate eigenpair,
+    whose partner follows it; ``ragged_sum`` takes a pair's two real modes
+    from that first member alone."""
 
     def __init__(self, q: np.ndarray):
         self.q = q
@@ -135,6 +141,14 @@ class _QDiscounter:
         if self.cond < 1e8:
             self.mode = "eigen"
             self.v, self.vinv = v, np.linalg.inv(v)
+            # LAPACK's dgeev returns each conjugate pair side by side, the
+            # member with positive imaginary part first and the partner's
+            # eigenvector its exact conjugate; ragged_sum reads each pair
+            # from its first member
+            self.pairs = np.flatnonzero(self.w.imag > 0)
+            assert (np.array_equal(self.pairs + 1, np.flatnonzero(self.w.imag < 0))
+                    and np.array_equal(self.w[self.pairs + 1], self.w[self.pairs].conj())
+                    and np.array_equal(v[:, self.pairs + 1], v[:, self.pairs].conj()))
         else:
             self.mode = "dense"
 
@@ -143,21 +157,41 @@ class _QDiscounter:
         """Row i of the (n, d) result: the sum over the jumps k with
         owner[k] == i of e^{-t_k Q} u * sizes_k.
 
-        In the eigenbasis mode column k of the modes sums e^{-w_k t}
-        (V^{-1} u)_k * size, real and imaginary parts apart, for each k with
-        (V^{-1} u)_k != 0, and V maps the modes back. In the dense mode each
-        block of _EXPM_BLOCK jumps gets its e^{-t_k Q} u from one ``_expm``
-        call, and each coordinate is summed per row.
+        In the eigenbasis mode the modes are real and mapped back by one real
+        ``modes @ basis.T``, for each k with c_k = (V^{-1} u)_k != 0. For a
+        real eigenvalue w_k column k sums e^{-w_k t} c_k * size and its basis
+        column is v_k. Q and u are real, so a conjugate pair w = a + ib,
+        w-bar contributes 2 Re(v c (E - iF)) with E and F the per-row sums
+        of e^{-at} cos(bt) * size and e^{-at} sin(bt) * size: they fill the
+        pair's two columns, whose basis columns are 2 Re(v c) and 2 Im(v c).
+        In the dense mode each block of _EXPM_BLOCK jumps gets its
+        e^{-t_k Q} u from one ``_expm`` call, and each coordinate is summed
+        per row.
         """
         if self.mode == "eigen":
-            modes = np.zeros((n, len(self.q)), self.w.dtype)
             c = self.vinv @ u
+            basis = self.v  # V itself when every eigenvalue is real: the same matmul
+            if self.pairs.size:
+                basis = self.v.real.copy()
+                vc = 2.0 * self.v[:, self.pairs] * c[self.pairs]
+                basis[:, self.pairs], basis[:, self.pairs + 1] = vc.real, vc.imag
+            modes = np.zeros((n, len(self.q)))
             for k in np.flatnonzero(c):
-                z = np.exp(-self.w[k] * times) * (c[k] * sizes)
-                modes[:, k] = _sum_by_path(owner, np.real(z), n)
-                if np.iscomplexobj(z):
-                    modes[:, k] += 1j * _sum_by_path(owner, np.imag(z), n)
-            return (modes @ self.v.T).real
+                a, b = self.w[k].real, self.w[k].imag
+                if b == 0:
+                    z = np.exp(-a * times) * (c[k].real * sizes)
+                    modes[:, k] = _sum_by_path(owner, z, n)
+                elif b > 0:
+                    decay = np.exp(-a * times)
+                    decay *= sizes
+                    phase = b * times
+                    cos = np.cos(phase)
+                    cos *= decay
+                    modes[:, k] = _sum_by_path(owner, cos, n)
+                    np.sin(phase, out=phase)
+                    phase *= decay
+                    modes[:, k + 1] = _sum_by_path(owner, phase, n)
+            return modes @ basis.T
         jumps = np.empty((times.size, len(self.q)))
         for lo in range(0, times.size, _EXPM_BLOCK):
             t = times[lo:lo + _EXPM_BLOCK]
@@ -238,7 +272,7 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     if n < 1:
         raise ValueError("n must be at least 1")
     disc = model._discounter
-    parts = [(source, lambda owner, times, sizes, m, u=u:
+    parts = [(source, lambda owner, times, sizes, w, m, u=u:
               disc.ragged_sum(owner, times, sizes, u, m))
              for source, u in model.driver.sources]
     out = _jump_sums(parts, policy.horizon, n, stream, np.zeros((n, model.dimension)))

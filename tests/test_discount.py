@@ -128,19 +128,19 @@ class TestSampling:
 def _unblocked_integral(model, window, n, stream, m=None):
     """The integral batch from the full owner/time/size arrays of
     ``_poisson_jumps``, one call per consecutive block of m paths (all n
-    at once by default) on the one stream: one bincount of e^{-t} * size
-    per block, then the normals of the Gaussian part."""
+    at once by default) on the one stream: per block one bincount of
+    e^{-t} * size, the drift, then the block's normals of the Gaussian part."""
     m = m or n
     out = np.zeros(n)
     for lo in range(0, n, m):
         k = min(m, n - lo)
-        owner, times, sizes = _poisson_jumps(
-            model, window[lo:lo + k] if np.ndim(window) else window, k, stream)
-        out[lo:lo + k] += np.bincount(owner, weights=np.exp(-times) * sizes, minlength=k)
-    out += model.drift * -np.expm1(-window)
-    if model.gauss_var > 0:
-        sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * window))
-        out += sd * stream.normal(size=n)
+        w = window[lo:lo + k] if np.ndim(window) else window
+        owner, times, sizes = _poisson_jumps(model, w, k, stream)
+        out[lo:lo + k] = np.bincount(owner, weights=np.exp(-times) * sizes, minlength=k)
+        out[lo:lo + k] += model.drift * -np.expm1(-w)
+        if model.gauss_var > 0:
+            sd = np.sqrt(model.gauss_var * 0.5 * -np.expm1(-2.0 * w))
+            out[lo:lo + k] += sd * stream.normal(size=k)
     return out
 
 
@@ -198,13 +198,16 @@ class TestBlockedKernel:
 
     def test_prefix_stable(self):
         # at rate 2 and T = 40 a default block holds m = 2^16 // 80 = 819
-        # paths, so the first 2 * 819 draws are the same for every n >= 1,638
-        model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3)
-        draws = {n: sample_discounted_integral_many(model, TruncationPolicy(40.0), n,
-                                                    RngStream(12))
-                 for n in (1_638, 1_639, 5_000)}
-        for n in (1_639, 5_000):
-            assert np.array_equal(draws[n][:1_638], draws[1_638])
+        # paths, so the first 2 * 819 draws are the same for every n >= 1,638;
+        # with a Gaussian part too, since each block draws its own normals
+        for gauss_var in (0.0, 0.5):
+            model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.3,
+                              gauss_var=gauss_var)
+            draws = {n: sample_discounted_integral_many(model, TruncationPolicy(40.0), n,
+                                                        RngStream(12))
+                     for n in (1_638, 1_639, 5_000)}
+            for n in (1_639, 5_000):
+                assert np.array_equal(draws[n][:1_638], draws[1_638])
 
     @pytest.mark.parametrize("gauss_var", [0.0, 0.7])
     def test_zero_and_tiny_windows(self, gauss_var):

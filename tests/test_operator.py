@@ -317,12 +317,13 @@ class TestMeanIdentity:
 class TestOperatorDecomposition:
     @pytest.mark.parametrize("rule", [
         FixedTime(0.7), FirstJump(), KthJump(3),
-        IndependentRandomTime(ExponentialJumps(1.0)),
+        IndependentRandomTime(ExponentialJumps(1.0)), FirstJumpIn(JumpSet(1.0)),
     ])
     def test_residuals(self, rule, make_stream):
-        records = operator_decompose_many(_model_2d(), rule, POLICY, 200,
-                                          make_stream())
-        assert records.passes().all()
+        for q in (None, _ROTATING_Q):
+            records = operator_decompose_many(_model_2d(q), rule, POLICY, 200,
+                                              make_stream())
+            assert records.passes().all()
 
     def test_non_diagonal_residuals(self, make_stream):
         model = _model_2d(np.array([[2.0, 1.0], [0.5, 3.0]]))
@@ -382,6 +383,31 @@ class TestRaggedSum:
             ref[i] += scipy.linalg.expm(-t * np.asarray(q)) @ u * s
         scale = np.linalg.norm(ref, axis=1)
         assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
+
+    # a real eigenvalue beside a conjugate pair (the real one first), and two
+    # conjugate pairs; e_3 is the real eigenvector of the first, so V^{-1} e_3
+    # is zero on its pair
+    @pytest.mark.parametrize("q, pairs", [
+        ([[1.0, -0.5, 0.0], [0.5, 1.5, 0.0], [0.2, 0.0, 0.8]], [1]),
+        ([[1.0, -2.0, 0.0, 0.0], [2.0, 1.0, 0.0, 0.0], [0.0, 0.3, 0.5, -3.0],
+          [0.0, 0.0, 3.0, 0.7]], [0, 2]),
+    ], ids=["real_and_pair", "two_pairs"])
+    def test_mixed_spectrum_matches_per_jump_expm(self, q, pairs, make_stream):
+        q = np.asarray(q)
+        d = len(q)
+        disc = _QDiscounter(q)
+        assert disc.mode == "eigen" and np.array_equal(disc.pairs, pairs)
+        owner, times, sizes = self._jumps(make_stream())
+        directions = [*np.eye(d), np.linspace(1.0, -0.5, d)]
+        if d == 3:
+            assert not np.any((disc.vinv @ directions[2])[disc.pairs])
+        for u in directions:
+            got = disc.ragged_sum(owner, times, sizes, u, 40)
+            ref = np.zeros((40, d))
+            for i, t, s in zip(owner, times, sizes):
+                ref[i] += scipy.linalg.expm(-t * q) @ u * s
+            scale = np.linalg.norm(ref, axis=1)
+            assert np.all(np.linalg.norm(got - ref, axis=1) <= 1e-12 * scale)
 
     @pytest.mark.parametrize("n_rows", [40, 400])
     def test_dense_matches_per_jump_expm(self, n_rows, monkeypatch, make_stream):
