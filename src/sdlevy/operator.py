@@ -170,11 +170,9 @@ class _QDiscounter:
         """
         if self.mode == "eigen":
             c = self.vinv @ u
-            basis = self.v  # V itself when every eigenvalue is real: the same matmul
-            if self.pairs.size:
-                basis = self.v.real.copy()
-                vc = 2.0 * self.v[:, self.pairs] * c[self.pairs]
-                basis[:, self.pairs], basis[:, self.pairs + 1] = vc.real, vc.imag
+            basis = self.v.real.copy()
+            vc = 2.0 * self.v[:, self.pairs] * c[self.pairs]
+            basis[:, self.pairs], basis[:, self.pairs + 1] = vc.real, vc.imag
             modes = np.zeros((n, len(self.q)))
             for k in np.flatnonzero(c):
                 a, b = self.w[k].real, self.w[k].imag
