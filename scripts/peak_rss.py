@@ -8,7 +8,9 @@ artifacts written to a temporary directory that is removed afterwards. The
 table gives the child's own peak resident set size (``ru_maxrss`` from
 ``wait4``), its minor page faults (``ru_minflt``), its CPU time
 (``ru_utime + ru_stime``), its wall time and its exit status. The child
-imports sdlevy from this tree's ``src``. Exits nonzero if any child does.
+imports sdlevy from this tree's ``src``, with its BLAS and OpenMP thread
+pools pinned to one thread, as perfbench pins its children, so that no idle
+pool adds CPU time. Exits nonzero if any child does.
 
 ``--repeat N`` runs N rounds, each config once per round in the same order,
 so a drift in the host's speed spreads over every config alike. Each row
@@ -26,12 +28,15 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# The thread-pool variables of perfbench/child.py's THREAD_ENV, set to 1.
+THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+              "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def peak_rss(config: Path) -> tuple[int, float, int, float, float]:
     """(exit status, peak RSS in MB, minor faults, CPU seconds, wall seconds)
     of one child run."""
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+    env = {**os.environ, **dict.fromkeys(THREAD_ENV, "1"), "PYTHONPATH": os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
     with tempfile.TemporaryDirectory() as out:
         t0 = time.perf_counter()

@@ -22,7 +22,8 @@ Each run that returns writes four artifacts to the output directory, which
 it makes only then:
 
   samples.csv  raw sample columns at full double precision
-  report.json  StatReports, extras and gates, verdict, seed, config fingerprint
+  report.json  StatReports, extras and gates, verdict, seed, config
+               fingerprint, and the horizon T the run truncated at
   cdf.csv      both ECDFs of the primary sample pair at 1,025 evenly spaced
                ranks of the pooled sample, plus the KS peak row
   ecf.csv      characteristic-function grid (empirical vs reference)
@@ -52,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from . import decomposition as dec
-from .discount import TruncationPolicy, sample_discounted_integral_many
+from .discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from .errors import ConfigError, SpectralGateError
 from .levy import ExponentialJumps, JumpSet, LevyModel
 from .operator import (OperatorModel, independent_coordinates, operator_decompose_many,
@@ -151,18 +152,20 @@ def _run_gamma_bdlp(params, n, policy, stream) -> ExperimentResult:
     )
 
 
-def _exact_tau(rule, alpha: float, lam: float, n: int, stream: RngStream):
-    """n draws of the exact law of tau under ``rule`` for the driver of rate
-    alpha with Exp(lam) jumps, or None for a fixed time. The k-th jump of a
-    rate-r Poisson process comes at a gamma(k, r) time, and the jumps in the
-    runner's sets {x >= a} arrive at rate alpha * e^{-lam * a} (thinning)."""
+def _exact_tau(rule, sources, n: int, stream: RngStream):
+    """n draws of the exact law of tau under ``rule`` for a driver of
+    independent sources, each (rate, lam) with Exp(lam) jumps, or None for a
+    fixed time. The merged jumps are a Poisson process of rate sum(rate),
+    whose k-th jump comes at a gamma(k, sum(rate)) time, and the jumps in the
+    runner's sets {x >= a} arrive at rate sum(rate * e^{-lam * a})
+    (thinning)."""
     if isinstance(rule, dec.FixedTime):
         return None
     if isinstance(rule, dec.IndependentRandomTime):
         return rule.law.sample(stream, n)
     k = rule.k if isinstance(rule, dec.KthJump) else 1
-    rate = (alpha * math.exp(-lam * rule.jump_set.a) if isinstance(rule, dec.FirstJumpIn)
-            else alpha)
+    rate = sum(r * math.exp(-lam * rule.jump_set.a) if isinstance(rule, dec.FirstJumpIn)
+               else r for r, lam in sources)
     return sample_gamma(GammaParams(k, rate), stream, size=n)
 
 
@@ -174,7 +177,7 @@ def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     reports = [compare_samples("x_total_vs_direct", rec.x_total, direct),
                compare_samples("x_prime_vs_direct", rec.x_prime, direct)]
-    tau = _exact_tau(rule, alpha, lam, n, s_tau)
+    tau = _exact_tau(rule, [(alpha, lam)], n, s_tau)
     if tau is not None:
         reports.append(compare_samples("tau_vs_exact_law", rec.tau, tau))
     band = independence_pass_band(n)
@@ -243,10 +246,6 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
     return ExperimentResult(reports=reports, samples=samples, primary=primary)
 
 
-# Every perpetuity series stops a chain once its running product is below this.
-_TAIL_TOL = 1e-12
-
-
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     gamma = params["driver"] == "gamma"
     alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
@@ -259,21 +258,24 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
         model = LevyModel(gauss_var=params.get("sigma2", 1.0))
         rule = dec.IndependentRandomTime(ExponentialJumps(1.0))
     law = StoppedIntegralAffine(model, rule)
-    s_perp, s_series, s_gamma = stream.split(3)
+    s_perp, s_series, s_exact = stream.split(3)
     s_iter, s_direct, s_diag = s_perp.split(3)
-    stationary, terms = sample_backward_series_many(law, _TAIL_TOL, n, s_iter,
+    stationary, terms = sample_backward_series_many(law, TAIL_TOL, n, s_iter,
                                                     max_terms=max_terms)
     direct = sample_discounted_integral_many(model, policy, n, s_direct)
     a, _ = law.sample_pairs(s_diag, size=min(n, 10_000))
     reports = [compare_samples("perpetuity_fixed_point", stationary, direct)]
     gates = {"discount_in_unit_interval": bool(np.all((a >= 0.0) & (a <= 1.0))),
              "discount_nondegenerate": bool(np.std(a) > 0.0)}
-    extras = {"tail_tol": _TAIL_TOL, "max_terms": max_terms, "fixed_point_terms": terms}
+    extras = {"tail_tol": TAIL_TOL, "max_terms": max_terms, "fixed_point_terms": terms}
     if not gamma:
+        # the integral of a driftless Gaussian driver is N(0, sigma2 / 2)
+        exact = math.sqrt(model.gauss_var / 2.0) * s_exact.normal(size=n)
+        reports.append(compare_samples("fixed_point_vs_exact_normal", stationary, exact))
         return ExperimentResult(reports=reports, gates=gates, extras=extras)
     series, extras["backward_series_terms"] = sample_backward_series_many(
-        BetaGammaAffine(alpha, lam), _TAIL_TOL, n, s_series, max_terms=max_terms)
-    direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
+        BetaGammaAffine(alpha, lam), TAIL_TOL, n, s_series, max_terms=max_terms)
+    direct = sample_gamma(GammaParams(alpha, lam), s_exact, size=n)
     reports.append(compare_samples("backward_series_vs_direct", series, direct))
     return ExperimentResult(reports=reports, gates=gates, extras=extras,
                             samples={"backward_series": series, "direct_gamma": direct},
@@ -291,7 +293,7 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
     model = OperatorModel(q, independent_coordinates(models))
     rule = _parse_rule(params.get("rule", {"kind": "first_jump"}))
     n_records = params.get("n_records", 2000)
-    s_rec, s_mean = stream.split(2)
+    s_rec, s_mean, s_tau, s_exact = stream.split(4)
     rec = operator_decompose_many(model, rule, policy, n_records, s_rec)
     max_rel, pathwise_ok = _pathwise(rec)
     draws = sample_operator_integral_many(model, policy, n, s_mean)
@@ -305,9 +307,22 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
         gate_ok = True
     x_total = rec.x_total
     reports = [
-        compare_samples(f"x_total_coord{i}_vs_integral", x_total[:, i], draws[:n_records, i])
+        compare_samples(f"{name}_coord{i}_vs_integral", x[:, i], draws[:n_records, i])
+        for name, x in (("x_total", x_total), ("x_prime", rec.x_prime))
         for i in range(model.dimension)
     ]
+    tau = _exact_tau(rule, [(m.jump_rate, m.jump_law.rate) for m in models], n_records, s_tau)
+    if tau is not None:
+        reports.append(compare_samples("tau_vs_exact_law", rec.tau, tau))
+    if np.array_equal(q, np.diag(np.diag(q))):
+        # A diagonal Q discounts coordinate i alone, at rate q_i: its integral
+        # is the scalar one of rate r_i / q_i and drift d_i / q_i, a gamma law
+        # shifted by d_i / q_i.
+        for i, (m, q_i) in enumerate(zip(models, np.diag(q))):
+            exact = sample_gamma(GammaParams(m.jump_rate / q_i, m.jump_law.rate), s_exact,
+                                 size=n) + m.drift / q_i
+            reports.append(compare_samples(f"integral_coord{i}_vs_exact_gamma",
+                                           draws[:, i], exact))
     samples = {f"x_total_{i}": x_total[:, i] for i in range(model.dimension)}
     samples.update({f"integral_{i}": draws[:, i] for i in range(model.dimension)})
     return ExperimentResult(
@@ -583,6 +598,7 @@ def run(config: dict, out_dir: str | Path | None = None) -> int:
         "config": config,
         "config_fingerprint": fingerprint,
         "seed": seed,
+        "horizon": policy.horizon,
         "reports": [r.to_json_dict() for r in result.reports],
         "extras": {**result.extras, **result.gates},
         "verdict": result.verdict,

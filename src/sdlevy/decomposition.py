@@ -32,7 +32,10 @@ from .levy import JumpPath, JumpSet, LevyModel, _poisson_jumps, simulate_path  #
 from .rng import RngStream
 
 # Path-dependent rules are looked for on (0, _REACH * T], in blocks of length T.
-_REACH = 15
+# 22 blocks of the default T = 27.63 reach 607.9 time units. A rare set such
+# as {x >= 4} at rate 2 (hit rate 2e^{-4}) then leaves one of 2,000 records
+# unrealized with probability 4e-7; 15 blocks would reach 414 and make it 5e-4.
+_REACH = 22
 # Records per chunk of the batch engine; it bounds the size of the ragged
 # arrays and is part of the stream layout, so it is not a parameter.
 _CHUNK = 256

@@ -8,7 +8,9 @@ object, the jumps of ``levy._poisson_jumps``, the generator that also
 builds path objects, drawn in blocks of paths by ``levy._jump_sums``.
 Truncating the horizon at T leaves a tail distributed as
 e^{-T} times an independent copy of the full integral, so the truncation
-error is a known multiplicative contraction.
+error is a known multiplicative contraction. ``TAIL_TOL`` is that factor for
+every truncation: the default horizon is ln(1 / TAIL_TOL), and the perpetuity
+series stop at the same tolerance.
 """
 
 from __future__ import annotations
@@ -22,13 +24,19 @@ from .levy import JumpPath, LevyModel, _jump_sums
 from .rng import RngStream
 
 
+# Every truncation, of an integral's horizon or of a perpetuity series,
+# discards at most TAIL_TOL times an independent stationary copy.
+TAIL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Finite horizon T replacing (0, infinity); the discarded tail is
-    e^{-T} times an independent stationary copy, below double-precision
-    visibility at the default T = 40 for desk-scale laws."""
+    """Finite horizon T replacing (0, infinity). The discarded tail is
+    e^{-T} times an independent stationary copy, so the default
+    T = ln(1 / TAIL_TOL) makes it at most ``tail_tol`` times an independent
+    stationary copy, the guarantee of the perpetuity series."""
 
-    horizon: float = 40.0
+    horizon: float = -math.log(TAIL_TOL)
 
     def __post_init__(self):
         if not (self.horizon > 0):

@@ -1,6 +1,7 @@
 """Config validation, experiment runners, artifacts, and exit codes."""
 
 import copy
+import dataclasses
 import json
 import math
 import os
@@ -16,12 +17,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy import decomposition
-from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES, _TAIL_TOL,
+from sdlevy import decomposition, discount, operator, perpetuity
+from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES,
                         _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf,
                         _write_samples_csv, main, run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
+from sdlevy.discount import TAIL_TOL, TruncationPolicy
 from sdlevy.errors import ConfigError, ContractionError
 from sdlevy.levy import ExponentialJumps, JumpSet
 from sdlevy.operator import OperatorDecompositionRecord
@@ -295,6 +297,8 @@ class TestRunners:
         assert doc["verdict"] is True
         assert doc["experiment"] == name
         assert len(doc["config_fingerprint"]) == 64
+        # no small config sets policy.horizon, so each ran the default T
+        assert doc["horizon"] == TruncationPolicy().horizon == -math.log(TAIL_TOL)
         # the verdict is every report's verdict and every gate in extras
         assert doc["verdict"] == (all(r["verdict"] for r in doc["reports"])
                                   and all(v for v in doc["extras"].values()
@@ -318,7 +322,7 @@ class TestRunners:
         counts = ["fixed_point_terms"] + ["backward_series_terms"] * (driver == "gamma")
         assert set(extras) == {"tail_tol", "max_terms", "discount_in_unit_interval",
                                "discount_nondegenerate", *counts}
-        assert extras["tail_tol"] == _TAIL_TOL and extras["max_terms"] == 150
+        assert extras["tail_tol"] == TAIL_TOL and extras["max_terms"] == 150
         assert all(type(extras[k]) is int and 0 < extras[k] <= 150 for k in counts)
         doc["params"]["n_steps"] = max(extras[k] for k in counts)
         assert run(copy.deepcopy(doc), out_dir=tmp_path / "at_cap") == 0
@@ -394,6 +398,77 @@ class TestRunners:
         header = (tmp_path / "samples.csv").read_text().split("\n", 1)[0]
         assert header.split(",") == [f"{column}_{tag}" for tag in tags for column in
                                      ("beta_gamma_lhs", "beta_gamma_rhs", "factor_form")]
+
+    def test_report_states_an_explicit_horizon(self, tmp_path):
+        # policy.horizon is honoured: report.json states it, and it moves the
+        # draws of a run that truncates at T
+        doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
+        run(dict(doc), out_dir=tmp_path / "default")
+        run({**doc, "policy": {"horizon": 40.0}}, out_dir=tmp_path / "forty")
+        assert json.loads((tmp_path / "forty" / "report.json").read_text())["horizon"] == 40.0
+        assert ((tmp_path / "default" / "samples.csv").read_bytes()
+                != (tmp_path / "forty" / "samples.csv").read_bytes())
+
+    @pytest.mark.parametrize("q, rule, exact", [
+        ([[1.0, 0.0], [0.0, 2.0]], {"kind": "first_jump"}, True),
+        ([[1.0, -0.5], [0.5, 1.5]], {"kind": "first_jump_in", "threshold": 1.0}, False),
+        ([[2.0, 1.0], [0.0, 1.0]], {"kind": "fixed_time", "t": 0.7}, False),
+    ], ids=["diagonal", "rotating_first_jump_in", "coupled_fixed_time"])
+    def test_operator_reports(self, q, rule, exact, tmp_path):
+        # per coordinate x_total and X' against the integral, tau against its
+        # exact law unless it is a fixed time, and for a diagonal Q each
+        # integral coordinate against its closed-form gamma law
+        doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
+        doc["params"].update(q=q, rule=rule)
+        assert run(doc, out_dir=tmp_path) == 0
+        names = [r["name"] for r in json.loads((tmp_path / "report.json").read_text())["reports"]]
+        assert names == [*(f"{x}_coord{i}_vs_integral" for x in ("x_total", "x_prime")
+                           for i in (0, 1)),
+                         *["tau_vs_exact_law"] * (rule["kind"] != "fixed_time"),
+                         *(f"integral_coord{i}_vs_exact_gamma" for i in (0, 1) if exact)]
+
+    def test_operator_reports_catch_a_look_ahead_time(self, monkeypatch, tmp_path):
+        # tau moved to the last jump in (0, tau + 1] is not a stopping time,
+        # yet the records still recombine pathwise and x_total keeps its law:
+        # only X' (it starts after a gap that tau peeked at) and tau's law
+        # can tell
+        stopped_jumps = operator._stopped_jumps
+
+        def look_ahead(draw, rule, T, m, stream):
+            owner, times, *rest, tau = stopped_jumps(draw, rule, T, m, stream)
+            late = tau.copy()
+            near = times <= tau[owner] + 1.0
+            np.maximum.at(late, owner[near], times[near])
+            return (owner, times, *rest, late)
+
+        monkeypatch.setattr(operator, "_stopped_jumps", look_ahead)
+        doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
+        doc["params"]["n_records"] = 2000
+        assert run(doc, out_dir=tmp_path) == 1
+        report = json.loads((tmp_path / "report.json").read_text())
+        verdicts = {r["name"]: r["verdict"] for r in report["reports"]}
+        assert verdicts["tau_vs_exact_law"] is False
+        assert not all(verdicts[f"x_prime_coord{i}_vs_integral"] for i in (0, 1))
+        assert all(verdicts[f"x_total_coord{i}_vs_integral"] for i in (0, 1))
+        assert all(v for v in report["extras"].values() if isinstance(v, bool))
+
+    def test_gaussian_perpetuity_catches_a_doubled_variance(self, monkeypatch, tmp_path):
+        # both sides of the fixed-point report draw through _integral_batch,
+        # so a doubled Gaussian variance moves them alike; only the closed
+        # form N(0, sigma2 / 2) can tell
+        batch = discount._integral_batch
+
+        def doubled(model, window, n, stream):
+            return batch(dataclasses.replace(model, gauss_var=2.0 * model.gauss_var),
+                         window, n, stream)
+
+        for module in (discount, perpetuity):
+            monkeypatch.setattr(module, "_integral_batch", doubled)
+        doc = _config("perpetuity-iterate", {"driver": "gaussian", "sigma2": 1.0}, n=2000)
+        assert run(doc, out_dir=tmp_path) == 1
+        reports = json.loads((tmp_path / "report.json").read_text())["reports"]
+        assert {r["name"]: r["verdict"] for r in reports} == {
+            "perpetuity_fixed_point": True, "fixed_point_vs_exact_normal": False}
 
     def test_operator_eigen_mode(self, tmp_path):
         # a Q with complex eigenvalues runs the eigenbasis discounter; it is a

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn,
+from sdlevy.decomposition import (_REACH, DecompositionRecord, FirstJump, FirstJumpIn,
                                   FixedTime, IndependentRandomTime, KthJump,
                                   _kth_times, _stopped_jumps, decompose, decompose_many,
                                   evaluate_stopping, first_value_identity,
@@ -130,33 +130,39 @@ class TestStoppedPath:
         assert np.array_equal(_kth_times(owner, times, count, rank, rows), sorted_kth)
 
     def test_rounded_window_still_holds_T(self, make_stream):
-        # fl(30.1 + 40) - 30.1 < 40: a fixed time whose rounded window falls
-        # short of T by an ulp still decomposes and factors exactly
+        # fl(30.3 + T) - 30.3 < T at the default T: a fixed time whose
+        # rounded window falls short of T by an ulp still decomposes and
+        # factors exactly
         T = POLICY.horizon
-        assert (30.1 + T) - 30.1 < T
-        assert decompose(_gamma_model(), FixedTime(30.1), POLICY, make_stream()).passes()
-        r = decompose_many(_gamma_model(), FixedTime(30.1), POLICY, 300, make_stream())
+        assert (30.3 + T) - 30.3 < T
+        assert decompose(_gamma_model(), FixedTime(30.3), POLICY, make_stream()).passes()
+        r = decompose_many(_gamma_model(), FixedTime(30.3), POLICY, 300, make_stream())
         assert r.passes().all()
 
     def test_reach(self):
-        # Path-dependent rules are looked for on (0, 15T]. At rate 1e4 and
-        # T = 1 the 145000th jump lies in (14, 15] and the 155000th past 15,
-        # each by more than 12 standard deviations of the Poisson counts.
+        # Path-dependent rules are looked for on (0, _REACH * T]. At rate 1e4
+        # and T = 1 the jump of rank (_REACH - 1/2) * 1e4 lies in
+        # (_REACH - 1, _REACH] and the one of rank (_REACH + 1/2) * 1e4 past
+        # _REACH, each by more than 10 standard deviations of the Poisson
+        # counts. At the default T the reach is at least 600 time units.
+        assert _REACH * POLICY.horizon >= 600.0
         model = LevyModel(jump_rate=1e4, jump_law=ExponentialJumps(1.0))
         policy = TruncationPolicy(horizon=1.0)
-        rec = decompose(model, KthJump(145_000), policy, RngStream(3))
-        assert 14.0 < rec.tau <= 15.0 and rec.passes()
-        batch = decompose_many(model, KthJump(145_000), policy, 3, RngStream(4))
-        assert np.all((batch.tau > 14.0) & (batch.tau <= 15.0))
+        inside, past = KthJump(_REACH * 10_000 - 5_000), KthJump(_REACH * 10_000 + 5_000)
+        rec = decompose(model, inside, policy, RngStream(3))
+        assert _REACH - 1 < rec.tau <= _REACH and rec.passes()
+        batch = decompose_many(model, inside, policy, 3, RngStream(4))
+        assert np.all((batch.tau > _REACH - 1) & (batch.tau <= _REACH))
         assert batch.passes().all()
         with pytest.raises(InsufficientHorizonError):
-            decompose(model, KthJump(155_000), policy, RngStream(3))
+            decompose(model, past, policy, RngStream(3))
         with pytest.raises(InsufficientHorizonError):
-            decompose_many(model, KthJump(155_000), policy, 3, RngStream(4))
+            decompose_many(model, past, policy, 3, RngStream(4))
 
     def test_unrealizable_rule_raises(self, make_stream):
         # P(Exp(1) jump >= 60) = e^{-60}: about 3e-21 jumps expected in the
-        # set over the (0, 15T] of 300 records, so never capped, always raised
+        # set over the (0, _REACH * T] of 300 records, so never capped,
+        # always raised
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0))
         rule = FirstJumpIn(JumpSet(60.0))
         with pytest.raises(InsufficientHorizonError):
@@ -226,7 +232,11 @@ class TestBatchEngine:
             for got, t in ((rec.x_tau[i], tau[i]), (rec.x_total[i], tau[i] + T)):
                 ref = eval_by_parts(path, t)
                 assert abs(got - ref) <= 1e-12 * abs(ref)
-            ref = eval_by_parts(shift_path(path, tau[i]), T)
+            # X' sums every jump after tau, so it is the shifted path's
+            # integral over its own horizon fl(fl(tau + T) - tau), which can
+            # be an ulp off T
+            shifted = shift_path(path, tau[i])
+            ref = eval_by_parts(shifted, shifted.horizon)
             assert abs(rec.x_prime[i] - ref) <= 1e-12 * abs(ref)
             if identity is not None:
                 kept = path if isinstance(rule, FirstJump) else thin_path(path, rule.jump_set)[0]

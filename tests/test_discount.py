@@ -1,6 +1,7 @@
 """The discounted integral: closed-form examples, the dual evaluators, and
 truncation behavior."""
 
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -9,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlevy.discount import (TruncationPolicy, _integral_batch, eval_by_parts, eval_jump_sum,
-                             sample_discounted_integral_many)
+from sdlevy.discount import (TAIL_TOL, TruncationPolicy, _integral_batch, eval_by_parts,
+                             eval_jump_sum, sample_discounted_integral_many)
 from sdlevy.levy import ExponentialJumps, JumpPath, LevyModel, _poisson_jumps, simulate_path
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import ks_two_sample
@@ -26,6 +27,13 @@ class TestPolicy:
             TruncationPolicy(horizon=0.0)
         with pytest.raises(ValueError):
             TruncationPolicy(horizon=-1.0)
+
+    def test_default_horizon_is_the_tail_tolerance(self):
+        # the default T discards e^{-T} = TAIL_TOL times a stationary copy,
+        # the tolerance at which the perpetuity series stop
+        T = TruncationPolicy().horizon
+        assert T == -math.log(TAIL_TOL) == 27.631021115928547
+        assert math.exp(-T) == pytest.approx(TAIL_TOL, rel=1e-15)
 
 
 class TestClosedForms:

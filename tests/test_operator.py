@@ -495,7 +495,7 @@ class TestBlockedBatch:
         model = OperatorModel(np.asarray(_ROTATING_Q), _shared(_coord(2.0, 1.0, drift=0.2),
                                                               (1.0, -0.5)))
         ref = _unblocked_operator_integral(model, 40.0, 50, RngStream(22), 6)
-        got = sample_operator_integral_many(model, POLICY, 50, RngStream(22))
+        got = sample_operator_integral_many(model, TruncationPolicy(40.0), 50, RngStream(22))
         assert np.array_equal(got, ref)
 
     @pytest.mark.parametrize("q", [q for q, _ in _MODE_QS],
@@ -505,7 +505,7 @@ class TestBlockedBatch:
         model = _model_2d(q)
         ref_stream, stream = RngStream(24), RngStream(24)
         ref = _unblocked_operator_integral(model, 40.0, 500, ref_stream)
-        got = sample_operator_integral_many(model, POLICY, 500, stream)
+        got = sample_operator_integral_many(model, TruncationPolicy(40.0), 500, stream)
         assert np.array_equal(got, ref)
         assert stream.counter == ref_stream.counter
 
@@ -514,7 +514,8 @@ class TestBlockedBatch:
         # m = 2^16 // 120 = 546 rows: both sources draw in each block, so the
         # first 2 * 546 rows are the same for every n >= 1,092
         for q in (None, _ROTATING_Q):
-            draws = {n: sample_operator_integral_many(_model_2d(q), POLICY, n, RngStream(25))
+            draws = {n: sample_operator_integral_many(_model_2d(q), TruncationPolicy(40.0), n,
+                                                      RngStream(25))
                      for n in (1_092, 1_093, 3_000)}
             for n in (1_093, 3_000):
                 assert np.array_equal(draws[n][:1_092], draws[1_092])

@@ -7,7 +7,7 @@ import pytest
 
 from sdlevy.decomposition import (FirstJump, FixedTime, IndependentRandomTime,
                                   KthJump, decompose_many)
-from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
+from sdlevy.discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
 from sdlevy.perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
@@ -232,7 +232,7 @@ def _check_perpetuity(model, rule, stream):
     and is non-degenerate."""
     law = StoppedIntegralAffine(model, rule)
     s_iter, s_direct, s_diag = stream.split(3)
-    stationary, _ = sample_backward_series_many(law, 1e-12, 30_000, s_iter, max_terms=200)
+    stationary, _ = sample_backward_series_many(law, TAIL_TOL, 30_000, s_iter, max_terms=200)
     direct = sample_discounted_integral_many(model, POLICY, 30_000, s_direct)
     report = compare_samples("perpetuity_fixed_point", stationary, direct)
     assert report.verdict, report.to_json_dict()
