@@ -8,9 +8,7 @@ object, the jumps of ``levy._poisson_jumps``, the generator that also
 builds path objects, drawn in blocks of paths by ``levy._jump_sums``.
 Truncating the horizon at T leaves a tail distributed as
 e^{-T} times an independent copy of the full integral, so the truncation
-error is a known multiplicative contraction. ``TAIL_TOL`` is that factor for
-every truncation: the default horizon is ln(1 / TAIL_TOL), and the perpetuity
-series stop at the same tolerance.
+error is a known multiplicative contraction, ``TAIL_TOL`` at the default T.
 """
 
 from __future__ import annotations

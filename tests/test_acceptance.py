@@ -9,7 +9,7 @@ import pytest
 from sdlevy.cli import run
 from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump, decompose_many)
-from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
+from sdlevy.discount import (TAIL_TOL, TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, simulate_path
@@ -112,14 +112,15 @@ def test_04_beta_gamma_factorizations():
 
 def test_05_backward_series():
     """The backward perpetuity series of (U^{1/a}, U^{1/a} Exp(lam)) reproduces
-    gamma(a, lam) at tail_tol 1e-12 for a in {0.5, 1, 2}, lam in {1, 3}."""
+    gamma(a, lam) at the tail tolerance TAIL_TOL for a in {0.5, 1, 2},
+    lam in {1, 3}."""
     stream = RngStream(SEED, stream_id=5)
     ok = True
     detail = ""
     for a in (0.5, 1.0, 2.0):
         for lam in (1.0, 3.0):
             s_ser, s_ref = stream.split(2)
-            series, _ = sample_backward_series_many(BetaGammaAffine(a, lam), 1e-12,
+            series, _ = sample_backward_series_many(BetaGammaAffine(a, lam), TAIL_TOL,
                                                     N, s_ser, max_terms=200)
             ref = sample_gamma(GammaParams(a, lam), s_ref, size=N)
             d, thr, this_ok = ks_two_sample(series, ref)
