@@ -16,11 +16,19 @@ pool adds CPU time. Exits nonzero if any child does.
 so a drift in the host's speed spreads over every config alike. Each row
 then gives the config's largest peak and fault count, its median CPU and
 wall time, and the first nonzero exit status of its runs (0 if none).
+
+Before the table, one line names every ``src/sdlevy`` module whose bytecode
+cache for this interpreter is missing or was not compiled from the source as
+it is now. Each child compiles such a module again (with
+``PYTHONDONTWRITEBYTECODE`` set, in every run), which adds to its peak and
+its times; ``python -m compileall src`` makes the caches current.
 """
 
 import argparse
+import importlib.util
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import tempfile
@@ -31,6 +39,26 @@ ROOT = Path(__file__).resolve().parent.parent
 # The thread-pool variables of perfbench/child.py's THREAD_ENV, set to 1.
 THREAD_ENV = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
               "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
+
+
+def stale_caches() -> list[str]:
+    """The src/sdlevy modules whose cache the import system would not use:
+    missing, or recording another source mtime or size (or, for a hash-based
+    cache, another source hash) than the source's now."""
+    stale = []
+    for source in sorted((ROOT / "src" / "sdlevy").glob("*.py")):
+        try:
+            header = Path(importlib.util.cache_from_source(str(source))).read_bytes()[:16]
+        except OSError:
+            header = b""
+        st = source.stat()
+        if header[4:8] == bytes(4):
+            want = struct.pack("<II", int(st.st_mtime) & 0xFFFFFFFF, st.st_size & 0xFFFFFFFF)
+        else:
+            want = importlib.util.source_hash(source.read_bytes())
+        if header[:4] != importlib.util.MAGIC_NUMBER or header[8:16] != want:
+            stale.append(source.name)
+    return stale
 
 
 def peak_rss(config: Path) -> tuple[int, float, int, float, float]:
@@ -60,6 +88,9 @@ def main() -> int:
 
     paths = sorted(Path(args.configs).glob("*.json"))
     runs = {path: [] for path in paths}
+    stale = stale_caches()
+    print("stale bytecode caches (each child compiles these): "
+          + (" ".join(stale) if stale else "none"))
     print(f"{'config':30s} {'exit':>4s} {'peak MB':>8s} {'minflt':>8s} {'cpu s':>6s} "
           f"{'wall s':>7s}")
     for round_ in range(args.repeat):

@@ -494,32 +494,159 @@ def validate_config(doc: dict) -> dict:
 # Artifact writers (full double precision, deterministic layout)
 # ---------------------------------------------------------------------------
 
-_CELLS = 1 << 14  # values per '%' call of _write_rows
+_CELLS = 1 << 12  # values per _g17_slots call of _write_rows
+
+# _g17_slots lays the text of a value out in _SLOTS fixed slots: the sign, the
+# "0.000" of a fixed-point value below 1, 17 digits with the dot slot among
+# them, "e+XX", and a separator slot left to the writer. An unused slot holds
+# 0, and the writer drops every 0 byte.
+_SLOTS = 1 + 5 + 18 + 4 + 1
+# 10^0 .. 10^27 in long double, each exact: 10^q = 5^q 2^q and 5^27 < 2^64.
+_POW10 = np.concatenate(([1], np.cumprod(np.full(27, 10, np.longdouble))))
+# y = |x| 10^(16 - k) takes one long double operation by an exact power of
+# ten where 16 - k <= 27, two above; each is correctly rounded, off by a factor
+# 1 + d with |d| <= eps/2. After n <= 2 of them |y~ - y| < n (eps/2)(1 + 2 eps) y~,
+# and the tolerance on |frac(y~) - 1/2| is twice that, n _REL_TOL y~; the 2^-20
+# covers the 2 eps and the rounding of the tolerance's own product. Outside
+# the tolerance y~ and y round to the same integer. This holds for any
+# correctly rounded long double: x87 extended, IEEE quad, or double, where
+# eps = 2^-52 puts every tolerance above 1/2, so every nonzero value takes
+# Python's '%.17g'.
+_REL_TOL = float(np.finfo(np.longdouble).eps) * (1 + 2.0 ** -20)
+_K_MIN, _K_MAX = -37, 42  # the decimal exponents k = floor(log10 |x|) formatted here
+_E = np.arange(_K_MIN - 1, _K_MAX + 3)  # every exponent of a rounded value, plus 0
+_FIXED = (_E >= -4) & (_E < 17)  # %g prints these without an exponent
+_POINT = np.where(_FIXED & (_E >= 0), _E, 0).astype(np.uint8)  # the digit the dot follows
+_EXPONENT = np.where(_FIXED, 0, np.stack(np.broadcast_arrays(
+    101, np.where(_E < 0, 45, 43), abs(_E) // 10 + 48, abs(_E) % 10 + 48))).astype(np.uint8)
+_PREFIX_E = np.array([[-1], [-1], [-2], [-3], [-4]])  # "0.000": slot i needs e <= this
+_PREFIX = np.array([[48], [46], [48], [48], [48]], np.uint8)
+_BODY = np.arange(18, dtype=np.uint8)[:, None]  # the digit and dot slots
 
 
-def _write_rows(fh, row_fmt: str, cols: list):
-    """Write the rows of equal-length float columns through row_fmt, one '%'
-    call per block of whole rows of at most _CELLS values (at least one
-    row), stacking only that block's slice of the columns ('%.17g' prints
-    what format(v, ".17g") does)."""
-    step = max(1, _CELLS // len(cols))
-    for lo in range(0, len(cols[0]), step):
-        part = np.column_stack([c[lo:lo + step] for c in cols])
-        fh.write((row_fmt * len(part)) % tuple(part.ravel().tolist()))
+def _scaled(ax, s):
+    """ax 10^s in long double, s in [-27, 54], by exact powers of ten."""
+    up = np.maximum(s, 0)
+    first = np.minimum(up, 27)
+    y = ax * _POW10[first]
+    if up.max() > 27:
+        y *= _POW10[up - first]
+    if s.min() < 0:
+        y /= _POW10[np.maximum(-s, 0)]
+    return y
+
+
+def _g17_slots(x) -> np.ndarray:
+    """The text '%.17g' % v of each value v of the float64 vector x, as the
+    (_SLOTS, x.size) uint8 array of its slots, one column per value.
+
+    With k = floor(log10 |x|), the 17 significant digits are the integer
+    D = round(|x| 10^(16 - k)), D in [10^16, 10^17]; D = 10^17 is 10^16 at
+    exponent k + 1. %g prints fixed-point when that exponent e lies in
+    [-4, 17) and d.ddd...e+XX otherwise, and drops trailing zeros after the
+    dot. The product is taken in long double and is certain to round as the
+    exact one does unless it lies within the tolerance of a half-integer (see
+    _REL_TOL). Those values, non-finite ones and those with k outside
+    [_K_MIN, _K_MAX] take Python's own '%.17g'; zeros are printed here."""
+    n = x.size
+    ax = np.abs(x)
+    finite, zero = np.isfinite(ax), ax == 0
+    ax[~finite | zero] = 1.0
+    k = np.floor(np.log10(ax)).astype(np.int64)
+    plain = finite & (k >= _K_MIN) & (k <= _K_MAX)
+    ax[~plain] = 1.0
+    k[~plain] = 0
+    for _ in range(2):  # log10 may put k one off next to a power of ten
+        s = 16 - k
+        y = _scaled(ax, s)
+        hi = y.astype(np.float64)
+        # y - hi is exact in long double, and in double too where long double
+        # has a 64-bit significand; elsewhere its rounding may reach but not
+        # cross a half-integer, where the tolerance test below falls back
+        r = (y - hi).astype(np.float64)
+        below_r = np.floor(r)
+        whole = hi.astype(np.int64) + below_r.astype(np.int64)  # floor(y)
+        step = (whole >= 10 ** 17).astype(np.int64) - (whole < 10 ** 16)
+        if not step.any():
+            break
+        k += step
+    frac = r - below_r
+    tol = hi * _REL_TOL
+    tol[s > 27] *= 2  # two roundings
+    ok = plain & (step == 0) & (np.abs(frac - 0.5) > tol)
+    d = whole + (frac > 0.5)
+    d[zero] = 0
+    carry = d == 10 ** 17
+    d[carry] = 10 ** 16
+    at = k + carry - _E[0]  # the row of each value's exponent in the _E tables
+    at[~ok] = -_E[0]
+
+    # D's digits: its two halves below 10^9 as uint32, nine digits each, so
+    # digits[0] is 0 and digits[1:18] are D's; digits[18] stays 0
+    halves = np.empty((2, n), np.uint32)
+    halves[0] = d // 10 ** 9
+    halves[1] = d - halves[0] * np.int64(10 ** 9)
+    digits = np.zeros((19, n), np.uint8)
+    nines = digits[:18].reshape(2, 9, n)
+    for i in range(8, -1, -1):
+        tens = halves // 10
+        np.subtract(halves, tens * 10, out=nines[:, i], casting="unsafe")
+        halves = tens
+
+    point = _POINT[at]
+    e = _E[at]
+    below = (e < 0) & (e >= -4)  # "0.", -e - 1 zeros, then the digits without a dot
+    last = np.maximum(((digits[1:18] != 0) * _BODY[:17]).max(axis=0), point)  # the last digit kept
+    dot = np.where((last > point) & ~below, point + 1, 18).astype(np.uint8)
+    slots = np.zeros((_SLOTS, n), np.uint8)
+    body = slots[6:24]  # digit j in slot j before the dot and in slot j + 1 after it
+    np.multiply(digits[1:], _BODY < dot, out=body)
+    body += digits[:18] * (_BODY > dot)
+    body += (_BODY <= last + (dot <= last)) * np.uint8(48)
+    body -= (_BODY == dot) * np.uint8(2)  # '0' - 2 is '.'
+    slots[0] = np.signbit(x) * np.uint8(45)
+    slots[1:6] = (below & (e <= _PREFIX_E)) * _PREFIX
+    for j, chars in enumerate(_EXPONENT, 24):
+        slots[j] = chars[at]
+    fall = np.flatnonzero(~ok & ~zero)
+    if fall.size:
+        text = [("%.17g" % v).encode() for v in x[fall].tolist()]
+        slots[:-1, fall] = np.array(text, f"S{_SLOTS - 1}").view(np.uint8).reshape(fall.size, -1).T
+    return slots
+
+
+def _write_rows(fh, cols: list):
+    """Write the rows of equal-length float columns to the binary file fh,
+    each row's fields joined by ',' and ended by '\n'; a column given as None
+    is an empty field. Field bytes are '%.17g' % v (what format(v, ".17g")
+    prints) from _g17_slots, one call per block of whole rows of at most
+    _CELLS values (at least one row), so the temporaries stay bounded."""
+    width = len(cols)
+    live = [j for j, c in enumerate(cols) if c is not None]
+    step = max(1, _CELLS // width)
+    for lo in range(0, len(cols[live[0]]), step):
+        part = np.column_stack([cols[j][lo:lo + step] for j in live])
+        slots = _g17_slots(part.ravel()).reshape(_SLOTS, len(part), len(live))
+        if len(live) < width:  # the other fields stay empty
+            full = np.zeros((_SLOTS, len(part), width), np.uint8)
+            full[:, :, live] = slots
+            slots = full
+        slots[-1] = ord(",")
+        slots[-1, :, -1] = ord("\n")
+        text = slots.reshape(_SLOTS, -1).T
+        fh.write(text[text != 0])
 
 
 def _write_samples_csv(path: Path, columns: dict):
     names = list(columns)
     cols = [np.asarray(columns[k], float) for k in names]
-    with path.open("w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    with path.open("wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         # Rows [lo, hi) between two column lengths have the same columns
         # present; a column past its length writes "".
         edges = sorted({0, *(c.size for c in cols)})
         for lo, hi in zip(edges, edges[1:]):
-            live = [c.size > lo for c in cols]
-            row_fmt = ",".join("%.17g" if on else "" for on in live) + "\n"
-            _write_rows(fh, row_fmt, [c[lo:hi] for c, on in zip(cols, live) if on])
+            _write_rows(fh, [c[lo:hi] if c.size > lo else None for c in cols])
 
 
 _CDF_ROWS = 1025
@@ -531,8 +658,8 @@ def _write_cdf_csv(path: Path, pair):
     sample, and at the row where |cdf_a - cdf_b| peaks, so the largest
     difference in the file is the KS statistic of the pair; the counts come
     from the same merge as that statistic."""
-    with path.open("w", newline="\n") as fh:
-        fh.write("x,cdf_a,cdf_b\n")
+    with path.open("wb") as fh:
+        fh.write(b"x,cdf_a,cdf_b\n")
         if pair is None:
             return
         grid, last, fa, fb = _pooled_ecdfs(*pair)
@@ -543,7 +670,7 @@ def _write_cdf_csv(path: Path, pair):
         rows[last[peak - 1] + 1 if peak else 0] = True
         at = np.flatnonzero(rows)
         run = np.searchsorted(last, at)  # the run of equal values each row lies in
-        _write_rows(fh, "%.17g,%.17g,%.17g\n", [grid[at], fa[run], fb[run]])
+        _write_rows(fh, [grid[at], fa[run], fb[run]])
 
 
 def _symmetric_cf(samples, grid) -> np.ndarray:
@@ -555,16 +682,15 @@ def _symmetric_cf(samples, grid) -> np.ndarray:
 
 def _write_ecf_csv(path: Path, pair, ref_cf):
     grid = _ECF_GRID
-    with path.open("w", newline="\n") as fh:
-        fh.write("u,emp_re,emp_im,ref_re,ref_im,abs_diff\n")
+    with path.open("wb") as fh:
+        fh.write(b"u,emp_re,emp_im,ref_re,ref_im,abs_diff\n")
         if pair is None:
             return
         emp = _symmetric_cf(pair[0], grid)
         ref = (np.asarray(ref_cf(grid), complex) if ref_cf is not None
                else _symmetric_cf(pair[1], grid))
-        _write_rows(fh, "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n",
-                    [grid, emp.real, emp.imag, ref.real, ref.imag,
-                     [abs(d) for d in emp - ref]])
+        _write_rows(fh, [grid, emp.real, emp.imag, ref.real, ref.imag,
+                         np.array([abs(d) for d in emp - ref])])
 
 
 def _fix_malloc_thresholds() -> None:

@@ -17,10 +17,13 @@ import jsonschema
 import numpy as np
 import pytest
 
-from sdlevy import decomposition, discount, operator, perpetuity
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from sdlevy import cli, decomposition, discount, operator, perpetuity
 from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES,
-                        _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors, _parse_rule, _symmetric_cf,
-                        _write_samples_csv, main, run, validate_config)
+                        _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors, _g17_slots, _parse_rule,
+                        _symmetric_cf, _write_samples_csv, main, run, validate_config)
 from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
                                   IndependentRandomTime, KthJump)
 from sdlevy.discount import TAIL_TOL, TruncationPolicy
@@ -568,10 +571,10 @@ class TestArtifacts:
 
 
     def test_samples_csv_peak_is_bounded(self, tmp_path):
-        # rows go out in blocks of at most _CELLS values, so 9 columns of
-        # 15,000 rows (one column 1,000 rows shorter) stay under a bound
-        # below the 1.1 MB of one stacked copy of them; each value is its
-        # own '%.17g'
+        # rows go out in blocks of at most _CELLS values, each formatted by
+        # one _g17_slots call, so 9 columns of 15,000 rows (one column 1,000
+        # rows shorter) stay under a bound below the 1.1 MB of one stacked
+        # copy of them; each value's text is its own '%.17g'
         cols = {f"c{i}": RngStream(60 + i).normal(size=15_000 - 1_000 * (i == 8))
                 for i in range(9)}
         tracemalloc.start()
@@ -584,6 +587,70 @@ class TestArtifacts:
         rows = [",".join("%.17g" % c[r] if r < c.size else "" for c in cols.values())
                 for r in range(15_000)]
         assert (tmp_path / "samples.csv").read_text() == "\n".join([",".join(cols), *rows, ""])
+
+
+
+def _g17_texts(values) -> list[str]:
+    slots = _g17_slots(np.asarray(values, np.float64)).T
+    return [bytes(cell[cell != 0]).decode() for cell in slots]
+
+
+# Values next to the kernel's edges: signed zeros, the least subnormal, exact
+# ties of 17 digits, the %g switch to an exponent at 1e-4 and 1e17, the
+# rounding of 17 nines up to a new exponent, and the long double powers' end.
+_G17_EDGES = [0.0, -0.0, 5e-324, -5e-324, 0.5, 2.5, 1e-4 * (1 - 2**-52), 1e-5 * (1 - 2**-52),
+              1e-4, 1e-5, 9.999999999999999e16, 1e17 * (1 - 2**-53), 1e17, 1e16, 1e27,
+              1125899906842624.25, 1e-37, 1e-38, 1e42, 1e43, 1e300, 2.2250738585072014e-308,
+              1.7976931348623157e308, math.pi, math.nan, math.inf, -math.inf,
+              *range(-10**6, 10**6 + 1)]
+
+
+class TestG17:
+    # every cell of the vectorized writer is '%.17g' % v, byte for byte
+    def test_edges_and_integers(self):
+        assert _g17_texts(_G17_EDGES) == ["%.17g" % v for v in _G17_EDGES]
+
+    def test_neighbours_of_powers_of_ten(self):
+        tens = np.array([10.0 ** q for q in range(-45, 50)])
+        values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf)])
+        values = np.concatenate([values, -values, 5 * values, 9.999999999999999 * values])
+        assert _g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+    @given(st.lists(st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+                    min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_floats(self, values):
+        assert _g17_texts(values) == ["%.17g" % v for v in values]
+
+    @given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=50))
+    @settings(max_examples=300, deadline=None)
+    def test_bit_patterns(self, bits):
+        values = np.array(bits, np.uint64).view(np.float64)
+        assert _g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_many_bit_patterns_and_ties(self):
+        gen = np.random.default_rng(28)
+        values = np.concatenate([
+            gen.integers(0, 2**64, 200_000, np.uint64, endpoint=False).view(np.float64),
+            gen.standard_normal(100_000) * 10.0 ** gen.integers(-40, 45, 100_000),
+            # m / 2^j, m < 2^53: the values with exact ties at 17 digits among them
+            (gen.integers(2**52, 2**53, 10_000) / 2.0 ** np.arange(12)[:, None]).ravel()])
+        assert _g17_texts(values) == ["%.17g" % v for v in values.tolist()]
+
+    def test_all_fallback_path_writes_the_same_bytes(self, tmp_path, monkeypatch):
+        # an infinite tolerance is what long double = double gives: every
+        # nonzero value then takes Python's '%.17g', and the bytes must not move
+        gen = np.random.default_rng(5)
+        cols = {"a": gen.standard_normal(3000), "b": np.zeros(2500),
+                "c": gen.exponential(size=4000) * 1e-12, "d": -gen.standard_normal(10)}
+        _write_samples_csv(tmp_path / "kernel.csv", cols)
+        monkeypatch.setattr(cli, "_REL_TOL", math.inf)
+        _write_samples_csv(tmp_path / "fallback.csv", cols)
+        text = (tmp_path / "kernel.csv").read_bytes()
+        assert text == (tmp_path / "fallback.csv").read_bytes()
+        rows = [",".join("%.17g" % c[r] if r < c.size else "" for c in cols.values())
+                for r in range(4000)]
+        assert text.decode() == "\n".join([",".join(cols), *rows, ""])
 
 
 # A valid config with a number field, and the path to that field.
