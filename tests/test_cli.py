@@ -589,7 +589,6 @@ class TestArtifacts:
         assert (tmp_path / "samples.csv").read_text() == "\n".join([",".join(cols), *rows, ""])
 
 
-
 def _g17_texts(values) -> list[str]:
     slots = _g17_slots(np.asarray(values, np.float64)).T
     return [bytes(cell[cell != 0]).decode() for cell in slots]
