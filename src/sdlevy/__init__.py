@@ -3,9 +3,8 @@ exponentially discounted integrals of Levy processes: stopping-time
 factorizations, gamma/compound Poisson constructions, perpetuity fixed
 points, and the finite-dimensional operator generalization."""
 
-from .decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
-                            IndependentRandomTime, KthJump, decompose, decompose_many,
-                            evaluate_stopping, first_value_identity,
+from .decomposition import (DecompositionRecord, FixedTime, IndependentRandomTime,
+                            KthJump, decompose, decompose_many, evaluate_stopping,
                             restricted_jump_identity)
 from .discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                        sample_discounted_integral_many)

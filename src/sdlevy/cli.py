@@ -83,9 +83,9 @@ def _object(required: dict, optional: dict | None = None) -> dict:
 # kind -> (fields, constructor called with the fields by name)
 _RULES = {
     "fixed_time": ({"t": {"type": "number", "minimum": 0}}, dec.FixedTime),
-    "first_jump": ({}, dec.FirstJump),
+    "first_jump": ({}, dec.KthJump),
     "first_jump_in": ({"threshold": _POSITIVE},
-                      lambda threshold: dec.FirstJumpIn(JumpSet(threshold))),
+                      lambda threshold: dec.KthJump(1, JumpSet(threshold))),
     "kth_jump": ({"k": {"type": "integer", "minimum": 1}}, dec.KthJump),
     "independent_exponential": (
         {"rate": _POSITIVE}, lambda rate: dec.IndependentRandomTime(ExponentialJumps(rate))),
@@ -163,10 +163,9 @@ def _exact_tau(rule, sources, n: int, stream: RngStream):
         return None
     if isinstance(rule, dec.IndependentRandomTime):
         return rule.law.sample(stream, n)
-    k = rule.k if isinstance(rule, dec.KthJump) else 1
-    rate = sum(r * math.exp(-lam * rule.jump_set.a) if isinstance(rule, dec.FirstJumpIn)
-               else r for r, lam in sources)
-    return sample_gamma(GammaParams(k, rate), stream, size=n)
+    a = 0.0 if rule.jump_set is None else rule.jump_set.a
+    rate = sum(r * math.exp(-lam * a) for r, lam in sources)
+    return sample_gamma(GammaParams(rule.k, rate), stream, size=n)
 
 
 def _run_theorem1(params, n, policy, stream) -> ExperimentResult:
@@ -202,7 +201,7 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
     model = _gamma_model(alpha, lam)
     jump_set = JumpSet(params["set_threshold"])
     s_first, s_restr, s_gamma = stream.split(3)
-    first = dec.first_value_identity(model, policy, n, s_first)
+    first = dec.decompose_many(model, dec.KthJump(), policy, n, s_first)
     restricted = dec.restricted_jump_identity(model, jump_set, policy, n, s_restr)
     direct = sample_gamma(GammaParams(alpha, lam), s_gamma, size=n)
     report = compare_samples("first_value_lhs_vs_direct", first.x_total, direct)
@@ -251,7 +250,7 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
     alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
     max_terms = params.get("n_steps", 200)
     if gamma:
-        model, rule = _gamma_model(alpha, lam), dec.FirstJump()
+        model, rule = _gamma_model(alpha, lam), dec.KthJump()
     else:
         # A jump-free driver has no first jump; an independent Exp(1) time is
         # a valid stopping rule and keeps the discount non-degenerate.
@@ -633,8 +632,7 @@ def _write_rows(fh, cols: list):
             slots = full
         slots[-1] = ord(",")
         slots[-1, :, -1] = ord("\n")
-        text = slots.reshape(_SLOTS, -1).T
-        fh.write(text[text != 0])
+        fh.write(slots.reshape(_SLOTS, -1).T.tobytes().translate(None, b"\0"))
 
 
 def _write_samples_csv(path: Path, columns: dict):

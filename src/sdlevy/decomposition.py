@@ -3,10 +3,11 @@
 One engine stops every scalar path: ``_stopped_jumps`` draws ragged jump
 arrays on (0, tau + T], a chunk of records at a time, and serves
 ``decompose_many`` (``decompose`` is its n = 1 row) and the operator records
-in ``operator.py``. The first-value and restricted-jump identities of
-Corollary 3 are decomposition records too: the factorization at the first
-jump of the driver, or of the driver thinned to a jump set, where X_tau is
-e^{-tau} times that jump. X_tau and X' are evaluated on the same
+in ``operator.py``. Every path-dependent rule is a ``KthJump``: the first
+jump (``KthJump()``, whose record is Corollary 3's first-value identity),
+the first jump in a set and the k-th jump. The restricted-jump identity is
+the record at the first jump of the driver thinned to a jump set, where
+X_tau is e^{-tau} times that jump. X_tau and X' are evaluated on the same
 realization, so the recombination x_total = x_tau + e^{-tau} * x_prime
 holds pathwise (to roundoff), not just in distribution. Path-dependent
 stopping times are looked for on (0, _REACH * T]; one that is not realized
@@ -20,6 +21,7 @@ reference route.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import ClassVar, Union
 
@@ -55,20 +57,16 @@ class FixedTime:
 
 
 @dataclass(frozen=True)
-class FirstJump:
-    pass
-
-
-@dataclass(frozen=True)
-class FirstJumpIn:
-    jump_set: JumpSet
-
-
-@dataclass(frozen=True)
 class KthJump:
-    k: int
+    """The k-th jump of the driver, counting only the jumps whose size lies
+    in ``jump_set`` when one is given."""
+
+    k: int = 1
+    jump_set: JumpSet | None = None
 
     def __post_init__(self):
+        if not isinstance(self.k, numbers.Integral):
+            raise ValueError(f"k must be an integer, not {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
 
@@ -81,7 +79,7 @@ class IndependentRandomTime:
     law: object  # any law whose .sample(stream, size) returns size draws in [0, inf)
 
 
-StoppingRule = Union[FixedTime, FirstJump, FirstJumpIn, KthJump, IndependentRandomTime]
+StoppingRule = Union[FixedTime, KthJump, IndependentRandomTime]
 
 
 def evaluate_stopping(rule: StoppingRule, path: JumpPath,
@@ -96,20 +94,13 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
             raise InsufficientHorizonError(
                 f"fixed time {rule.t} exceeds horizon {path.horizon}")
         return rule.t
-    if isinstance(rule, FirstJump):
-        if path.jump_times.size == 0:
-            raise InsufficientHorizonError("no jump on the horizon")
-        return float(path.jump_times[0])
-    if isinstance(rule, FirstJumpIn):
-        hits = np.flatnonzero(rule.jump_set.contains(path.jump_sizes))
-        if hits.size == 0:
-            raise InsufficientHorizonError("no jump in the target set on the horizon")
-        return float(path.jump_times[hits[0]])
     if isinstance(rule, KthJump):
-        if path.jump_times.size < rule.k:
+        hits = (np.arange(path.jump_times.size) if rule.jump_set is None
+                else np.flatnonzero(rule.jump_set.contains(path.jump_sizes)))
+        if hits.size < rule.k:
             raise InsufficientHorizonError(
-                f"insufficient horizon: {path.jump_times.size} jumps, need {rule.k}")
-        return float(path.jump_times[rule.k - 1])
+                f"insufficient horizon: {hits.size} jumps counted, need {rule.k}")
+        return float(path.jump_times[hits[rule.k - 1]])
     if isinstance(rule, IndependentRandomTime):
         if stream is None:
             raise ValueError("IndependentRandomTime needs an independent stream")
@@ -194,17 +185,16 @@ def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream
     ``draw(window, k)`` gives k fresh paths' jumps on (0, window_j] as ragged
     arrays (owner, time, size, ...), the one part that the scalar and the
     operator records do not share. Known times (fixed, or independent from
-    a child stream) are drawn to tau + T at once. Path-dependent rules read
-    the merged times (FirstJumpIn also the sizes) of one block (H, H + T] at
-    a time while pending, up to _REACH * T; each path then gets a fresh
-    segment to exactly tau + T (memorylessness).
+    a child stream) are drawn to tau + T at once. A KthJump reads the merged
+    times (with a jump set also the sizes) of one block (H, H + T] at a time
+    while pending, up to _REACH * T; each path then gets a fresh segment to
+    exactly tau + T (memorylessness).
     Returns (owner, times, sizes, ..., tau)."""
     if isinstance(rule, (FixedTime, IndependentRandomTime)):
         tau = _preset_time(rule, stream, m)
         return (*draw(tau + T, m), tau)
-    if not isinstance(rule, (FirstJump, FirstJumpIn, KthJump)):
+    if not isinstance(rule, KthJump):
         raise TypeError(f"unknown stopping rule {rule!r}")
-    k = rule.k if isinstance(rule, KthJump) else 1
     tau = np.empty(m)
     seen = np.zeros(m, np.intp)
     ends = np.zeros(m)
@@ -216,13 +206,13 @@ def _stopped_jumps(draw, rule: StoppingRule, T: float, m: int, stream: RngStream
         times = ends[owner] + offsets
         ends[pending] += T
         parts.append((owner, times, *rest))
-        if isinstance(rule, FirstJumpIn):
+        if rule.jump_set is not None:
             hit = rule.jump_set.contains(rest[0])
             owner, times = owner[hit], times[hit]
         count = np.bincount(owner, minlength=m)
-        got = count[pending] >= k - seen[pending]
+        got = count[pending] >= rule.k - seen[pending]
         done = pending[got]
-        tau[done] = _kth_times(owner, times, count, k - seen[done], done)
+        tau[done] = _kth_times(owner, times, count, rule.k - seen[done], done)
         seen += count
         pending = pending[~got]
         if pending.size == 0:
@@ -246,8 +236,8 @@ def _decompose_chunk(model: LevyModel, rule: StoppingRule, T: float, m: int,
     normals per record, over (0, tau] and over the shifted (0, T]. With a
     ``jump_set`` each block keeps only the jumps whose size lies in it (the
     thinned driver), from the same variates."""
-    if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
-        raise ValueError("FirstJumpIn requires a purely discontinuous path")
+    if isinstance(rule, KthJump) and rule.jump_set is not None and model.gauss_var > 0:
+        raise ValueError("a rule with a jump set requires a purely discontinuous path")
 
     def draw(window, k):
         owner, times, sizes = _poisson_jumps(model, window, k, stream)
@@ -315,40 +305,29 @@ def decompose(model: LevyModel, rule: StoppingRule, policy: TruncationPolicy,
 
 
 # ---------------------------------------------------------------------------
-# First-value and restricted-jump identities
+# The restricted-jump identity
 # ---------------------------------------------------------------------------
-
-def _require_pure_jump(model: LevyModel):
-    if model.gauss_var > 0 or model.drift != 0:
-        raise ValueError("identity requires a purely discontinuous model")
-    if model.jump_rate <= 0:
-        raise ValueError("identity requires a positive jump rate")
-
 
 def _first_jump_identity(model: LevyModel, jump_set: JumpSet | None,
                          policy: TruncationPolicy, n: int,
                          stream: RngStream) -> DecompositionRecord:
     """n records of the factorization at the first jump of the driver,
     thinned to ``jump_set`` when given, in the chunk layout of
-    ``decompose_many``."""
+    ``decompose_many``: x_total is the discounted integral of the (thinned)
+    driver, the lhs, x_tau is e^{-tau} * J for the first kept jump J, and
+    x_tau + discount * x_prime is the rhs."""
+    if model.gauss_var > 0 or model.drift != 0:
+        raise ValueError("identity requires a purely discontinuous model")
+    if model.jump_rate <= 0:
+        raise ValueError("identity requires a positive jump rate")
     return DecompositionRecord(*_by_chunks(
-        lambda m, s: _decompose_chunk(model, FirstJump(), policy.horizon, m, s, jump_set),
+        lambda m, s: _decompose_chunk(model, KthJump(), policy.horizon, m, s, jump_set),
         n, stream))
-
-
-def first_value_identity(model: LevyModel, policy: TruncationPolicy, n: int,
-                         stream: RngStream) -> DecompositionRecord:
-    """The first-nonzero-value factorization X = e^{-tau0} (J + X') on n
-    realizations: x_total is the full discounted integral (the lhs), x_tau
-    is e^{-tau0} * J for the first jump J, and x_tau + discount * x_prime
-    is the rhs."""
-    _require_pure_jump(model)
-    return _first_jump_identity(model, None, policy, n, stream)
 
 
 def restricted_jump_identity(model: LevyModel, jump_set: JumpSet,
                              policy: TruncationPolicy, n: int,
                              stream: RngStream) -> DecompositionRecord:
-    """Same identity on the thinned process keeping only jumps in the set."""
-    _require_pure_jump(model)
+    """The first-jump identity on the thinned process keeping only jumps in
+    the set."""
     return _first_jump_identity(model, jump_set, policy, n, stream)

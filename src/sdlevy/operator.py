@@ -20,8 +20,8 @@ eigenbasis every sum is real: a real eigenvalue is one mode, and a conjugate
 pair a +- ib is two, the sums of e^{-at} cos(bt) and e^{-at} sin(bt) times
 the size, since Q and the jumps are real. The engine imports no scipy. The
 scalar case is d = 1. Records take every stopping rule of
-``decomposition``; FirstJumpIn stops at the first jump whose scalar size
-lies in the set.
+``decomposition``; a jump set counts the jumps whose scalar size lies in
+it.
 """
 
 from __future__ import annotations
@@ -347,7 +347,7 @@ def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
     chunk layout of ``decompose_many``: chunk i draws only from child i of
     ``stream.split(ceil(n / _CHUNK))``.
 
-    Every stopping rule applies. FirstJumpIn(A) stops at the first jump of
+    Every stopping rule applies. KthJump(k, A) stops at the k-th jump of
     the driver whose scalar size lies in A; that jump is the row size * u of
     its source, so for ``independent_coordinates`` it is the jump's only
     nonzero coordinate."""

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .decomposition import (FirstJump, FixedTime, IndependentRandomTime, StoppingRule,
+from .decomposition import (FixedTime, IndependentRandomTime, KthJump, StoppingRule,
                             _preset_time)
 # decompose stays bound here: perfbench/tests/test_bench_tracer.py reads it.
 from .decomposition import decompose, decompose_many  # noqa: F401
@@ -71,9 +71,9 @@ class StoppedIntegralAffine:
     def sample_pairs(self, stream: RngStream, size: int):
         n = int(size)
         model = self.model
-        if isinstance(self.rule, FirstJump):
+        if self.rule == KthJump():
             if model.jump_rate <= 0:
-                raise ValueError("FirstJump needs a positive jump rate")
+                raise ValueError("the first jump needs a positive jump rate")
             tau = stream.exponential(model.jump_rate, size=n)
             jumps = model.jump_law.sample(stream, size=n)
             a = np.exp(-tau)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from sdlevy.cli import run
-from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump, decompose_many)
+from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, decompose_many
 from sdlevy.discount import (TAIL_TOL, TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
@@ -58,7 +57,7 @@ def test_01_gamma_driver_marginal():
 def test_02_pathwise_recombination():
     """x_total = x_tau + e^{-tau} x_prime on every realization, five stopping
     rules, 1e4 records each, relative tolerance 1e-10."""
-    rules = (FixedTime(0.7), FirstJump(), FirstJumpIn(JumpSet(1.0)),
+    rules = (FixedTime(0.7), KthJump(), KthJump(1, JumpSet(1.0)),
              KthJump(3), IndependentRandomTime(ExponentialJumps(1.0)))
     model = _gamma_model(2.0, 1.0)
     stream = RngStream(SEED, stream_id=2)
@@ -76,7 +75,7 @@ def test_03_stopped_factorization_in_law():
     shifted integral."""
     stream = RngStream(SEED, stream_id=3)
     s_rec, s_ref = stream.split(2)
-    r = decompose_many(_gamma_model(2.0, 1.0), FirstJump(), POLICY, N, s_rec)
+    r = decompose_many(_gamma_model(2.0, 1.0), KthJump(), POLICY, N, s_rec)
     ref = sample_gamma(GammaParams(2.0, 1.0), s_ref, size=N)
     d1, t1, ok1 = ks_two_sample(r.x_total, ref)
     d2, t2, ok2 = ks_two_sample(r.x_prime, ref)
@@ -183,7 +182,7 @@ def test_08_operator_factorization():
     stream = RngStream(SEED, stream_id=8)
     s_rec, s_mean = stream.split(2)
 
-    records = operator_decompose_many(model, FirstJump(), POLICY, 2000, s_rec)
+    records = operator_decompose_many(model, KthJump(), POLICY, 2000, s_rec)
     worst = float(np.max(records.residual
                          / (1.0 + np.linalg.norm(records.x_total, axis=1))))
 

@@ -24,8 +24,7 @@ from sdlevy import cli, decomposition, discount, operator, perpetuity
 from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES,
                         _TYPES, CONFIG_SCHEMA, EXPERIMENTS, _errors, _g17_slots, _parse_rule,
                         _symmetric_cf, _write_samples_csv, main, run, validate_config)
-from sdlevy.decomposition import (DecompositionRecord, FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump)
+from sdlevy.decomposition import DecompositionRecord, FixedTime, IndependentRandomTime, KthJump
 from sdlevy.discount import TAIL_TOL, TruncationPolicy
 from sdlevy.errors import ConfigError, ContractionError
 from sdlevy.levy import ExponentialJumps, JumpSet
@@ -183,8 +182,8 @@ class TestValidation:
         # each rule kind parses to its class with its fields; a kind outside
         # the table is a schema violation, never a fallback rule
         docs = {"fixed_time": ({"t": 0.5}, FixedTime(0.5)),
-                "first_jump": ({}, FirstJump()),
-                "first_jump_in": ({"threshold": 2.0}, FirstJumpIn(JumpSet(2.0))),
+                "first_jump": ({}, KthJump()),
+                "first_jump_in": ({"threshold": 2.0}, KthJump(1, JumpSet(2.0))),
                 "kth_jump": ({"k": 3}, KthJump(3)),
                 "independent_exponential": (
                     {"rate": 1.5}, IndependentRandomTime(ExponentialJumps(1.5)))}
@@ -858,6 +857,16 @@ def test_run_path_import_guard(tmp_path):
     configs = [SMALL_CONFIGS["operator-decompose"], SMALL_CONFIGS["verify-theorem1"]]
     assert _fresh_python(_IMPORT_GUARD, json.dumps(configs), str(tmp_path / "out")) == {
         "statuses": [0, 0], "test-only": [], "numpy.ma": False}
+
+
+def test_readme_python_blocks_run():
+    # the README's python blocks, in order, in one fresh interpreter, so a
+    # renamed or removed name fails here and cannot go stale in the docs
+    blocks = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    assert blocks
+    script = "".join(blocks) + 'import json\nprint(json.dumps({"ok": True}))\n'
+    assert _fresh_python(script) == {"ok": True}
 
 
 _REPEAT_FAULTS = """

@@ -3,11 +3,10 @@
 import numpy as np
 import pytest
 
-from sdlevy.decomposition import (_REACH, DecompositionRecord, FirstJump, FirstJumpIn,
-                                  FixedTime, IndependentRandomTime, KthJump,
+from sdlevy.decomposition import (_REACH, DecompositionRecord, FixedTime,
+                                  IndependentRandomTime, KthJump, _first_jump_identity,
                                   _kth_times, _stopped_jumps, decompose, decompose_many,
-                                  evaluate_stopping, first_value_identity,
-                                  restricted_jump_identity)
+                                  evaluate_stopping, restricted_jump_identity)
 from sdlevy.discount import (TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
 from sdlevy.errors import InsufficientHorizonError
@@ -23,15 +22,18 @@ def _gamma_model(alpha=2.0, lam=1.0):
 
 POLICY = TruncationPolicy()
 
-# The five rule kinds, each realized early at the default horizon.
+# The rule kinds, each realized early at the default horizon; the jump
+# rules RULES[1:5] are KthJump with and without a jump set.
 RULES = [
     FixedTime(0.7),
-    FirstJump(),
-    FirstJumpIn(JumpSet(1.0)),
+    KthJump(),
+    KthJump(1, JumpSet(1.0)),
     KthJump(3),
+    KthJump(2, JumpSet(1.0)),
     IndependentRandomTime(ExponentialJumps(1.0)),
 ]
-RULE_IDS = ["fixed_time", "first_jump", "first_jump_in", "kth_jump", "independent_time"]
+RULE_IDS = ["fixed_time", "first_jump", "first_jump_in", "kth_jump", "kth_jump_in",
+            "independent_time"]
 
 DRIFT_GAUSS = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0),
                         drift=0.5, gauss_var=1.0)
@@ -48,23 +50,30 @@ class TestStoppingRules:
 
     def test_first_and_kth_jump(self, make_stream):
         p = simulate_path(_gamma_model(alpha=3.0), 20.0, make_stream())
-        assert evaluate_stopping(FirstJump(), p) == p.jump_times[0]
+        assert evaluate_stopping(KthJump(), p) == p.jump_times[0]
         assert evaluate_stopping(KthJump(3), p) == p.jump_times[2]
         with pytest.raises(InsufficientHorizonError):
             evaluate_stopping(KthJump(p.n_jumps + 1), p)
         with pytest.raises(ValueError):
             KthJump(0)
+        # a rank is an integer, never rounded: KthJump(2.5) is not KthJump(2)
+        with pytest.raises(ValueError):
+            KthJump(2.5)
+        with pytest.raises(ValueError):
+            KthJump(2.0)
+        assert evaluate_stopping(KthJump(np.int64(3)), p) == p.jump_times[2]
 
     def test_first_jump_empty_path(self):
         p = JumpPath(5.0, np.empty(0), np.empty(0))
         with pytest.raises(InsufficientHorizonError):
-            evaluate_stopping(FirstJump(), p)
+            evaluate_stopping(KthJump(), p)
 
     def test_first_jump_in_set(self):
         p = JumpPath(5.0, np.array([1.0, 2.0, 3.0]), np.array([0.5, 2.5, 4.0]))
-        assert evaluate_stopping(FirstJumpIn(JumpSet(2.0)), p) == 2.0
+        assert evaluate_stopping(KthJump(1, JumpSet(2.0)), p) == 2.0
+        assert evaluate_stopping(KthJump(2, JumpSet(2.0)), p) == 3.0
         with pytest.raises(InsufficientHorizonError):
-            evaluate_stopping(FirstJumpIn(JumpSet(10.0)), p)
+            evaluate_stopping(KthJump(1, JumpSet(10.0)), p)
 
     def test_independent_time_needs_stream(self, make_stream):
         p = simulate_path(_gamma_model(), 50.0, make_stream())
@@ -77,14 +86,14 @@ class TestStoppingRules:
     def test_first_jump_time_is_exponential(self, make_stream):
         alpha = 2.0
         stream = make_stream()
-        taus = decompose_many(_gamma_model(alpha), FirstJump(), POLICY, 30_000, stream).tau
+        taus = decompose_many(_gamma_model(alpha), KthJump(), POLICY, 30_000, stream).tau
         ref = make_stream().exponential(alpha, size=30_000)
         assert ks_two_sample(taus, ref)[2]
 
     def test_first_jump_in_time_is_exponential_at_thinned_rate(self, make_stream):
         # jumps >= a survive thinning with probability e^{-lam*a}
         alpha, lam, a = 2.0, 1.0, 1.0
-        rule = FirstJumpIn(JumpSet(a))
+        rule = KthJump(1, JumpSet(a))
         stream = make_stream()
         taus = decompose_many(_gamma_model(alpha, lam), rule, POLICY, 30_000, stream).tau
         ref = make_stream().exponential(alpha * np.exp(-lam * a), size=30_000)
@@ -164,7 +173,7 @@ class TestStoppedPath:
         # set over the (0, _REACH * T] of 300 records, so never capped,
         # always raised
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0))
-        rule = FirstJumpIn(JumpSet(60.0))
+        rule = KthJump(1, JumpSet(60.0))
         with pytest.raises(InsufficientHorizonError):
             decompose(model, rule, POLICY, make_stream())
         with pytest.raises(InsufficientHorizonError):
@@ -179,7 +188,7 @@ class TestBatchEngine:
         # references that share no stopping code: tau against its closed-form
         # law, X' and the total against the direct discounted-integral
         # sampler (the total covers (0, tau + T], X' the shifted (0, T])
-        if isinstance(rule, FirstJumpIn) and model.gauss_var > 0:
+        if isinstance(rule, KthJump) and rule.jump_set is not None and model.gauss_var > 0:
             with pytest.raises(ValueError):
                 decompose_many(model, rule, POLICY, 10, make_stream())
             return
@@ -190,13 +199,12 @@ class TestBatchEngine:
         if isinstance(rule, FixedTime):
             assert np.all(batch.tau == rule.t)
         else:
-            if isinstance(rule, FirstJump):
-                ref = ref_stream.exponential(rate, size=n)
-            elif isinstance(rule, FirstJumpIn):
-                # P(Exp(1) jump >= 1) = e^{-1}
-                ref = ref_stream.exponential(rate * np.exp(-1.0), size=n)
-            elif isinstance(rule, KthJump):
-                ref = sample_gamma(GammaParams(rule.k, rate), ref_stream, size=n)
+            if isinstance(rule, KthJump):
+                if rule.jump_set is not None:
+                    # P(Exp(1) jump >= 1) = e^{-1}
+                    rate *= np.exp(-1.0)
+                ref = (ref_stream.exponential(rate, size=n) if rule.k == 1
+                       else sample_gamma(GammaParams(rule.k, rate), ref_stream, size=n))
             else:
                 ref = rule.law.sample(ref_stream, size=n)
             assert ks_two_sample(batch.tau, ref)[2], "tau"
@@ -204,14 +212,14 @@ class TestBatchEngine:
             ref = sample_discounted_integral_many(model, POLICY, n, make_stream())
             assert ks_two_sample(getattr(batch, field), ref)[2], field
 
-    @pytest.mark.parametrize("rule", RULES[:4], ids=RULE_IDS[:4])
+    @pytest.mark.parametrize("rule", RULES[:5], ids=RULE_IDS[:5])
     def test_records_match_path_objects(self, rule):
         # rebuild each record of the pure-jump model from the engine's
         # arrays as a sorted path object: the reference route re-finds tau
         # bit for bit and the by-parts evaluator matches X_tau, X' (on the
-        # path shifted by tau), the total and the identities' X_tau and
-        # total (the restricted ones after thinning); the records and the
-        # identities draw from the same chunk stream
+        # path shifted by tau), the total and, at the first jump in a set,
+        # the restricted identity's X_tau and total after thinning; the
+        # records and the identity draw from the same chunk stream
         m, T, seed = 50, POLICY.horizon, 77
         model = _gamma_model()
         child = RngStream(seed).split(1)[0]
@@ -220,9 +228,7 @@ class TestBatchEngine:
         rec = decompose_many(model, rule, POLICY, m, RngStream(seed))
         assert np.array_equal(rec.tau, tau)
         identity = None
-        if isinstance(rule, FirstJump):
-            identity = first_value_identity(model, POLICY, m, RngStream(seed))
-        elif isinstance(rule, FirstJumpIn):
+        if isinstance(rule, KthJump) and rule.k == 1 and rule.jump_set is not None:
             identity = restricted_jump_identity(model, rule.jump_set, POLICY, m,
                                                 RngStream(seed))
         for i in range(m):
@@ -239,13 +245,13 @@ class TestBatchEngine:
             ref = eval_by_parts(shifted, shifted.horizon)
             assert abs(rec.x_prime[i] - ref) <= 1e-12 * abs(ref)
             if identity is not None:
-                kept = path if isinstance(rule, FirstJump) else thin_path(path, rule.jump_set)[0]
+                kept = thin_path(path, rule.jump_set)[0]
                 assert identity.tau[i] == tau[i]
                 for got, t in ((identity.x_tau[i], tau[i]), (identity.x_total[i], tau[i] + T)):
                     ref = eval_by_parts(kept, t)
                     assert abs(got - ref) <= 1e-12 * abs(ref)
 
-    @pytest.mark.parametrize("rule", RULES[1:4], ids=RULE_IDS[1:4])
+    @pytest.mark.parametrize("rule", RULES[1:5], ids=RULE_IDS[1:5])
     def test_jumps_end_at_tau_plus_T(self, rule, make_stream):
         # each record's jumps cover (0, tau + T] and nothing past it: every
         # time lies inside, and the count matches the Poisson mean over it
@@ -288,7 +294,7 @@ class TestBatchEngine:
 
     def test_n_validated(self, make_stream):
         with pytest.raises(ValueError):
-            decompose_many(_gamma_model(), FirstJump(), POLICY, 0, make_stream())
+            decompose_many(_gamma_model(), KthJump(), POLICY, 0, make_stream())
 
 
 class TestPathwiseFactorization:
@@ -303,9 +309,9 @@ class TestPathwiseFactorization:
     def test_residual_with_drift_and_gaussian(self, make_stream):
         # the total must take the shifted window's normal discounted by
         # e^{-tau}, in the batch and in its n = 1 rows
-        records = decompose_many(DRIFT_GAUSS, FirstJump(), POLICY, 200, make_stream())
+        records = decompose_many(DRIFT_GAUSS, KthJump(), POLICY, 200, make_stream())
         assert records.passes().all()
-        assert all(decompose(DRIFT_GAUSS, FirstJump(), POLICY, s).passes()
+        assert all(decompose(DRIFT_GAUSS, KthJump(), POLICY, s).passes()
                    for s in make_stream().split(200))
 
     def test_late_fixed_time_keeps_gaussian_variance(self, make_stream):
@@ -345,7 +351,7 @@ class TestPathwiseFactorization:
         # n = 1e5, the acceptance sample size: the KS thresholds and the
         # independence band tighten as 1/sqrt(n)
         n = 100_000
-        r = decompose_many(_gamma_model(), FirstJump(), POLICY, n, make_stream())
+        r = decompose_many(_gamma_model(), KthJump(), POLICY, n, make_stream())
         direct = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=n)
         assert ks_two_sample(r.x_total, direct)[2]
         assert ks_two_sample(r.x_prime, direct)[2]
@@ -355,35 +361,37 @@ class TestPathwiseFactorization:
 
 class TestFirstValueIdentity:
     def test_pathwise_equality(self, make_stream):
-        d = first_value_identity(_gamma_model(), POLICY, 300, make_stream())
+        d = decompose_many(_gamma_model(), KthJump(), POLICY, 300, make_stream())
         assert d.x_total.shape == (300,)
         assert np.array_equal(d.residual,
                               np.abs(d.x_total - (d.x_tau + d.discount * d.x_prime)))
         assert np.all(d.residual <= 1e-10 * (1.0 + np.abs(d.x_total)))
 
     def test_is_the_first_jump_record(self):
-        # the first-value identity is the factorization at the first jump,
-        # draw for draw
-        a = first_value_identity(_gamma_model(), POLICY, 600, RngStream(31))
-        b = decompose_many(_gamma_model(), FirstJump(), POLICY, 600, RngStream(31))
+        # the identity engine without a jump set is the factorization at
+        # the first jump, draw for draw
+        a = _first_jump_identity(_gamma_model(), None, POLICY, 600, RngStream(31))
+        b = decompose_many(_gamma_model(), KthJump(), POLICY, 600, RngStream(31))
         for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
             assert np.array_equal(getattr(a, field), getattr(b, field)), field
 
     def test_requires_pure_jump_model(self, make_stream):
         with pytest.raises(ValueError):
-            first_value_identity(LevyModel(jump_rate=1.0,
-                                           jump_law=ExponentialJumps(1.0),
-                                           drift=0.5), POLICY, 10, make_stream())
+            restricted_jump_identity(LevyModel(jump_rate=1.0,
+                                               jump_law=ExponentialJumps(1.0),
+                                               drift=0.5), JumpSet(1.0), POLICY, 10,
+                                     make_stream())
         with pytest.raises(ValueError):
-            first_value_identity(LevyModel(drift=1.0), POLICY, 10, make_stream())
+            restricted_jump_identity(LevyModel(drift=1.0), JumpSet(1.0), POLICY, 10,
+                                     make_stream())
 
     def test_lhs_is_gamma(self, make_stream):
-        lhs = first_value_identity(_gamma_model(), POLICY, 20_000, make_stream()).x_total
+        lhs = decompose_many(_gamma_model(), KthJump(), POLICY, 20_000, make_stream()).x_total
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=20_000)
         assert ks_two_sample(lhs, ref)[2]
 
     def test_discount_independent_of_shifted_integral(self, make_stream):
-        d = first_value_identity(_gamma_model(), POLICY, 10_000, make_stream())
+        d = decompose_many(_gamma_model(), KthJump(), POLICY, 10_000, make_stream())
         assert (independence_diagnostic(d.discount, d.x_prime)
                 <= independence_pass_band(10_000))
 
@@ -399,13 +407,13 @@ class TestFirstValueIdentity:
         for child, start, m in zip(children, (0, 256), (256, 44)):
             owner, times, sizes, _ = _stopped_jumps(
                 lambda window, k: _poisson_jumps(model, window, k, child),
-                FirstJumpIn(jump_set), T, m, child)
+                KthJump(1, jump_set), T, m, child)
             for i in range(m):
                 tau = d.tau[start + i]
                 order = np.argsort(times[owner == i])
                 path = JumpPath(tau + T, times[owner == i][order], sizes[owner == i][order])
                 kept = thin_path(path, jump_set)[0]
-                assert evaluate_stopping(FirstJump(), kept) == tau
+                assert evaluate_stopping(KthJump(), kept) == tau
                 at_tau = path.jump_sizes[path.jump_times == tau]
                 assert at_tau.size == 1 and jump_set.contains(at_tau).all()
 
@@ -413,7 +421,7 @@ class TestFirstValueIdentity:
         # a set containing every positive jump makes the restricted identity
         # reproduce the plain one draw for draw
         full = JumpSet(1e-300)
-        a = first_value_identity(_gamma_model(), POLICY, 300, make_stream(seed=42))
+        a = decompose_many(_gamma_model(), KthJump(), POLICY, 300, make_stream(seed=42))
         b = restricted_jump_identity(_gamma_model(), full, POLICY, 300,
                                      RngStream(42, stream_id=1))
         for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):

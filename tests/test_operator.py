@@ -10,8 +10,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sdlevy.decomposition import (FirstJump, FirstJumpIn, FixedTime,
-                                  IndependentRandomTime, KthJump, decompose_many)
+from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, decompose_many
 from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, _poisson_jumps
@@ -251,7 +250,7 @@ class TestScalarConsistency:
         assert np.array_equal(x_op[:, 0], x_sc)  # exact, same draws and float ops
 
     @pytest.mark.parametrize("rule", [
-        FirstJump(), KthJump(170), FixedTime(0.7),
+        KthJump(), KthJump(170), FixedTime(0.7),
         IndependentRandomTime(ExponentialJumps(1.0)),
     ], ids=["first_jump", "kth_jump_170", "fixed_time", "independent_time"])
     def test_d1_decomposition_matches_scalar(self, rule):
@@ -316,8 +315,8 @@ class TestMeanIdentity:
 
 class TestOperatorDecomposition:
     @pytest.mark.parametrize("rule", [
-        FixedTime(0.7), FirstJump(), KthJump(3),
-        IndependentRandomTime(ExponentialJumps(1.0)), FirstJumpIn(JumpSet(1.0)),
+        FixedTime(0.7), KthJump(), KthJump(3),
+        IndependentRandomTime(ExponentialJumps(1.0)), KthJump(1, JumpSet(1.0)),
     ])
     def test_residuals(self, rule, make_stream):
         for q in (None, _ROTATING_Q):
@@ -327,7 +326,7 @@ class TestOperatorDecomposition:
 
     def test_non_diagonal_residuals(self, make_stream):
         model = _model_2d(np.array([[2.0, 1.0], [0.5, 3.0]]))
-        records = operator_decompose_many(model, FirstJump(), POLICY, 200,
+        records = operator_decompose_many(model, KthJump(), POLICY, 200,
                                           make_stream())
         assert records.passes().all()
 
@@ -339,7 +338,7 @@ class TestOperatorDecomposition:
 
     def test_marginal_matches_integral(self, make_stream):
         model = _model_2d()
-        records = operator_decompose_many(model, FirstJump(), POLICY, 5_000,
+        records = operator_decompose_many(model, KthJump(), POLICY, 5_000,
                                           make_stream())
         x_total = records.x_total
         draws = sample_operator_integral_many(model, POLICY, 5_000, make_stream())
@@ -347,10 +346,10 @@ class TestOperatorDecomposition:
         assert ks_two_sample(x_total[:, 1], draws[:, 1])[2]
 
     def test_first_jump_in_records(self, make_stream):
-        # FirstJumpIn(A) stops at the first jump of any source whose scalar
+        # KthJump(1, A) stops at the first jump of any source whose scalar
         # size lies in A, so tau ~ Exp(sum_j rate_j * P(size_j in A)); here
         # A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
-        rule = FirstJumpIn(JumpSet(1.0))
+        rule = KthJump(1, JumpSet(1.0))
         coords_rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
         shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
         cases = [(_model_2d(), coords_rate), (_model_2d(_ROTATING_Q), coords_rate),
@@ -539,7 +538,7 @@ class TestOperatorRecordsEngine:
     def test_shared_direction_records(self, make_stream):
         driver = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
         model = OperatorModel(np.array([[2.0, 1.0], [0.5, 3.0]]), driver)
-        records = operator_decompose_many(model, FirstJump(), POLICY, 3_000,
+        records = operator_decompose_many(model, KthJump(), POLICY, 3_000,
                                           make_stream())
         assert records.passes().all()
         draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
@@ -561,7 +560,7 @@ class TestOperatorRecordsEngine:
         # sampler, and their mean against Q^{-1} E[Y(1)]
         model = _model_2d([[1.0, 1.0], [0.0, 1.0]])
         assert model._discounter.mode == "dense"
-        records = operator_decompose_many(model, FirstJump(), POLICY, 2_000,
+        records = operator_decompose_many(model, KthJump(), POLICY, 2_000,
                                           make_stream())
         assert records.passes().all()
         draws = sample_operator_integral_many(model, POLICY, 2_000, make_stream())
@@ -573,7 +572,7 @@ class TestOperatorRecordsEngine:
 
     @pytest.mark.parametrize("n", [1, 256, 257])
     def test_chunk_edges(self, n):
-        records = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(),
+        records = operator_decompose_many(_model_2d(_ROTATING_Q), KthJump(),
                                           POLICY, n, RngStream(31))
         assert records.tau.shape == (n,)
         assert records.x_total.shape == records.x_prime.shape == (n, 2)
@@ -581,9 +580,9 @@ class TestOperatorRecordsEngine:
         assert records.passes().all()
 
     def test_full_chunks_do_not_depend_on_n(self):
-        a = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(), POLICY,
+        a = operator_decompose_many(_model_2d(_ROTATING_Q), KthJump(), POLICY,
                                     256, RngStream(32))
-        b = operator_decompose_many(_model_2d(_ROTATING_Q), FirstJump(), POLICY,
+        b = operator_decompose_many(_model_2d(_ROTATING_Q), KthJump(), POLICY,
                                     768, RngStream(32))
         for field in ("tau", "x_tau", "discount", "x_prime", "x_total"):
             assert np.array_equal(getattr(a, field), getattr(b, field)[:256]), field

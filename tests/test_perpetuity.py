@@ -5,8 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sdlevy.decomposition import (FirstJump, FixedTime, IndependentRandomTime,
-                                  KthJump, decompose_many)
+from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, decompose_many
 from sdlevy.discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
@@ -163,9 +162,9 @@ class TestStoppedIntegralAffine:
         # the vectorized (A, B) sampler and the per-record decomposition are
         # two routes to the same joint law
         model = _gamma_model()
-        law = StoppedIntegralAffine(model, FirstJump())
+        law = StoppedIntegralAffine(model, KthJump())
         a_fast, b_fast = law.sample_pairs(make_stream(), size=20_000)
-        records = decompose_many(model, FirstJump(), POLICY, 5_000, make_stream())
+        records = decompose_many(model, KthJump(), POLICY, 5_000, make_stream())
         assert ks_two_sample(a_fast, records.discount)[2]
         assert ks_two_sample(b_fast, records.x_tau)[2]
 
@@ -209,7 +208,7 @@ class TestStoppedIntegralAffine:
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=drift,
                           gauss_var=gauss_var)
         stream = RngStream(31)
-        a, b = StoppedIntegralAffine(model, FirstJump()).sample_pairs(stream, size=1000)
+        a, b = StoppedIntegralAffine(model, KthJump()).sample_pairs(stream, size=1000)
         replay = RngStream(31)
         tau = replay.exponential(2.0, size=1000)
         ref = np.exp(-tau) * model.jump_law.sample(replay, size=1000)
@@ -221,7 +220,7 @@ class TestStoppedIntegralAffine:
         assert stream.counter == replay.counter == (3000 if gauss_var else 2000)
 
     def test_first_jump_requires_jumps(self, make_stream):
-        law = StoppedIntegralAffine(LevyModel(drift=1.0), FirstJump())
+        law = StoppedIntegralAffine(LevyModel(drift=1.0), KthJump())
         with pytest.raises(ValueError):
             law.sample_pairs(make_stream(), size=10)
 
@@ -243,7 +242,7 @@ def _check_perpetuity(model, rule, stream):
 
 class TestSelfdecomposableAsPerpetuity:
     def test_gamma_driver(self, make_stream):
-        _check_perpetuity(_gamma_model(), FirstJump(), make_stream())
+        _check_perpetuity(_gamma_model(), KthJump(), make_stream())
 
     def test_gaussian_driver(self, make_stream):
         _check_perpetuity(LevyModel(gauss_var=1.0),
