@@ -3,7 +3,8 @@
 Usage: ``sdlevy run --config exp.json [--seed N] [--out-dir D]``
 
 The config is a single JSON document (experiments are data); it is
-schema-validated before any computation and unknown fields are rejected.
+schema-validated before any computation and unknown fields are rejected, and
+an operator config's q must be square with one row per coordinate.
 Each experiment is declared once in ``_EXPERIMENTS`` (its params schema and
 its runner), and each stopping rule once in ``_RULES`` (its fields and its
 constructor); the schemas are JSON Schema (draft 2020-12) data built from
@@ -56,11 +57,9 @@ from . import decomposition as dec
 from .discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from .errors import ConfigError, SpectralGateError
 from .levy import ExponentialJumps, JumpSet, LevyModel
-from .operator import (OperatorModel, independent_coordinates, operator_decompose_many,
-                       sample_operator_integral_many)
-from .perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
-                         beta_gamma_identity_samples, gamma_factor_samples,
-                         sample_backward_series_many)
+from .operator import OperatorModel, operator_decompose_many, sample_operator_integral_many
+from .perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
+                         gamma_factor_samples, sample_backward_series_many)
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (MIN_PAIRED_SAMPLES, StatReport, _pooled_ecdfs, compare_samples,
                     empirical_cf, gamma_cf, independence_diagnostic, independence_pass_band,
@@ -246,6 +245,9 @@ def _run_prop1(params, n, policy, stream) -> ExperimentResult:
 
 
 def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
+    """One backward series of the driver's stopped pair, judged against integral
+    draws (the fixed point) and the driver's exact law; for the gamma driver the
+    first-jump pair is the beta-gamma pair (U^{1/alpha}, U^{1/alpha} Exp(lam))."""
     gamma = params["driver"] == "gamma"
     alpha, lam = params.get("alpha", 2.0), params.get("lam", 1.0)
     max_terms = params.get("n_steps", 200)
@@ -257,7 +259,7 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
         model = LevyModel(gauss_var=params.get("sigma2", 1.0))
         rule = dec.IndependentRandomTime(ExponentialJumps(1.0))
     law = StoppedIntegralAffine(model, rule)
-    s_perp, s_series, s_exact = stream.split(3)
+    s_perp, s_exact = stream.split(2)
     s_iter, s_direct, s_diag = s_perp.split(3)
     stationary, terms = sample_backward_series_many(law, TAIL_TOL, n, s_iter,
                                                     max_terms=max_terms)
@@ -272,13 +274,11 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
         exact = math.sqrt(model.gauss_var / 2.0) * s_exact.normal(size=n)
         reports.append(compare_samples("fixed_point_vs_exact_normal", stationary, exact))
         return ExperimentResult(reports=reports, gates=gates, extras=extras)
-    series, extras["backward_series_terms"] = sample_backward_series_many(
-        BetaGammaAffine(alpha, lam), TAIL_TOL, n, s_series, max_terms=max_terms)
-    direct = sample_gamma(GammaParams(alpha, lam), s_exact, size=n)
-    reports.append(compare_samples("backward_series_vs_direct", series, direct))
+    exact = sample_gamma(GammaParams(alpha, lam), s_exact, size=n)
+    reports.append(compare_samples("backward_series_vs_direct", stationary, exact))
     return ExperimentResult(reports=reports, gates=gates, extras=extras,
-                            samples={"backward_series": series, "direct_gamma": direct},
-                            primary=(series, direct), ref_cf=gamma_cf(alpha, lam))
+                            samples={"backward_series": stationary, "direct_gamma": exact},
+                            primary=(stationary, exact), ref_cf=gamma_cf(alpha, lam))
 
 
 def _run_operator(params, n, policy, stream) -> ExperimentResult:
@@ -289,7 +289,7 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
                   drift=c.get("drift", 0.0))
         for c in params["coords"]
     )
-    model = OperatorModel(q, independent_coordinates(models))
+    model = OperatorModel(q, models)
     rule = _parse_rule(params.get("rule", {"kind": "first_jump"}))
     n_records = params.get("n_records", 2000)
     s_rec, s_mean, s_tau, s_exact = stream.split(4)
@@ -300,7 +300,7 @@ def _run_operator(params, n, policy, stream) -> ExperimentResult:
     mean_gap = np.abs(draws.mean(axis=0) - model.mean_integral())
     # Spectral gate negative control: a singular Q must be rejected.
     try:
-        OperatorModel(np.zeros_like(q), independent_coordinates(models))
+        OperatorModel(np.zeros_like(q), models)
         gate_ok = False
     except SpectralGateError:
         gate_ok = True
@@ -484,8 +484,16 @@ def _check(schema: dict, doc) -> None:
 
 
 def validate_config(doc: dict) -> dict:
+    """Raise ConfigError unless ``doc`` meets the schemas and, for an operator
+    config, q has one row and one column per coordinate."""
     _check(CONFIG_SCHEMA, doc)
-    _check(_EXPERIMENTS[doc["experiment"]][0], doc["params"])
+    params = doc["params"]
+    _check(_EXPERIMENTS[doc["experiment"]][0], params)
+    if doc["experiment"] == "operator-decompose":
+        d = len(params["coords"])
+        if len(params["q"]) != d or any(len(row) != d for row in params["q"]):
+            raise ConfigError(f"q must be {d} rows of {d} numbers, one of each per "
+                              f"coordinate; got {params['q']!r}")
     return doc
 
 

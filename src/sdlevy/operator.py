@@ -2,26 +2,24 @@
 for a d x d matrix Q whose eigenvalues all have positive real part, plus the
 stopped factorization X =d X_tau + e^{-tau Q} X'.
 
-Drivers are purely discontinuous (compound Poisson plus drift); a Gaussian
-component would need the Lyapunov-equation covariance machinery the scalar
-case avoids, and none of the exercised identities require it. Dimensions
-are small and matrices dense.
+The driver Y has d independent coordinates, each a scalar ``LevyModel``
+that jumps along e_i. Coordinates are purely discontinuous (compound
+Poisson plus drift); a Gaussian component would need the Lyapunov-equation
+covariance machinery the scalar case avoids, and none of the exercised
+identities require it. Dimensions are small and matrices dense.
 
-An ``OperatorDriver`` is a tuple of independent scalar jump sources, each
-pushed along a fixed direction: one per coordinate
-(``independent_coordinates``), or one shared. Records run on the ragged
-batch engine of ``decomposition``, each source's jumps one ragged batch
-from ``levy._poisson_jumps``; integrals draw the same way in blocks of
-paths through ``levy._jump_sums``. For both, ``_QDiscounter.ragged_sum``
-sums e^{-tQ} u*size per row: in the eigenbasis of Q when Q is
-diagonalizable (a diagonal Q has V = I), otherwise by ``_expm``, a stacked
-scaling-and-squaring Pade-13 kernel in numpy, over blocks of jumps. In the
-eigenbasis every sum is real: a real eigenvalue is one mode, and a conjugate
-pair a +- ib is two, the sums of e^{-at} cos(bt) and e^{-at} sin(bt) times
-the size, since Q and the jumps are real. The engine imports no scipy. The
-scalar case is d = 1. Records take every stopping rule of
-``decomposition``; a jump set counts the jumps whose scalar size lies in
-it.
+Records run on the ragged batch engine of ``decomposition``, each
+coordinate's jumps one ragged batch from ``levy._poisson_jumps``; integrals
+draw the same way in blocks of paths through ``levy._jump_sums``. For both,
+``_QDiscounter.ragged_sum`` sums e^{-tQ} e_i * size per row: in the
+eigenbasis of Q when Q is diagonalizable (a diagonal Q has V = I), otherwise
+by ``_expm``, a stacked scaling-and-squaring Pade-13 kernel in numpy, over
+blocks of jumps. In the eigenbasis every sum is real: a real eigenvalue is
+one mode, and a conjugate pair a +- ib is two, the sums of e^{-at} cos(bt)
+and e^{-at} sin(bt) times the size, since Q and the jumps are real. The
+engine imports no scipy. The scalar case is d = 1. Records take every
+stopping rule of ``decomposition``; a jump set counts the jumps whose scalar
+size, in whichever coordinate, lies in it.
 """
 
 from __future__ import annotations
@@ -41,49 +39,6 @@ from .rng import RngStream
 
 _SPECTRAL_TOL = 1e-12
 _EXPM_BLOCK = 4096  # jumps per _expm call in dense mode, to bound memory
-
-
-# ---------------------------------------------------------------------------
-# Driver
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True, eq=False)
-class OperatorDriver:
-    """Independent scalar jump sources, each a (model, direction) pair: a
-    jump of size s of the model moves the driver by s * direction.
-
-    ``independent_coordinates(models)`` gives coordinate i its own model
-    along e_i; ``OperatorDriver(((model, u),))`` pushes one model along u.
-    """
-
-    sources: tuple
-
-    def __post_init__(self):
-        sources = tuple((m, np.asarray(u, float)) for m, u in self.sources)
-        if not sources:
-            raise ValueError("need at least one jump source")
-        if any(m.gauss_var > 0 for m, _ in sources):
-            raise ValueError("operator drivers must not have a Gaussian component")
-        shape = sources[0][1].shape
-        if len(shape) != 1 or not shape[0] or any(
-                u.shape != shape or not np.all(np.isfinite(u)) for _, u in sources):
-            raise ValueError("directions must be finite 1-d vectors of one length")
-        object.__setattr__(self, "sources", sources)
-
-    @property
-    def dimension(self) -> int:
-        return self.sources[0][1].size
-
-    def mean_unit_increment(self) -> np.ndarray:
-        return sum(u * m.mean_unit_increment() for m, u in self.sources)
-
-    def drift_vector(self) -> np.ndarray:
-        return sum(u * m.drift for m, u in self.sources)
-
-
-def independent_coordinates(models) -> OperatorDriver:
-    """One scalar Levy model per coordinate, independent across coordinates."""
-    return OperatorDriver(tuple(zip(models, np.eye(len(models)))))
 
 
 # ---------------------------------------------------------------------------
@@ -226,21 +181,28 @@ class _QDiscounter:
 
 @dataclass(frozen=True, eq=False)
 class OperatorModel:
-    """Discount operator Q plus a d-dimensional driver. Construction enforces
-    the spectral gate: every eigenvalue of Q must have positive real part,
-    else e^{-tQ} does not vanish and the integral diverges."""
+    """Discount operator Q plus one scalar Levy model per coordinate of the
+    driver, independent across coordinates and without a Gaussian part.
+    Construction enforces the spectral gate: every eigenvalue of Q must have
+    positive real part, else e^{-tQ} does not vanish and the integral
+    diverges."""
 
     q: np.ndarray
-    driver: OperatorDriver
+    coords: tuple
 
     def __post_init__(self):
         q = np.asarray(self.q, float)
+        coords = tuple(self.coords)
+        if not coords:
+            raise ValueError("need at least one coordinate")
+        if any(m.gauss_var > 0 for m in coords):
+            raise ValueError("operator drivers must not have a Gaussian component")
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("Q must be a square matrix")
         if not np.all(np.isfinite(q)):
             raise ValueError("Q must have finite entries")
-        if q.shape[0] != self.driver.dimension:
-            raise ValueError("Q dimension does not match the driver")
+        if q.shape[0] != len(coords):
+            raise ValueError("Q dimension does not match the coordinates")
         disc = _QDiscounter(q)
         min_real = float(disc.w.real.min())
         if min_real <= _SPECTRAL_TOL:
@@ -248,7 +210,9 @@ class OperatorModel:
                 f"min real part of Q's spectrum is {min_real:.3g}; "
                 "all eigenvalues must have positive real part")
         object.__setattr__(self, "q", q)
+        object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "_discounter", disc)
+        object.__setattr__(self, "_drift", np.array([m.drift for m in coords]))
 
     @property
     def dimension(self) -> int:
@@ -256,7 +220,7 @@ class OperatorModel:
 
     def mean_integral(self) -> np.ndarray:
         """E[X] = Q^{-1} E[Y(1)]."""
-        return np.linalg.solve(self.q, self.driver.mean_unit_increment())
+        return np.linalg.solve(self.q, [m.mean_unit_increment() for m in self.coords])
 
 
 def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy,
@@ -264,17 +228,17 @@ def sample_operator_integral_many(model: OperatorModel, policy: TruncationPolicy
     """n draws of sum_k e^{-t_k Q} dY_k + Q^{-1}(I - e^{-TQ}) drift as rows.
 
     Paths are drawn in blocks, as ``levy._jump_sums`` lays them out: in each
-    block the driver's sources draw one after another, as records draw
-    them. For d = 1 this is the scalar batch, draw for draw.
+    block the coordinates draw one after another, as records draw them. For
+    d = 1 this is the scalar batch, draw for draw.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     disc = model._discounter
-    parts = [(source, lambda owner, times, sizes, w, m, u=u:
+    parts = [(coord, lambda owner, times, sizes, w, m, u=u:
               disc.ragged_sum(owner, times, sizes, u, m))
-             for source, u in model.driver.sources]
+             for coord, u in zip(model.coords, np.eye(model.dimension))]
     out = _jump_sums(parts, policy.horizon, n, stream, np.zeros((n, model.dimension)))
-    return out + disc.drift_integral(policy.horizon, model.driver.drift_vector())
+    return out + disc.drift_integral(policy.horizon, model._drift)
 
 
 # ---------------------------------------------------------------------------
@@ -312,14 +276,14 @@ class OperatorDecompositionRecord:
 def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,
                     stream: RngStream) -> tuple[np.ndarray, ...]:
     """m records on one stream, as ``decomposition._decompose_chunk`` draws
-    them: each block draws the driver's sources one after another, the rule
-    stops on the merged jump times, and X_tau, X' and the total are ragged
-    sums over the same jumps (X' over the shifted times t - tau)."""
+    them: each block draws the coordinates one after another, the rule stops
+    on the merged jump times, and X_tau, X' and the total are ragged sums
+    over the same jumps (X' over the shifted times t - tau), each jump along
+    the unit vector of its coordinate ``which``."""
     disc = model._discounter
-    sources = model.driver.sources
 
     def draw(window, k):
-        parts = [_poisson_jumps(source, window, k, stream) for source, _ in sources]
+        parts = [_poisson_jumps(coord, window, k, stream) for coord in model.coords]
         which = np.repeat(np.arange(len(parts)), [p[0].size for p in parts])
         return (*(np.concatenate(a) for a in zip(*parts)), which)
 
@@ -328,12 +292,12 @@ def _operator_chunk(model: OperatorModel, rule: StoppingRule, T: float, m: int,
 
     def jump_sum(keep, t):
         out = np.zeros((m, model.dimension))
-        for j, (_, u) in enumerate(sources):
+        for j, u in enumerate(np.eye(model.dimension)):
             sel = keep & (which == j)
             out += disc.ragged_sum(owner[sel], t[sel], sizes[sel], u, m)
         return out
 
-    drift = model.driver.drift_vector()
+    drift = model._drift
     x_tau = jump_sum(before, times) + disc.drift_integral(tau, drift)
     x_prime = jump_sum(~before, times - tau[owner]) + disc.drift_integral(T, drift)
     x_total = jump_sum(True, times) + disc.drift_integral(tau + T, drift)
@@ -348,8 +312,7 @@ def operator_decompose_many(model: OperatorModel, rule: StoppingRule,
     ``stream.split(ceil(n / _CHUNK))``.
 
     Every stopping rule applies. KthJump(k, A) stops at the k-th jump of
-    the driver whose scalar size lies in A; that jump is the row size * u of
-    its source, so for ``independent_coordinates`` it is the jump's only
-    nonzero coordinate."""
+    the driver whose scalar size, in whichever coordinate, lies in A; that
+    jump is the record's only nonzero coordinate of dY at that time."""
     return OperatorDecompositionRecord(*_by_chunks(
         lambda m, s: _operator_chunk(model, rule, policy.horizon, m, s), n, stream))

@@ -16,10 +16,12 @@ additionally admits the closed-form factorizations
     gamma(a, r) =d D * (gamma(1, r) + gamma(a, r)),   D = e^{-Exp(a)} =d U^{1/a}
     gamma(a, r) =d sum_n U_1^{1/a} ... U_n^{1/a} * Exp_n(r)
 
-with all factors independent. The discount D above is the first jump time
-of the compound Poisson driver, whose rate is the shape a; an alternative
-reading with D = e^{-gamma(a,1)} is exposed for comparison and agrees only
-at a = 1 (checked by the CDF identity P(e^{-Exp(a)} <= x) = x^a).
+with all factors independent. D is the discount at the first jump of the
+compound Poisson driver, whose rate is the shape a, and the series is the
+backward series of that driver's first-jump pair (e^{-tau}, e^{-tau} J),
+the beta-gamma pair (U^{1/a}, U^{1/a} Exp(r)). An alternative reading with
+D = e^{-gamma(a,1)} is exposed for comparison and agrees only at a = 1
+(checked by the CDF identity P(e^{-Exp(a)} <= x) = x^a).
 """
 
 from __future__ import annotations
@@ -42,23 +44,6 @@ from .rng import GammaParams, RngStream, sample_gamma
 # Affine pair laws: any object whose sample_pairs(stream, size) returns the
 # (A, B) arrays is one
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BetaGammaAffine:
-    """The gamma chain: A = U^{1/shape}, B = A * Exp(rate) (the C-form
-    Z =d A(Z+C) with C = gamma(1, rate))."""
-
-    shape: float
-    rate: float
-
-    def __post_init__(self):
-        GammaParams(self.shape, self.rate)
-
-    def sample_pairs(self, stream: RngStream, size: int):
-        n = int(size)
-        a = stream.uniform(size=n) ** (1.0 / self.shape)
-        return a, a * stream.exponential(self.rate, size=n)
-
 
 @dataclass(frozen=True)
 class StoppedIntegralAffine:

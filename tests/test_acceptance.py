@@ -12,10 +12,9 @@ from sdlevy.discount import (TAIL_TOL, TruncationPolicy, eval_by_parts, eval_jum
                              sample_discounted_integral_many)
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, simulate_path
-from sdlevy.operator import (OperatorModel, independent_coordinates,
-                             operator_decompose_many,
+from sdlevy.operator import (OperatorModel, operator_decompose_many,
                              sample_operator_integral_many)
-from sdlevy.perpetuity import (BetaGammaAffine, beta_gamma_identity_samples,
+from sdlevy.perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
                                gamma_factor_samples, sample_backward_series_many)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import (independence_diagnostic, independence_pass_band,
@@ -110,17 +109,17 @@ def test_04_beta_gamma_factorizations():
 
 
 def test_05_backward_series():
-    """The backward perpetuity series of (U^{1/a}, U^{1/a} Exp(lam)) reproduces
-    gamma(a, lam) at the tail tolerance TAIL_TOL for a in {0.5, 1, 2},
-    lam in {1, 3}."""
+    """The backward perpetuity series of the gamma driver's first-jump pair,
+    (e^{-tau}, X_tau) =d (U^{1/a}, U^{1/a} Exp(lam)), reproduces gamma(a, lam)
+    at the tail tolerance TAIL_TOL for a in {0.5, 1, 2}, lam in {1, 3}."""
     stream = RngStream(SEED, stream_id=5)
     ok = True
     detail = ""
     for a in (0.5, 1.0, 2.0):
         for lam in (1.0, 3.0):
             s_ser, s_ref = stream.split(2)
-            series, _ = sample_backward_series_many(BetaGammaAffine(a, lam), TAIL_TOL,
-                                                    N, s_ser, max_terms=200)
+            law = StoppedIntegralAffine(_gamma_model(a, lam), KthJump())
+            series, _ = sample_backward_series_many(law, TAIL_TOL, N, s_ser, max_terms=200)
             ref = sample_gamma(GammaParams(a, lam), s_ref, size=N)
             d, thr, this_ok = ks_two_sample(series, ref)
             ok = ok and this_ok
@@ -178,7 +177,7 @@ def test_08_operator_factorization():
         LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0)),
         LevyModel(jump_rate=1.0, jump_law=ExponentialJumps(2.0), drift=0.3),
     )
-    model = OperatorModel(q, independent_coordinates(coords))
+    model = OperatorModel(q, coords)
     stream = RngStream(SEED, stream_id=8)
     s_rec, s_mean = stream.split(2)
 
@@ -193,7 +192,7 @@ def test_08_operator_factorization():
 
     gate_ok = False
     try:
-        OperatorModel(np.diag([1.0, -0.5]), independent_coordinates(coords))
+        OperatorModel(np.diag([1.0, -0.5]), coords)
     except SpectralGateError:
         gate_ok = True
 

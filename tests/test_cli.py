@@ -316,17 +316,17 @@ class TestRunners:
     @pytest.mark.parametrize("driver", ["gamma", "gaussian"])
     def test_perpetuity_extras_state_the_series_terms(self, driver, tmp_path):
         # report.json states the tail tolerance, the cap on terms (n_steps)
-        # and the terms each series used, none of them a gate; a cap of the
-        # largest reported count still passes, and one term less exits 3
+        # and the terms the one series used, none of them a gate; a cap of
+        # the reported count still passes, and one term less exits 3
         doc = _config("perpetuity-iterate", {"driver": driver, "n_steps": 150}, n=2000)
         assert run(copy.deepcopy(doc), out_dir=tmp_path / "run") == 0
         extras = json.loads((tmp_path / "run" / "report.json").read_text())["extras"]
-        counts = ["fixed_point_terms"] + ["backward_series_terms"] * (driver == "gamma")
         assert set(extras) == {"tail_tol", "max_terms", "discount_in_unit_interval",
-                               "discount_nondegenerate", *counts}
+                               "discount_nondegenerate", "fixed_point_terms"}
         assert extras["tail_tol"] == TAIL_TOL and extras["max_terms"] == 150
-        assert all(type(extras[k]) is int and 0 < extras[k] <= 150 for k in counts)
-        doc["params"]["n_steps"] = max(extras[k] for k in counts)
+        terms = extras["fixed_point_terms"]
+        assert type(terms) is int and 0 < terms <= 150
+        doc["params"]["n_steps"] = terms
         assert run(copy.deepcopy(doc), out_dir=tmp_path / "at_cap") == 0
         doc["params"]["n_steps"] -= 1
         with pytest.raises(ContractionError):
@@ -775,6 +775,23 @@ class TestMain:
         assert f"{alphas!r} has non-unique elements" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("q, n_coords", [
+        ([[1.0, 0.0]], 2), ([[1.0], [0.0, 1.0]], 2), ([], 1),
+        ([[1.0, 0.0], [0.0, 1.0], [0.0, 0.0]], 2), ([[1.0]], 2)], ids=repr)
+    def test_malformed_q_rejected(self, tmp_path, capsys, q, n_coords):
+        # q must be one row of one number per coordinate for each coordinate;
+        # any other shape is a config error (exit 2, no output directory),
+        # not a run that raises in numpy
+        doc = json.loads(json.dumps(SMALL_CONFIGS["operator-decompose"]))
+        doc["params"]["q"] = q
+        doc["params"]["coords"] = doc["params"]["coords"][:n_coords]
+        assert main(["run", "--config", self._write(tmp_path, doc),
+                     "--out-dir", str(tmp_path / "out")]) == 2
+        assert f"q must be {n_coords} rows of {n_coords} numbers" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(ConfigError):
+            validate_config(doc)
+
     def test_failed_verdict_exits_1(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(DecompositionRecord, "relative_residual", property(
             lambda rec: np.full(rec.tau.shape, 2.0 * rec.TOLERANCE)))
@@ -826,14 +843,28 @@ class TestMain:
         assert doc["seed"] == 123
 
 
+def _src_env(**env: str) -> dict:
+    """The environment of a fresh interpreter that imports sdlevy from this
+    tree's ``src``."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path, **env}
+
+
 def _fresh_python(script: str, *args: str, **env: str) -> dict:
     """The JSON object on the last stdout line of ``script``, run with ``args``
     by a fresh interpreter that imports sdlevy from this tree's ``src``."""
-    path = os.pathsep.join(filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))
-    proc = subprocess.run([sys.executable, "-c", script, *args],
-                          env={**os.environ, "PYTHONPATH": path, **env},
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=_src_env(**env),
                           capture_output=True, text=True, timeout=300, check=True)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.parametrize("script", sorted(p.name for p in (ROOT / "scripts").glob("*.py")))
+def test_script_help_runs(script):
+    # a script that imports a name the package no longer has fails its
+    # --help here, not at its next run
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / script), "--help"],
+                          env=_src_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 _IMPORT_GUARD = """

@@ -1,4 +1,6 @@
-"""Trajectory construction and shift/thin operations."""
+"""Trajectory construction and shift/thin operations. The reference-route
+tests draw their paths one after another from one stream, so a
+simulate_path that reused variates across calls would correlate them."""
 
 import numpy as np
 import pytest
@@ -63,15 +65,15 @@ class TestPathValues:
     def test_mean_increment(self, make_stream):
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0))
         stream = make_stream()
-        vals = np.array([simulate_path(model, 1.0, s).value(1.0)
-                         for s in stream.split(50_000)])
+        vals = np.array([simulate_path(model, 1.0, stream).value(1.0)
+                         for _ in range(50_000)])
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - model.mean_unit_increment()) < 3.0 * se
 
     def test_void_probability(self, make_stream):
         stream = make_stream()
-        empty = np.mean([simulate_path(_exp_model(), 1.0, s).n_jumps == 0
-                         for s in stream.split(50_000)])
+        empty = np.mean([simulate_path(_exp_model(), 1.0, stream).n_jumps == 0
+                         for _ in range(50_000)])
         # P(no jump in one unit of time at rate 1) = e^{-1}
         assert abs(empty - np.exp(-1.0)) < 0.0075
 
@@ -103,8 +105,8 @@ class TestShift:
         # again Exp(rate), independent of the past.
         stream = make_stream()
         gaps = []
-        for s in stream.split(30_000):
-            p = simulate_path(_exp_model(jump_rate=1.0), 30.0, s)
+        for _ in range(30_000):
+            p = simulate_path(_exp_model(jump_rate=1.0), 30.0, stream)
             q = shift_path(p, float(p.jump_times[0]))
             gaps.append(float(q.jump_times[0]))
         fresh = make_stream().exponential(1.0, size=30_000)
@@ -138,17 +140,17 @@ class TestThin:
         # thinned process is Poisson with rate alpha * e^{-lam*a}.
         alpha, lam, a = 4.0, 1.0, 1.0
         stream = make_stream()
-        counts = [thin_path(simulate_path(_exp_model(lam, alpha), 1.0, s),
+        counts = [thin_path(simulate_path(_exp_model(lam, alpha), 1.0, stream),
                             JumpSet(a))[0].n_jumps
-                  for s in stream.split(30_000)]
+                  for _ in range(30_000)]
         target = alpha * np.exp(-lam * a)
         assert abs(np.mean(counts) - target) < 4.0 * np.sqrt(target / 30_000)
 
     def test_parts_uncorrelated(self, make_stream):
         stream = make_stream()
         na, nb = [], []
-        for s in stream.split(20_000):
-            in_a, rest = thin_path(simulate_path(_exp_model(1.0, 3.0), 1.0, s),
+        for _ in range(20_000):
+            in_a, rest = thin_path(simulate_path(_exp_model(1.0, 3.0), 1.0, stream),
                                    JumpSet(0.7))
             na.append(in_a.n_jumps)
             nb.append(rest.n_jumps)
@@ -173,8 +175,8 @@ class TestIncrements:
         stream = make_stream()
         inc = np.empty((20_000, 4))
         grid = [0.0, 0.5, 1.0, 1.5, 2.0]
-        for row, s in enumerate(stream.split(20_000)):
-            p = simulate_path(model, 2.0, s)
+        for row in range(20_000):
+            p = simulate_path(model, 2.0, stream)
             vals = [p.value(t) for t in grid]
             inc[row] = np.diff(vals)
         band = 3.0 / np.sqrt(inc.shape[0])
@@ -186,8 +188,8 @@ class TestIncrements:
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0))
         stream = make_stream()
         first, second = [], []
-        for s in stream.split(30_000):
-            p = simulate_path(model, 2.0, s)
+        for _ in range(30_000):
+            p = simulate_path(model, 2.0, stream)
             first.append(p.value(1.0))
             second.append(p.value(2.0) - p.value(1.0))
         assert ks_two_sample(np.array(first), np.array(second))[2]

@@ -14,8 +14,7 @@ from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, deco
 from sdlevy.discount import TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, _poisson_jumps
-from sdlevy.operator import (OperatorDriver, OperatorModel, _expm, _QDiscounter,
-                             independent_coordinates, operator_decompose_many,
+from sdlevy.operator import (OperatorModel, _expm, _QDiscounter, operator_decompose_many,
                              sample_operator_integral_many)
 from sdlevy.rng import RngStream
 from sdlevy.stats import ks_two_sample
@@ -29,12 +28,7 @@ def _coord(alpha=2.0, lam=1.0, drift=0.0):
 
 def _model_2d(q=None):
     q = np.diag([1.0, 2.0]) if q is None else np.asarray(q, float)
-    return OperatorModel(q, independent_coordinates((_coord(2.0, 1.0),
-                                                     _coord(1.0, 2.0, drift=0.3))))
-
-
-def _shared(model, u):
-    return OperatorDriver(((model, u),))
+    return OperatorModel(q, (_coord(2.0, 1.0), _coord(1.0, 2.0, drift=0.3)))
 
 
 # The complex-eigenvalue Q of the benchmark's eigen-mode config.
@@ -85,11 +79,11 @@ class TestMatrixExp:
 
     def test_validation(self):
         # OperatorModel refuses a Q whose exponential is undefined
-        driver = independent_coordinates((_coord(), _coord()))
+        coords = (_coord(), _coord())
         with pytest.raises(ValueError, match="square"):
-            OperatorModel(np.ones((2, 3)), driver)
+            OperatorModel(np.ones((2, 3)), coords)
         with pytest.raises(ValueError, match="finite"):
-            OperatorModel(np.array([[np.nan, 0.0], [0.0, 1.0]]), driver)
+            OperatorModel(np.array([[np.nan, 0.0], [0.0, 1.0]]), coords)
 
     @given(s=st.floats(0.0, 3.0), t=st.floats(0.0, 3.0))
     @settings(max_examples=50, deadline=None)
@@ -203,47 +197,29 @@ class TestSpectralGate:
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
-            OperatorModel(np.eye(3), independent_coordinates((_coord(), _coord())))
+            OperatorModel(np.eye(3), (_coord(), _coord()))
 
     def test_gaussian_driver_rejected(self):
         with pytest.raises(ValueError, match="Gaussian"):
-            independent_coordinates((LevyModel(gauss_var=1.0),))
-        with pytest.raises(ValueError, match="Gaussian"):
-            _shared(LevyModel(gauss_var=1.0), (1.0, 0.0))
+            OperatorModel(np.eye(1), (LevyModel(gauss_var=1.0),))
 
     def test_driver_sources_validated(self):
         with pytest.raises(ValueError, match="at least one"):
-            OperatorDriver(())
-        with pytest.raises(ValueError, match="at least one"):
-            independent_coordinates(())
-        bad = [
-            ((_coord(), (1.0, 0.0)), (_coord(), (1.0, 0.0, 0.0))),  # unequal lengths
-            ((_coord(), (1.0, np.nan)),),
-            ((_coord(), (np.inf, 0.0)),),
-            ((_coord(), ()),),
-            ((_coord(), ((1.0, 0.0),)),),  # not 1-d
-        ]
-        for sources in bad:
-            with pytest.raises(ValueError, match="directions"):
-                OperatorDriver(sources)
+            OperatorModel(np.zeros((0, 0)), ())
 
     def test_driver_sums_its_sources(self):
-        coords = independent_coordinates((_coord(2.0, 1.0, drift=0.1),
-                                          _coord(1.0, 2.0, drift=0.3)))
-        assert coords.dimension == 2
-        np.testing.assert_array_equal(coords.drift_vector(), [0.1, 0.3])
-        np.testing.assert_array_equal(coords.mean_unit_increment(), [2.1, 0.8])
-        shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
-        assert shared.dimension == 2
-        np.testing.assert_array_equal(shared.drift_vector(), [0.2, -0.1])
-        np.testing.assert_allclose(shared.mean_unit_increment(), [2.2, -1.1],
-                                   rtol=1e-15)
+        # coordinate i's drift and mean increment go along e_i
+        model = OperatorModel(np.diag([1.0, 2.0]), (_coord(2.0, 1.0, drift=0.1),
+                                                    _coord(1.0, 2.0, drift=0.3)))
+        assert model.dimension == 2
+        np.testing.assert_array_equal(model._drift, [0.1, 0.3])
+        np.testing.assert_array_equal(model.mean_integral(), [2.1, 0.4])
 
 
 class TestScalarConsistency:
     def test_d1_bit_identical_to_scalar(self):
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.0), drift=0.5)
-        op = OperatorModel(np.array([[1.0]]), independent_coordinates((model,)))
+        op = OperatorModel(np.array([[1.0]]), (model,))
         x_op = sample_operator_integral_many(op, POLICY, 2000, RngStream(99))
         x_sc = sample_discounted_integral_many(model, POLICY, 2000, RngStream(99))
         assert x_op.shape == (2000, 1)
@@ -259,7 +235,7 @@ class TestScalarConsistency:
         # block of length T holds about 80 jumps, so KthJump(170) always
         # takes more than two blocks.
         model = LevyModel(jump_rate=2.0, jump_law=ExponentialJumps(1.5), drift=0.3)
-        op = OperatorModel(np.array([[1.0]]), independent_coordinates((model,)))
+        op = OperatorModel(np.array([[1.0]]), (model,))
         o = operator_decompose_many(op, rule, POLICY, 300, RngStream(2024))
         s = decompose_many(model, rule, POLICY, 300, RngStream(2024))
         assert np.array_equal(o.tau, s.tau)
@@ -272,9 +248,7 @@ class TestScalarConsistency:
         # with Q = cI the coordinate integral sum_k e^{-c t_k} J_k has the
         # law of a scalar discounted integral at jump rate alpha / c
         c, alpha, lam = 2.0, 3.0, 1.0
-        op = OperatorModel(c * np.eye(2),
-                           independent_coordinates((_coord(alpha, lam),
-                                                    _coord(alpha, lam))))
+        op = OperatorModel(c * np.eye(2), (_coord(alpha, lam), _coord(alpha, lam)))
         draws = sample_operator_integral_many(op, POLICY, 30_000, make_stream())
         scalar = sample_discounted_integral_many(
             LevyModel(jump_rate=alpha / c, jump_law=ExponentialJumps(lam)),
@@ -295,17 +269,11 @@ class TestMeanIdentity:
         q = np.array([[2.0, 1.0], [0.0, 1.0]])
         model = _model_2d(q)
         np.testing.assert_allclose(model.q @ model.mean_integral(),
-                                   model.driver.mean_unit_increment(), rtol=1e-12)
+                                   [m.mean_unit_increment() for m in model.coords],
+                                   rtol=1e-12)
         draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
         se = draws.std(axis=0) / np.sqrt(draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 3.0 * se)
-
-    def test_shared_direction_driver(self, make_stream):
-        driver = _shared(_coord(2.0, 1.0), (1.0, -0.5))
-        model = OperatorModel(np.diag([1.0, 2.0]), driver)
-        draws = sample_operator_integral_many(model, POLICY, 20_000, make_stream())
-        se = draws.std(axis=0) / np.sqrt(draws.shape[0])
-        assert np.all(np.abs(draws.mean(axis=0) - model.mean_integral()) <= 4.0 * se)
 
     def test_n_validated(self, make_stream):
         for n in (0, -1):
@@ -346,15 +314,12 @@ class TestOperatorDecomposition:
         assert ks_two_sample(x_total[:, 1], draws[:, 1])[2]
 
     def test_first_jump_in_records(self, make_stream):
-        # KthJump(1, A) stops at the first jump of any source whose scalar
-        # size lies in A, so tau ~ Exp(sum_j rate_j * P(size_j in A)); here
-        # A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
+        # KthJump(1, A) stops at the first jump of any coordinate whose
+        # scalar size lies in A, so tau ~ Exp(sum_j rate_j * P(size_j in A));
+        # here A = [1, inf) and P(Exp(lam) >= 1) = e^{-lam}
         rule = KthJump(1, JumpSet(1.0))
-        coords_rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
-        shared = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
-        cases = [(_model_2d(), coords_rate), (_model_2d(_ROTATING_Q), coords_rate),
-                 (OperatorModel(np.diag([1.0, 2.0]), shared), 2.0 * math.exp(-1.0))]
-        for model, rate in cases:
+        rate = 2.0 * math.exp(-1.0) + 1.0 * math.exp(-2.0)
+        for model in (_model_2d(), _model_2d(_ROTATING_Q)):
             records = operator_decompose_many(model, rule, POLICY, 5_000, make_stream())
             assert records.passes().all()
             ref = ExponentialJumps(rate).sample(make_stream(), 5_000)
@@ -439,7 +404,7 @@ class TestRaggedSum:
         model = _model_2d()
         disc = model._discounter
         assert disc.mode == "eigen"
-        for j, (coord, u) in enumerate(model.driver.sources):
+        for j, (coord, u) in enumerate(zip(model.coords, np.eye(2))):
             driftless = LevyModel(jump_rate=coord.jump_rate, jump_law=coord.jump_law)
             owner, times, sizes = _poisson_jumps(driftless, POLICY.horizon, 500,
                                                  RngStream(5, j))
@@ -454,21 +419,21 @@ class TestRaggedSum:
 def _unblocked_operator_integral(model, T, n, stream, m=None):
     """The operator integral batch from the full owner/time/size arrays of
     ``_poisson_jumps``, one block of m rows (all n at once by default) after
-    another on the one stream: in each block one call per source in the
-    driver's order, discounted by ``ragged_sum``."""
+    another on the one stream: in each block one call per coordinate in
+    order, discounted by ``ragged_sum`` along its unit vector."""
     m = m or n
     disc = model._discounter
     out = np.zeros((n, model.dimension))
     for lo in range(0, n, m):
         k = min(m, n - lo)
-        for source, u in model.driver.sources:
-            out[lo:lo + k] += disc.ragged_sum(*_poisson_jumps(source, T, k, stream), u, k)
-    return out + disc.drift_integral(T, model.driver.drift_vector())
+        for coord, u in zip(model.coords, np.eye(model.dimension)):
+            out[lo:lo + k] += disc.ragged_sum(*_poisson_jumps(coord, T, k, stream), u, k)
+    return out + disc.drift_integral(T, model._drift)
 
 
 class TestBlockedBatch:
     """``sample_operator_integral_many`` draws its rows in consecutive
-    blocks of m (``levy._jump_sums``), each source one ``_poisson_jumps``
+    blocks of m (``levy._jump_sums``), each coordinate one ``_poisson_jumps``
     call per block, and must equal the unblocked sums of those calls bit for
     bit in every discounter mode."""
 
@@ -488,15 +453,6 @@ class TestBlockedBatch:
         assert np.array_equal(got, ref)
         assert stream.counter == ref_stream.counter
 
-    def test_shared_direction_bit_equal_to_unblocked(self, monkeypatch):
-        # one source at rate 2: m = 6 rows per block of 500 expected jumps
-        monkeypatch.setattr("sdlevy.levy._BLOCK", 500)
-        model = OperatorModel(np.asarray(_ROTATING_Q), _shared(_coord(2.0, 1.0, drift=0.2),
-                                                              (1.0, -0.5)))
-        ref = _unblocked_operator_integral(model, 40.0, 50, RngStream(22), 6)
-        got = sample_operator_integral_many(model, TruncationPolicy(40.0), 50, RngStream(22))
-        assert np.array_equal(got, ref)
-
     @pytest.mark.parametrize("q", [q for q, _ in _MODE_QS],
                              ids=["diagonal", "coupled", "complex_eigen", "jordan"])
     def test_one_block_is_the_unblocked_draw(self, q):
@@ -510,7 +466,7 @@ class TestBlockedBatch:
 
     def test_prefix_stable(self):
         # at the total rate 3 and T = 40 a default block holds
-        # m = 2^16 // 120 = 546 rows: both sources draw in each block, so the
+        # m = 2^16 // 120 = 546 rows: both coordinates draw in each block, so the
         # first 2 * 546 rows are the same for every n >= 1,092
         for q in (None, _ROTATING_Q):
             draws = {n: sample_operator_integral_many(_model_2d(q), TruncationPolicy(40.0), n,
@@ -535,16 +491,6 @@ class TestBlockedBatch:
 
 
 class TestOperatorRecordsEngine:
-    def test_shared_direction_records(self, make_stream):
-        driver = _shared(_coord(2.0, 1.0, drift=0.2), (1.0, -0.5))
-        model = OperatorModel(np.array([[2.0, 1.0], [0.5, 3.0]]), driver)
-        records = operator_decompose_many(model, KthJump(), POLICY, 3_000,
-                                          make_stream())
-        assert records.passes().all()
-        draws = sample_operator_integral_many(model, POLICY, 3_000, make_stream())
-        for i in range(2):
-            assert ks_two_sample(records.x_total[:, i], draws[:, i])[2]
-
     def test_complex_eigenvalue_records(self, make_stream):
         model = _model_2d(_ROTATING_Q)
         assert np.iscomplexobj(model._discounter.w)

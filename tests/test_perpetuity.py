@@ -9,9 +9,9 @@ from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, deco
 from sdlevy.discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
-from sdlevy.perpetuity import (BetaGammaAffine, StoppedIntegralAffine,
-                               beta_gamma_identity_samples, estimate_log_contraction,
-                               gamma_factor_samples, sample_backward_series_many)
+from sdlevy.perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
+                               estimate_log_contraction, gamma_factor_samples,
+                               sample_backward_series_many)
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import compare_samples, ks_two_sample
 
@@ -20,6 +20,12 @@ POLICY = TruncationPolicy()
 
 def _gamma_model(alpha=2.0, lam=1.0):
     return LevyModel(jump_rate=alpha, jump_law=ExponentialJumps(lam))
+
+
+def _first_jump_pair(alpha, lam):
+    """The gamma driver's pair at its first jump, (e^{-tau}, e^{-tau} J):
+    the beta-gamma pair (U^{1/alpha}, U^{1/alpha} Exp(lam))."""
+    return StoppedIntegralAffine(_gamma_model(alpha, lam), KthJump())
 
 
 @dataclass(frozen=True)
@@ -36,7 +42,7 @@ class ConstantAffine:
 class TestIteration:
     def test_log_contraction_estimate(self, make_stream):
         # E[log U^{1/a}] = -1/a
-        est = estimate_log_contraction(BetaGammaAffine(2.0, 1.0), make_stream(),
+        est = estimate_log_contraction(_first_jump_pair(2.0, 1.0), make_stream(),
                                        n=200_000)
         assert est == pytest.approx(-0.5, abs=0.01)
 
@@ -70,7 +76,7 @@ class TestBackwardSeries:
                                         make_stream(), max_terms=200)
 
     def test_gamma_series_marginal_and_mean(self, make_stream):
-        z, _ = sample_backward_series_many(BetaGammaAffine(2.0, 1.0), 1e-12, 50_000,
+        z, _ = sample_backward_series_many(_first_jump_pair(2.0, 1.0), 1e-12, 50_000,
                                            make_stream(), max_terms=200)
         ref = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=50_000)
         assert ks_two_sample(z, ref)[2]
@@ -83,7 +89,7 @@ class TestBackwardSeries:
         # stopped-integral law
         gaussian = StoppedIntegralAffine(LevyModel(gauss_var=1.0),
                                          IndependentRandomTime(ExponentialJumps(1.0)))
-        for law in (BetaGammaAffine(0.5, 1.0), gaussian):
+        for law in (_first_jump_pair(0.5, 1.0), gaussian):
             stream = make_stream()
             fwd = np.zeros(30_000)
             for _ in range(300):
@@ -98,7 +104,7 @@ class TestBackwardSeries:
         # pairs for every path, so the tighter run only appends tail terms;
         # the two draws agree to roughly the looser tolerance and the mean
         # moves far less than one Monte Carlo standard error
-        law = BetaGammaAffine(2.0, 1.0)
+        law = _first_jump_pair(2.0, 1.0)
         z1, _ = sample_backward_series_many(law, 1e-8, 5000, RngStream(314159),
                                             max_terms=200)
         z2, _ = sample_backward_series_many(law, 1e-12, 5000, RngStream(314159),

@@ -49,6 +49,12 @@ class TestKS:
         assert KS_COEFF == math.sqrt(-0.5 * math.log(0.0005))
         assert KS_COEFF > math.sqrt(-0.5 * math.log(0.005))
 
+    def test_coefficient_is_the_kolmogorov_quantile(self):
+        # an independent reference: the limiting law of sqrt(nm/(n+m)) D,
+        # Kolmogorov's, puts mass SIGNIFICANCE above KS_COEFF; the formula's
+        # dropped terms are 2 e^{-8 KS_COEFF^2} ~ 1e-13
+        assert scipy.stats.kstwobign.sf(KS_COEFF) == pytest.approx(SIGNIFICANCE, rel=1e-9)
+
     def test_preconditions(self, make_stream):
         small = make_stream().normal(size=50)
         big = make_stream().normal(size=200)
