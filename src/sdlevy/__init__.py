@@ -14,8 +14,7 @@ from .levy import (ExponentialJumps, JumpPath, JumpSet, LevyModel, shift_path,
                    simulate_path, thin_path)
 from .operator import (OperatorDecompositionRecord, OperatorModel, operator_decompose_many,
                        sample_operator_integral_many)
-from .perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
-                         gamma_factor_samples, sample_backward_series_many)
+from .perpetuity import StoppedIntegralAffine, sample_backward_series_many
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (StatReport, compare_samples, gamma_cf, independence_diagnostic,
                     independence_pass_band, ks_two_sample)

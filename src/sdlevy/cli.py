@@ -58,8 +58,7 @@ from .discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_man
 from .errors import ConfigError, SpectralGateError
 from .levy import ExponentialJumps, JumpSet, LevyModel
 from .operator import OperatorModel, operator_decompose_many, sample_operator_integral_many
-from .perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
-                         gamma_factor_samples, sample_backward_series_many)
+from .perpetuity import StoppedIntegralAffine, sample_backward_series_many
 from .rng import GammaParams, RngStream, sample_gamma
 from .stats import (MIN_PAIRED_SAMPLES, StatReport, _pooled_ecdfs, compare_samples,
                     empirical_cf, gamma_cf, independence_diagnostic, independence_pass_band,
@@ -86,8 +85,7 @@ _RULES = {
     "first_jump_in": ({"threshold": _POSITIVE},
                       lambda threshold: dec.KthJump(1, JumpSet(threshold))),
     "kth_jump": ({"k": {"type": "integer", "minimum": 1}}, dec.KthJump),
-    "independent_exponential": (
-        {"rate": _POSITIVE}, lambda rate: dec.IndependentRandomTime(ExponentialJumps(rate))),
+    "independent_exponential": ({"rate": _POSITIVE}, dec.IndependentRandomTime),
 }
 
 
@@ -161,7 +159,7 @@ def _exact_tau(rule, sources, n: int, stream: RngStream):
     if isinstance(rule, dec.FixedTime):
         return None
     if isinstance(rule, dec.IndependentRandomTime):
-        return rule.law.sample(stream, n)
+        return stream.exponential(rule.rate, size=n)
     a = 0.0 if rule.jump_set is None else rule.jump_set.a
     rate = sum(r * math.exp(-lam * a) for r, lam in sources)
     return sample_gamma(GammaParams(rule.k, rate), stream, size=n)
@@ -225,15 +223,24 @@ def _run_corollary3(params, n, policy, stream) -> ExperimentResult:
 
 
 def _run_prop1(params, n, policy, stream) -> ExperimentResult:
+    """Per alpha, gamma(alpha, lam) =d U^{1/alpha} gamma(alpha + 1, lam), and
+    gamma(alpha, lam) =d A gamma(alpha, lam) + B with (A, B) = (e^{-tau},
+    e^{-tau} J) the driver's first-jump pair, all factors independent."""
     lam = params["lam"]
     reports, samples, primary = [], {}, None
     for alpha in params["alphas"]:
         # the shortest round-trip repr: distinct alphas never share a name
         tag = repr(alpha).removesuffix(".0")
         s_bg, s_fac, s_ref = stream.split(3)
-        lhs, rhs = beta_gamma_identity_samples(alpha, lam, n, s_bg)
+        s_lhs, s_rhs = s_bg.split(2)
+        lhs = sample_gamma(GammaParams(alpha, lam), s_lhs, size=n)
+        rhs = s_rhs.uniform(size=n) ** (1.0 / alpha) * sample_gamma(
+            GammaParams(alpha + 1.0, lam), s_rhs, size=n)
         reports.append(compare_samples(f"beta_gamma_alpha_{tag}", lhs, rhs))
-        factor = gamma_factor_samples(alpha, lam, n, s_fac, discount="first_jump")
+        pair = StoppedIntegralAffine(_gamma_model(alpha, lam), dec.KthJump())
+        a, b = pair.sample_pairs(s_fac, size=n)
+        factor = a * sample_gamma(GammaParams(alpha, lam), s_fac, size=n) + b
+        del a, b  # freed before the KS reports, where this runner's memory peaks
         direct = sample_gamma(GammaParams(alpha, lam), s_ref, size=n)
         reports.append(compare_samples(f"first_jump_factor_alpha_{tag}", direct, factor))
         samples[f"beta_gamma_lhs_{tag}"] = lhs
@@ -257,7 +264,7 @@ def _run_perpetuity(params, n, policy, stream) -> ExperimentResult:
         # A jump-free driver has no first jump; an independent Exp(1) time is
         # a valid stopping rule and keeps the discount non-degenerate.
         model = LevyModel(gauss_var=params.get("sigma2", 1.0))
-        rule = dec.IndependentRandomTime(ExponentialJumps(1.0))
+        rule = dec.IndependentRandomTime(1.0)
     law = StoppedIntegralAffine(model, rule)
     s_perp, s_exact = stream.split(2)
     s_iter, s_direct, s_diag = s_perp.split(3)

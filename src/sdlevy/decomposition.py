@@ -5,7 +5,9 @@ arrays on (0, tau + T], a chunk of records at a time, and serves
 ``decompose_many`` (``decompose`` is its n = 1 row) and the operator records
 in ``operator.py``. Every path-dependent rule is a ``KthJump``: the first
 jump (``KthJump()``, whose record is Corollary 3's first-value identity),
-the first jump in a set and the k-th jump. The restricted-jump identity is
+the first jump in a set and the k-th jump. The other rules are known before
+the path is drawn: a ``FixedTime`` and an ``IndependentRandomTime``, an
+Exp(rate) time drawn from a child stream. The restricted-jump identity is
 the record at the first jump of the driver thinned to a jump set, where
 X_tau is e^{-tau} times that jump. X_tau and X' are evaluated on the same
 realization, so the recombination x_total = x_tau + e^{-tau} * x_prime
@@ -65,7 +67,8 @@ class KthJump:
     jump_set: JumpSet | None = None
 
     def __post_init__(self):
-        if not isinstance(self.k, numbers.Integral):
+        # bool is an Integral, but True is not a rank
+        if not isinstance(self.k, numbers.Integral) or isinstance(self.k, bool):
             raise ValueError(f"k must be an integer, not {self.k!r}")
         if self.k < 1:
             raise ValueError("k must be at least 1")
@@ -73,10 +76,14 @@ class KthJump:
 
 @dataclass(frozen=True)
 class IndependentRandomTime:
-    """A nonnegative random time drawn independently of the path, from a
-    stream disjoint from the path's stream."""
+    """An Exp(rate) time drawn independently of the path, from a stream
+    disjoint from the path's stream."""
 
-    law: object  # any law whose .sample(stream, size) returns size draws in [0, inf)
+    rate: float
+
+    def __post_init__(self):
+        if not 0 < self.rate < math.inf:
+            raise ValueError(f"rate must be finite and positive, not {self.rate!r}")
 
 
 StoppingRule = Union[FixedTime, KthJump, IndependentRandomTime]
@@ -104,9 +111,7 @@ def evaluate_stopping(rule: StoppingRule, path: JumpPath,
     if isinstance(rule, IndependentRandomTime):
         if stream is None:
             raise ValueError("IndependentRandomTime needs an independent stream")
-        t = float(rule.law.sample(stream, 1)[0])
-        if t < 0:
-            raise ValueError("independent random time must be nonnegative")
+        t = float(stream.exponential(rule.rate, size=1)[0])
         if t > path.horizon:
             raise InsufficientHorizonError(
                 f"independent time {t} exceeds horizon {path.horizon}")
@@ -147,14 +152,11 @@ class DecompositionRecord:
 
 def _preset_time(rule, stream: RngStream, size: int) -> np.ndarray:
     """``size`` times of a FixedTime or IndependentRandomTime rule, known
-    before the path is drawn; independent times come from a child stream,
-    disjoint from the path's draws."""
+    before the path is drawn; independent Exp(rate) times come from a child
+    stream, disjoint from the path's draws."""
     if isinstance(rule, FixedTime):
         return np.full(size, float(rule.t))
-    tau = np.asarray(rule.law.sample(stream.split(1)[0], size), float)
-    if np.any(tau < 0):
-        raise ValueError("independent random time must be nonnegative")
-    return tau
+    return stream.split(1)[0].exponential(rule.rate, size=size)
 
 
 def _kth_times(owner, times, count, rank, rows):

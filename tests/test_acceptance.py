@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from sdlevy.cli import run
+from sdlevy.cli import _run_prop1, run
 from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, decompose_many
 from sdlevy.discount import (TAIL_TOL, TruncationPolicy, eval_by_parts, eval_jump_sum,
                              sample_discounted_integral_many)
@@ -14,8 +14,7 @@ from sdlevy.errors import SpectralGateError
 from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel, simulate_path
 from sdlevy.operator import (OperatorModel, operator_decompose_many,
                              sample_operator_integral_many)
-from sdlevy.perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
-                               gamma_factor_samples, sample_backward_series_many)
+from sdlevy.perpetuity import StoppedIntegralAffine, sample_backward_series_many
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import (independence_diagnostic, independence_pass_band,
                           ks_two_sample)
@@ -57,7 +56,7 @@ def test_02_pathwise_recombination():
     """x_total = x_tau + e^{-tau} x_prime on every realization, five stopping
     rules, 1e4 records each, relative tolerance 1e-10."""
     rules = (FixedTime(0.7), KthJump(), KthJump(1, JumpSet(1.0)),
-             KthJump(3), IndependentRandomTime(ExponentialJumps(1.0)))
+             KthJump(3), IndependentRandomTime(1.0))
     model = _gamma_model(2.0, 1.0)
     stream = RngStream(SEED, stream_id=2)
     worst = 0.0
@@ -88,16 +87,18 @@ def test_03_stopped_factorization_in_law():
 def test_04_beta_gamma_factorizations():
     """gamma(a,1) =d U^{1/a} gamma(a+1,1) and =d e^{-Exp(a)}(Exp(1)+gamma(a,1))
     for a in {0.5, 1, 2}, with mean and second moment oracles within 3 SE."""
-    stream = RngStream(SEED, stream_id=4)
+    shapes = (0.5, 1.0, 2.0)
+    result = _run_prop1({"alphas": list(shapes), "lam": 1.0}, N, POLICY,
+                        RngStream(SEED, stream_id=4))
+    ks_pass = {r.name: r.diagnostics["ks_pass"] for r in result.reports}
     ok = True
     detail = ""
-    for a in (0.5, 1.0, 2.0):
-        s_bg, s_fac, s_ref = stream.split(3)
-        lhs, rhs = beta_gamma_identity_samples(a, 1.0, N, s_bg)
-        _, _, ok_bg = ks_two_sample(lhs, rhs)
-        factor = gamma_factor_samples(a, 1.0, N, s_fac, discount="first_jump")
-        ref = sample_gamma(GammaParams(a, 1.0), s_ref, size=N)
-        _, _, ok_fac = ks_two_sample(factor, ref)
+    for a in shapes:
+        tag = repr(a).removesuffix(".0")
+        ok_bg = ks_pass[f"beta_gamma_alpha_{tag}"]
+        ok_fac = ks_pass[f"first_jump_factor_alpha_{tag}"]
+        rhs = result.samples[f"beta_gamma_rhs_{tag}"]
+        factor = result.samples[f"factor_form_{tag}"]
         # gamma(a, 1) has mean a and second moment a(a+1)
         m1, m2 = a, a * (a + 1.0)
         ok_m1 = abs(rhs.mean() - m1) <= 3.0 * rhs.std() / np.sqrt(N)
@@ -217,9 +218,12 @@ def test_09_calibration_and_negative_controls():
     wrong = sample_gamma(GammaParams(2.2, 1.0), s2, size=N)
     wrong_detected = not ks_two_sample(a, wrong)[2]
     dep_detected = independence_diagnostic(a, a) > independence_pass_band(N)
-    # the alternative discount reading must be rejected away from shape 1
-    alt = gamma_factor_samples(2.0, 1.0, N, stream.split(1)[0],
-                               discount="gamma_exponent")
+    # the alternative discount reading, D = e^{-gamma(2,1)} in
+    # D * (Exp(1) + gamma(2,1)), must be rejected away from shape 1
+    s_alt = stream.split(1)[0]
+    d = np.exp(-sample_gamma(GammaParams(2.0, 1.0), s_alt, size=N))
+    alt = d * (s_alt.exponential(1.0, size=N)
+               + sample_gamma(GammaParams(2.0, 1.0), s_alt, size=N))
     alt_detected = not ks_two_sample(alt, a)[2]
 
     ok = failures <= 1 and wrong_detected and dep_detected and alt_detected

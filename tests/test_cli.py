@@ -27,9 +27,10 @@ from sdlevy.cli import (_CDF_ROWS, _ECF_GRID, _EXPERIMENTS, _PAIRED, _RULES,
 from sdlevy.decomposition import DecompositionRecord, FixedTime, IndependentRandomTime, KthJump
 from sdlevy.discount import TAIL_TOL, TruncationPolicy
 from sdlevy.errors import ConfigError, ContractionError
-from sdlevy.levy import ExponentialJumps, JumpSet
+from sdlevy.levy import ExponentialJumps, JumpSet, LevyModel
 from sdlevy.operator import OperatorDecompositionRecord
-from sdlevy.rng import RngStream
+from sdlevy.perpetuity import StoppedIntegralAffine
+from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import MIN_PAIRED_SAMPLES, empirical_cf, ks_two_sample
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -100,6 +101,16 @@ _VALUES = [None, True, False, 0, 1, -1, 3, 99, 100, 199, 200, 999, 1000, 2000, 0
            {"kind": "first_jump"}, {"kind": "kth_jump", "k": 0}, {"kind": "fixed_time", "t": -1},
            {"kind": "first_jump_in"}, {"kind": "bogus"}, {"horizon": 0},
            {"jump_rate": 1.0, "exp_jump_rate": 2.0}, {"jump_rate": 1.0, "drift": 1}]
+
+
+# The reference validator: draft 2020-12 with integer meaning a JSON integer
+# and number a finite JSON number.
+_ORACLE = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
+        "integer": lambda _, doc: isinstance(doc, int) and not isinstance(doc, bool),
+        "number": lambda _, doc: (isinstance(doc, (int, float)) and not isinstance(doc, bool)
+                                  and math.isfinite(doc))}))
 
 
 def _nodes(doc, path=()):
@@ -186,7 +197,7 @@ class TestValidation:
                 "first_jump_in": ({"threshold": 2.0}, KthJump(1, JumpSet(2.0))),
                 "kth_jump": ({"k": 3}, KthJump(3)),
                 "independent_exponential": (
-                    {"rate": 1.5}, IndependentRandomTime(ExponentialJumps(1.5)))}
+                    {"rate": 1.5}, IndependentRandomTime(1.5))}
         assert set(docs) == set(_RULES)
         for kind, (fields, rule) in docs.items():
             doc = json.loads(json.dumps(SMALL_CONFIGS["verify-corollary2-pathwise"]))
@@ -245,16 +256,11 @@ class TestValidation:
         # a seeded corpus of mutated configs: _errors yields exactly the
         # reference validator's messages in its order, so it accepts and
         # rejects alike and validate_config's message is one the reference
-        # reports; the reference is draft 2020-12 with integer meaning a JSON
-        # integer and number a finite JSON number
-        oracle = jsonschema.validators.extend(
-            jsonschema.Draft202012Validator,
-            type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine_many({
-                "integer": lambda _, doc: isinstance(doc, int) and not isinstance(doc, bool),
-                "number": lambda _, doc: (isinstance(doc, (int, float))
-                                          and not isinstance(doc, bool)
-                                          and math.isfinite(doc))}))
-        validators = {id(schema): oracle(schema) for schema in _SCHEMAS}
+        # reports. jsonschema's uniqueItems check (_utils.uniq) sorts the
+        # items and compares only neighbours, so it misses one NaN object
+        # twice in an array when sorting leaves the two apart; the corpus
+        # draws no such array, and the next test pins that case
+        validators = {id(schema): _ORACLE(schema) for schema in _SCHEMAS}
         counts = {"accepted": 0, "rejected": 0}
         for doc in _mutated_configs(random.Random(15), 10_000):
             pairs = [(CONFIG_SCHEMA, doc)]
@@ -266,6 +272,21 @@ class TestValidation:
                 assert list(_errors(schema, instance)) == expected, instance
                 counts["rejected" if expected else "accepted"] += 1
         assert min(counts.values()) >= 2_000, counts
+
+    def test_nan_pair_apart_after_sorting_rejected_with_the_first_message(self):
+        # json.loads gives one NaN object for each NaN: the reference reports
+        # the two type errors only, _errors also the repeated item, and
+        # validate_config rejects the config with the first message of both
+        params = {"alphas": json.loads("[NaN, 0.5, NaN]"), "lam": 1.0}
+        schema = _EXPERIMENTS["verify-prop1"][0]
+        expected = [e.message for e in _ORACLE(schema).iter_errors(params)]
+        assert expected == ["nan is not of type 'number'"] * 2
+        assert list(_errors(schema, params)) == [
+            *expected, "[nan, 0.5, nan] has non-unique elements"]
+        doc = {**SMALL_CONFIGS["verify-prop1"], "params": params}
+        with pytest.raises(ConfigError) as err:
+            validate_config(doc)
+        assert str(err.value) == f"config schema violation: {expected[0]}"
 
     def test_n_samples_floor(self):
         doc = dict(SMALL_CONFIGS["verify-gamma-bdlp"])
@@ -400,6 +421,23 @@ class TestRunners:
         header = (tmp_path / "samples.csv").read_text().split("\n", 1)[0]
         assert header.split(",") == [f"{column}_{tag}" for tag in tags for column in
                                      ("beta_gamma_lhs", "beta_gamma_rhs", "factor_form")]
+
+    def test_prop1_factor_form_is_the_first_jump_pair_law(self):
+        # factor_form is A * gamma(alpha, lam) + B, draw for draw, with (A, B)
+        # the gamma driver's first-jump pair and the gamma draw after it, all
+        # on the second of each alpha's three child streams
+        alphas, lam, n = [0.5, 2.0], 1.5, 500
+        samples = cli._run_prop1({"alphas": alphas, "lam": lam}, n, TruncationPolicy(),
+                                 RngStream(41)).samples
+        root = RngStream(41)
+        for alpha in alphas:
+            _, s_fac, _ = root.split(3)
+            pair = StoppedIntegralAffine(
+                LevyModel(jump_rate=alpha, jump_law=ExponentialJumps(lam)), KthJump())
+            a, b = pair.sample_pairs(s_fac, size=n)
+            g = sample_gamma(GammaParams(alpha, lam), s_fac, size=n)
+            tag = repr(alpha).removesuffix(".0")
+            assert np.array_equal(samples[f"factor_form_{tag}"], a * g + b)
 
     def test_report_states_an_explicit_horizon(self, tmp_path):
         # policy.horizon is honoured: report.json states it, and it moves the

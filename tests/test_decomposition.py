@@ -30,7 +30,7 @@ RULES = [
     KthJump(1, JumpSet(1.0)),
     KthJump(3),
     KthJump(2, JumpSet(1.0)),
-    IndependentRandomTime(ExponentialJumps(1.0)),
+    IndependentRandomTime(1.0),
 ]
 RULE_IDS = ["fixed_time", "first_jump", "first_jump_in", "kth_jump", "kth_jump_in",
             "independent_time"]
@@ -61,6 +61,9 @@ class TestStoppingRules:
             KthJump(2.5)
         with pytest.raises(ValueError):
             KthJump(2.0)
+        # nor is a bool, although bool is an Integral: True is not rank 1
+        with pytest.raises(ValueError):
+            KthJump(True)
         assert evaluate_stopping(KthJump(np.int64(3)), p) == p.jump_times[2]
 
     def test_first_jump_empty_path(self):
@@ -77,11 +80,16 @@ class TestStoppingRules:
 
     def test_independent_time_needs_stream(self, make_stream):
         p = simulate_path(_gamma_model(), 50.0, make_stream())
-        rule = IndependentRandomTime(ExponentialJumps(1.0))
+        rule = IndependentRandomTime(1.0)
         with pytest.raises(ValueError):
             evaluate_stopping(rule, p)
         t = evaluate_stopping(rule, p, make_stream())
         assert 0.0 <= t <= p.horizon
+
+    @pytest.mark.parametrize("rate", [0.0, -1.0, np.nan, np.inf])
+    def test_independent_time_rate_validated(self, rate):
+        with pytest.raises(ValueError):
+            IndependentRandomTime(rate)
 
     def test_first_jump_time_is_exponential(self, make_stream):
         alpha = 2.0
@@ -206,7 +214,7 @@ class TestBatchEngine:
                 ref = (ref_stream.exponential(rate, size=n) if rule.k == 1
                        else sample_gamma(GammaParams(rule.k, rate), ref_stream, size=n))
             else:
-                ref = rule.law.sample(ref_stream, size=n)
+                ref = ref_stream.exponential(rule.rate, size=n)
             assert ks_two_sample(batch.tau, ref)[2], "tau"
         for field in ("x_prime", "x_total"):
             ref = sample_discounted_integral_many(model, POLICY, n, make_stream())

@@ -227,7 +227,7 @@ class TestScalarConsistency:
 
     @pytest.mark.parametrize("rule", [
         KthJump(), KthJump(170), FixedTime(0.7),
-        IndependentRandomTime(ExponentialJumps(1.0)),
+        IndependentRandomTime(1.0),
     ], ids=["first_jump", "kth_jump_170", "fixed_time", "independent_time"])
     def test_d1_decomposition_matches_scalar(self, rule):
         # Q = [[1]] is the scalar case: the shared batch engine must draw the
@@ -284,7 +284,7 @@ class TestMeanIdentity:
 class TestOperatorDecomposition:
     @pytest.mark.parametrize("rule", [
         FixedTime(0.7), KthJump(), KthJump(3),
-        IndependentRandomTime(ExponentialJumps(1.0)), KthJump(1, JumpSet(1.0)),
+        IndependentRandomTime(1.0), KthJump(1, JumpSet(1.0)),
     ])
     def test_residuals(self, rule, make_stream):
         for q in (None, _ROTATING_Q):
@@ -375,15 +375,17 @@ class TestRaggedSum:
 
     @pytest.mark.parametrize("n_rows", [40, 400])
     def test_dense_matches_per_jump_expm(self, n_rows, monkeypatch, make_stream):
-        # a block size of 7 makes every jump count here a partial last block;
-        # 400 rows at this rate leave some rows without jumps
+        # the drawn paths fill the even rows only, so every odd row has no
+        # jumps, and the block size is the least from 7 up that leaves a
+        # partial last block of the drawn count
         disc = _model_2d([[1.0, 1.0], [0.0, 1.0]])._discounter
         assert disc.mode == "dense"
         owner, times, sizes = _poisson_jumps(_coord(0.5, 1.0), 2.0, n_rows, make_stream())
-        assert times.size % 7 and np.bincount(owner, minlength=n_rows).min() == 0
+        owner, n_rows = 2 * owner, 2 * n_rows
+        block = next(b for b in range(7, times.size) if times.size % b)
         u = np.array([1.0, -0.5])
         whole = disc.ragged_sum(owner, times, sizes, u, n_rows)
-        monkeypatch.setattr("sdlevy.operator._EXPM_BLOCK", 7)
+        monkeypatch.setattr("sdlevy.operator._EXPM_BLOCK", block)
         got = disc.ragged_sum(owner, times, sizes, u, n_rows)
         assert np.array_equal(got, whole)
         ref = np.zeros((n_rows, 2))

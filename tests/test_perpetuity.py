@@ -5,13 +5,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
+from sdlevy.cli import _run_prop1
 from sdlevy.decomposition import FixedTime, IndependentRandomTime, KthJump, decompose_many
 from sdlevy.discount import TAIL_TOL, TruncationPolicy, sample_discounted_integral_many
 from sdlevy.errors import ContractionError
 from sdlevy.levy import ExponentialJumps, LevyModel
-from sdlevy.perpetuity import (StoppedIntegralAffine, beta_gamma_identity_samples,
-                               estimate_log_contraction, gamma_factor_samples,
-                               sample_backward_series_many)
+from sdlevy.perpetuity import StoppedIntegralAffine, sample_backward_series_many
 from sdlevy.rng import GammaParams, RngStream, sample_gamma
 from sdlevy.stats import compare_samples, ks_two_sample
 
@@ -42,9 +41,8 @@ class ConstantAffine:
 class TestIteration:
     def test_log_contraction_estimate(self, make_stream):
         # E[log U^{1/a}] = -1/a
-        est = estimate_log_contraction(_first_jump_pair(2.0, 1.0), make_stream(),
-                                       n=200_000)
-        assert est == pytest.approx(-0.5, abs=0.01)
+        a, _ = _first_jump_pair(2.0, 1.0).sample_pairs(make_stream(), size=200_000)
+        assert np.mean(np.log(a)) == pytest.approx(-0.5, abs=0.01)
 
 
 class TestBackwardSeries:
@@ -88,7 +86,7 @@ class TestBackwardSeries:
         # replaces, against the series, for the gamma chain and the Gaussian
         # stopped-integral law
         gaussian = StoppedIntegralAffine(LevyModel(gauss_var=1.0),
-                                         IndependentRandomTime(ExponentialJumps(1.0)))
+                                         IndependentRandomTime(1.0))
         for law in (_first_jump_pair(0.5, 1.0), gaussian):
             stream = make_stream()
             fwd = np.zeros(30_000)
@@ -114,17 +112,24 @@ class TestBackwardSeries:
         assert abs(z1.mean() - z2.mean()) < se
 
 
+def _prop1_samples(shape, n, stream):
+    """The verify-prop1 runner's samples.csv columns for one shape at lam = 1."""
+    return _run_prop1({"alphas": [shape], "lam": 1.0}, n, POLICY, stream).samples
+
+
 class TestGammaFactorizations:
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
     def test_beta_gamma_identity(self, shape, make_stream):
-        lhs, rhs = beta_gamma_identity_samples(shape, 1.0, 50_000, make_stream())
-        assert ks_two_sample(lhs, rhs)[2]
+        tag = repr(shape).removesuffix(".0")
+        samples = _prop1_samples(shape, 50_000, make_stream())
+        assert ks_two_sample(samples[f"beta_gamma_lhs_{tag}"],
+                             samples[f"beta_gamma_rhs_{tag}"])[2]
 
     def test_beta_gamma_moments(self, make_stream):
         # independence makes moments multiply:
         # E[U^{1/2} * gamma(3,1)] = (2/3) * 3 = 2
         # E[(U^{1/2})^2 * gamma(3,1)^2] = (1/2) * 12 = 6
-        _, rhs = beta_gamma_identity_samples(2.0, 1.0, 200_000, make_stream())
+        rhs = _prop1_samples(2.0, 200_000, make_stream())["beta_gamma_rhs_2"]
         se1 = rhs.std() / np.sqrt(rhs.size)
         assert abs(rhs.mean() - 2.0) < 3.0 * se1
         sq = rhs * rhs
@@ -141,26 +146,26 @@ class TestGammaFactorizations:
 
     @pytest.mark.parametrize("shape", [0.5, 1.0, 2.0])
     def test_factor_form_matches_gamma(self, shape, make_stream):
-        rhs = gamma_factor_samples(shape, 1.0, 50_000, make_stream())
+        # A * gamma(shape, 1) + B for the first-jump pair (A, B)
+        stream = make_stream()
+        a, b = _first_jump_pair(shape, 1.0).sample_pairs(stream, size=50_000)
+        rhs = a * sample_gamma(GammaParams(shape, 1.0), stream, size=50_000) + b
         ref = sample_gamma(GammaParams(shape, 1.0), make_stream(), size=50_000)
         assert ks_two_sample(rhs, ref)[2]
 
     def test_alternative_reading_matches_only_at_shape_one(self, make_stream):
         # D = e^{-gamma(a,1)} coincides with e^{-Exp(a)} only when a = 1
+        def alternative(shape, stream):
+            d = np.exp(-sample_gamma(GammaParams(shape, 1.0), stream, size=50_000))
+            return d * (stream.exponential(1.0, size=50_000)
+                        + sample_gamma(GammaParams(shape, 1.0), stream, size=50_000))
+
         ref = sample_gamma(GammaParams(1.0, 1.0), make_stream(), size=50_000)
-        alt = gamma_factor_samples(1.0, 1.0, 50_000, make_stream(),
-                                   discount="gamma_exponent")
-        assert ks_two_sample(alt, ref)[2]
+        assert ks_two_sample(alternative(1.0, make_stream()), ref)[2]
 
         ref2 = sample_gamma(GammaParams(2.0, 1.0), make_stream(), size=50_000)
-        alt2 = gamma_factor_samples(2.0, 1.0, 50_000, make_stream(),
-                                    discount="gamma_exponent")
-        d, thr, ok = ks_two_sample(alt2, ref2)
+        d, thr, ok = ks_two_sample(alternative(2.0, make_stream()), ref2)
         assert not ok and d > 10.0 * thr
-
-    def test_unknown_reading_rejected(self, make_stream):
-        with pytest.raises(ValueError):
-            gamma_factor_samples(2.0, 1.0, 100, make_stream(), discount="bogus")
 
 
 class TestStoppedIntegralAffine:
@@ -252,12 +257,12 @@ class TestSelfdecomposableAsPerpetuity:
 
     def test_gaussian_driver(self, make_stream):
         _check_perpetuity(LevyModel(gauss_var=1.0),
-                          IndependentRandomTime(ExponentialJumps(1.0)), make_stream())
+                          IndependentRandomTime(1.0), make_stream())
 
     def test_drift_only_fixed_point(self, make_stream):
         # pure drift c has X = c(1 - e^{-tau}) + e^{-tau} X, fixed point c
         law = StoppedIntegralAffine(LevyModel(drift=1.0),
-                                    IndependentRandomTime(ExponentialJumps(1.0)))
+                                    IndependentRandomTime(1.0))
         a, b = law.sample_pairs(make_stream(), size=1000)
         np.testing.assert_allclose(b, 1.0 - a, rtol=1e-12)
         # the series is 1 - prod A, cut once prod A < 1e-12
